@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (verifications: every check passed), 1 when a
 verification or sweep found a counterexample, 2 for usage errors and
-violated preconditions.  All numeric output is exact decimal text.
+violated preconditions, 3 for an internal error (a bug: the traceback goes
+to stderr).  All numeric output is exact decimal text at any magnitude.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from hankelrev.conjectures import (
     ConjectureReport,
@@ -34,7 +36,7 @@ from hankelrev.hankel import (
     hankel_triple,
     inverse_binomial_transform,
 )
-from hankelrev.series import PowerSeries
+from hankelrev.series import _decimal
 
 DEFAULT_DEPTH = 6
 DEFAULT_SHIFT_ORDER = 10
@@ -127,7 +129,7 @@ def render_report(report: ConjectureReport, fmt: str) -> str:
     params = report.params
     heading = f"conjecture {report.conjecture_id}"
     if params is not None:
-        heading += f": alpha={params.alpha} beta={params.beta}"
+        heading += f": alpha={_decimal(params.alpha)} beta={_decimal(params.beta)}"
     heading += f" depth={report.depth}"
     lines = [heading]
     for note in report.notes:
@@ -195,7 +197,7 @@ def _cmd_revert(args: argparse.Namespace) -> int:
         values = expand_gf(args.gf, args.order).revert().coefficient_strings()
     else:
         terms = family_reversion_terms(_family_params(args), args.order + 1)
-        values = [str(t) for t in terms]
+        values = [_decimal(t) for t in terms]
     _emit_values(values, args.format)
     return 0
 
@@ -208,7 +210,7 @@ def _cmd_hankel(args: argparse.Namespace) -> int:
         depth = args.depth if args.depth is not None else DEFAULT_DEPTH
         terms = _sequence_from_args(args, 2 * depth + 1)
     transform = hankel_transform(terms, depth)
-    _emit_values([str(v) for v in transform], args.format)
+    _emit_values([_decimal(v) for v in transform], args.format)
     return 0
 
 
@@ -225,7 +227,7 @@ def _cmd_triple(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         print(triple.to_csv(), end="")
     else:
-        rows = [[str(v) for v in row] for row in triple.rows()]
+        rows = [[_decimal(v) for v in row] for row in triple.rows()]
         print(_align_table(["n", "h", "h_star", "h_star_star"], rows))
     return 0
 
@@ -233,7 +235,7 @@ def _cmd_triple(args: argparse.Namespace) -> int:
 def _cmd_binomial(args: argparse.Namespace) -> int:
     terms = _parse_sequence(args.seq)
     result = inverse_binomial_transform(terms) if args.inverse else binomial_transform(terms)
-    _emit_values([str(v) for v in result], args.format)
+    _emit_values([_decimal(v) for v in result], args.format)
     return 0
 
 
@@ -444,6 +446,10 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        print("error: internal error (see the traceback above)", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

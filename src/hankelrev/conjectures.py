@@ -48,7 +48,7 @@ from hankelrev.families import (
     family_c_term,
 )
 from hankelrev.hankel import det_exact, hankel_transform, hankel_triple
-from hankelrev.series import PowerSeries
+from hankelrev.series import PowerSeries, _decimal, coefficient_string
 
 # claim labels are stable strings: reports are regression artifacts and
 # downstream tooling matches on them
@@ -101,7 +101,7 @@ class ConjectureReport:
 
 
 def _check(index: int, claim: str, lhs: int, rhs: int) -> Check:
-    return Check(index, claim, str(lhs), str(rhs), lhs == rhs)
+    return Check(index, claim, _decimal(lhs), _decimal(rhs), lhs == rhs)
 
 
 def _report(
@@ -286,7 +286,7 @@ def prop9_T_matrix(alpha: int, n: int) -> list[list[Fraction]]:
     """Lower-triangular T with T[i][k] = C(2i, i+k) * (2k+1)/(i+k+1) * alpha^i.
 
     Every entry is an integer multiple of alpha^i; that integrality is
-    asserted rather than assumed.
+    checked rather than assumed.
     """
     if n < 0:
         raise ValueError("matrix index must be non-negative")
@@ -298,7 +298,8 @@ def prop9_T_matrix(alpha: int, n: int) -> list[list[Fraction]]:
                 row.append(Fraction(0))
                 continue
             entry = Fraction(math.comb(2 * i, i + k) * (2 * k + 1), i + k + 1)
-            assert entry.denominator == 1
+            if entry.denominator != 1:
+                raise ArithmeticError(f"T[{i}][{k}] is not an integer multiple of alpha^{i}")
             row.append(entry * alpha**i)
         rows.append(row)
     return rows
@@ -328,8 +329,8 @@ def prop9_verify(alpha: int, n: int) -> ConjectureReport:
                 Check(
                     i,
                     CLAIM_P9_PRODUCT.format(i=i, j=j),
-                    str(H[i][j]),
-                    str(product),
+                    _decimal(H[i][j]),
+                    coefficient_string(product),
                     H[i][j] == product,
                 )
             )
@@ -342,8 +343,8 @@ def prop9_verify(alpha: int, n: int) -> ConjectureReport:
         Check(
             n,
             CLAIM_P9_DET_T,
-            str(det_t),
-            str(alpha ** math.comb(n + 1, 2)),
+            coefficient_string(det_t),
+            _decimal(alpha ** math.comb(n + 1, 2)),
             det_t == alpha ** math.comb(n + 1, 2),
         )
     )
@@ -548,8 +549,8 @@ def report_to_dict(report: ConjectureReport) -> dict:
     params = report.params
     return {
         "conjecture": report.conjecture_id,
-        "alpha": None if params is None else str(params.alpha),
-        "beta": None if params is None else str(params.beta),
+        "alpha": None if params is None else _decimal(params.alpha),
+        "beta": None if params is None else _decimal(params.beta),
         "depth": str(report.depth),
         "checks": [
             {
@@ -572,8 +573,8 @@ def report_to_json(report: ConjectureReport) -> str:
 
 def report_to_csv(report: ConjectureReport) -> str:
     params = report.params
-    alpha = "" if params is None else str(params.alpha)
-    beta = "" if params is None else str(params.beta)
+    alpha = "" if params is None else _decimal(params.alpha)
+    beta = "" if params is None else _decimal(params.beta)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["conjecture", "alpha", "beta", "depth", "n", "claim", "lhs", "rhs", "pass"])
@@ -601,7 +602,7 @@ def sweep_to_dict(result: SweepResult, include_reports: bool = False) -> dict:
         "grid_points": str(len(result.grid)),
         "checked": str(len(result.reports)),
         "skipped": [
-            {"alpha": str(p.alpha), "beta": str(p.beta)} for p in result.skipped
+            {"alpha": _decimal(p.alpha), "beta": _decimal(p.beta)} for p in result.skipped
         ],
         "counterexamples": [report_to_dict(r) for r in result.counterexamples],
         "all_pass": not result.counterexamples,

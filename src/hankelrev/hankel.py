@@ -2,7 +2,19 @@
 
 Sequences are plain lists of arbitrary-precision ints.  Determinants use
 the Bareiss fraction-free elimination: every intermediate entry is a minor
-of the input matrix, every division is exact, and no rationals appear.
+of the input matrix, every division is exact (and checked), and no
+rationals appear.
+
+A Hankel transform needs every leading principal minor of one matrix, and
+one Bareiss pass without row swaps yields them all: the pivot of step k is
+the leading minor of order k+1.  So a transform of depth d costs one
+O(d^3) pass instead of d separate eliminations (O(d^4) in all).  The pass
+must stop at a zero pivot, because the next step divides by it; the
+minors past that point are then computed one index at a time with
+:func:`det_exact`, which swaps rows.  For the triple (h, h*, h**), h is
+rescued from the zero head u_0 of a reversion sequence by expanding along
+the (0, 0) entry, whose cofactor is a value of h** (see
+:func:`hankel_triple`).
 """
 
 from __future__ import annotations
@@ -14,6 +26,8 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
+
+from hankelrev.series import _decimal
 
 
 def hankel_matrix(terms: Sequence[int], n: int) -> list[list[int]]:
@@ -51,15 +65,59 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 quotient, remainder = divmod(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
-                assert remainder == 0  # Bareiss intermediates are exact minors
+                if remainder:
+                    raise ArithmeticError("inexact Bareiss division")
                 m[i][j] = quotient
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
 
 
+def _leading_minors(terms: Sequence[int], depth: int) -> list[int]:
+    """Leading principal minors of orders 1.. of the index-``depth`` Hankel
+    matrix, from one Bareiss pass without row swaps.
+
+    After step k-1 the pivot m[k][k] is the leading minor of order k+1.
+    Elimination without swaps keeps a symmetric matrix symmetric, so only
+    the upper triangle is updated and read (m[i][k] is taken as m[k][i]).
+    The list ends at the first zero pivot, which is itself an exact minor;
+    it is complete when it has ``depth + 1`` entries.
+    """
+    m = hankel_matrix(terms, depth)
+    n = depth + 1
+    minors = []
+    prev = 1
+    for k in range(n):
+        row_k = m[k]
+        pivot = row_k[k]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        for i in range(k + 1, n):
+            row_i = m[i]
+            factor = row_k[i]
+            for j in range(i, n):
+                quotient, remainder = divmod(pivot * row_i[j] - factor * row_k[j], prev)
+                if remainder:
+                    raise ArithmeticError("inexact Bareiss division")
+                row_i[j] = quotient
+        prev = pivot
+    return minors
+
+
+def _complete(terms: Sequence[int], depth: int, values: list[int]) -> list[int]:
+    """Extend a prefix of the transform to ``depth``, one det_exact per index."""
+    return values + [
+        det_exact(hankel_matrix(terms, n)) for n in range(len(values), depth + 1)
+    ]
+
+
 def hankel_transform(terms: Sequence[int], depth: int) -> list[int]:
-    """Determinants of the Hankel matrices of index 0..depth."""
+    """Determinants of the Hankel matrices of index 0..depth.
+
+    One Bareiss pass over the largest matrix gives them all; past a zero
+    pivot the remaining indices fall back to one det_exact each.
+    """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     needed = 2 * depth + 1
@@ -68,7 +126,7 @@ def hankel_transform(terms: Sequence[int], depth: int) -> list[int]:
             f"hankel transform of depth {depth} needs at least {needed} terms,"
             f" got {len(terms)}"
         )
-    return [det_exact(hankel_matrix(terms, n)) for n in range(depth + 1)]
+    return _complete(terms, depth, _leading_minors(terms, depth))
 
 
 @dataclass(frozen=True)
@@ -96,22 +154,33 @@ class HankelTriple:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["n", "h", "h_star", "h_star_star"])
         for row in self.rows():
-            writer.writerow([str(v) for v in row])
+            writer.writerow([_decimal(v) for v in row])
         return buffer.getvalue()
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "depth": str(self.depth),
-                "h": [str(v) for v in self.h],
-                "h_star": [str(v) for v in self.h_star],
-                "h_star_star": [str(v) for v in self.h_star_star],
+                "h": [_decimal(v) for v in self.h],
+                "h_star": [_decimal(v) for v in self.h_star],
+                "h_star_star": [_decimal(v) for v in self.h_star_star],
             }
         )
 
 
+# heads tried in place of u_0 by _head_transform; with c = 1 alone, family C
+# (scaled Catalan, alpha > 0) hits a zero pivot wherever c * alpha = n
+_HEADS = (1, -1, 2, -2)
+
+
 def hankel_triple(terms: Sequence[int], depth: int) -> HankelTriple:
-    """Hankel transforms of ``terms``, ``terms[1:]`` and ``terms[2:]``."""
+    """Hankel transforms of ``terms``, ``terms[1:]`` and ``terms[2:]``.
+
+    h* and h** come from one pass each.  h is computed from h** and a
+    one-pass transform of the sequence with its head replaced (see
+    :func:`_head_transform`), because a reversion sequence has u_0 = 0 and
+    so a zero first pivot.
+    """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     needed = 2 * depth + 3
@@ -120,12 +189,40 @@ def hankel_triple(terms: Sequence[int], depth: int) -> HankelTriple:
             f"hankel triple of depth {depth} needs at least {needed} terms,"
             f" got {len(terms)}"
         )
+    h_star_star = hankel_transform(terms[2:], depth)
     return HankelTriple(
-        h=tuple(hankel_transform(terms, depth)),
+        h=tuple(_head_transform(terms, depth, h_star_star)),
         h_star=tuple(hankel_transform(terms[1:], depth)),
-        h_star_star=tuple(hankel_transform(terms[2:], depth)),
+        h_star_star=tuple(h_star_star),
         depth=depth,
     )
+
+
+def _head_transform(
+    terms: Sequence[int], depth: int, h_star_star: Sequence[int]
+) -> list[int]:
+    """Hankel transform of ``terms`` given that of ``terms[2:]``.
+
+    A determinant is linear in its (0, 0) entry, and the cofactor of that
+    entry in H_n(u) is H_{n-1}(u[2:]).  So for u' equal to u with u_0
+    replaced by c,
+
+        det H_n(u) = det H_n(u') - (c - u_0) * h**_{n-1},   h**_{-1} = 1.
+
+    The sequence itself is tried first, then each head in ``_HEADS``; the
+    longest exact prefix wins and any indices past it fall back to
+    det_exact.
+    """
+    u0 = operator.index(terms[0])
+    best = _leading_minors(terms, depth)
+    cofactors = [1, *h_star_star]
+    for c in _HEADS:
+        if len(best) > depth:
+            break
+        minors = _leading_minors([c, *terms[1:]], depth)
+        if len(minors) > len(best):
+            best = [m - (c - u0) * cof for m, cof in zip(minors, cofactors)]
+    return _complete(terms, depth, best)
 
 
 def binomial_transform(terms: Sequence[int]) -> list[int]:

@@ -20,8 +20,27 @@ Scalar = Union[int, Fraction]
 def coefficient_string(value: Fraction) -> str:
     """Render a coefficient as ``num`` or ``num/den``, exact at any magnitude."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+def _decimal(value: int) -> str:
+    """Exact decimal text of an int of any size.
+
+    CPython caps int->str conversion (4300 digits by default, settable per
+    process).  Values past the cap are split by a power of ten and each half
+    converted on its own, so the process-wide limit is never touched: library
+    callers of ``cli.run`` keep whatever limit they chose.
+    """
+    try:
+        return str(value)
+    except ValueError:  # past the int->str digit limit
+        pass
+    if value < 0:
+        return "-" + _decimal(-value)
+    half = value.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(value, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import csv
 import io
 import json
 
@@ -8,6 +9,7 @@ import pytest
 from hankelrev import Check, ConjectureReport, FAMILY_C, FamilyParams, SweepResult
 from hankelrev import cli
 from hankelrev.cli import run
+from hankelrev.conjectures import CLAIM_C8_H, CLAIM_C8_HSS, CLAIM_C8_HSTAR
 
 WORKED_TABLE = (
     "n,h,h_star,h_star_star\n"
@@ -223,6 +225,55 @@ class TestVerify:
         code, _, err = invoke(capsys, "verify", "--conjecture", "5", "--alpha", "1")
         assert code == 2
         assert "invalid choice" in err
+
+
+class TestOverLimitValues:
+    """Values past CPython's int->str digit limit (4300 by default)."""
+
+    HUGE = 10**100
+
+    def test_conjecture8_prints_exact_values(self, capsys):
+        code, out, err = invoke(
+            capsys, "verify", "--conjecture", "8", f"--alpha={self.HUGE}",
+            "--depth", "6", "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert all(row[-1] == "true" for row in rows)
+        by_claim = {(row[5], int(row[4])): row[6] for row in rows}
+        # alpha^((n+1)^2) = 10^(100 (n+1)^2): 4901 digits at n = 6
+        assert by_claim[(CLAIM_C8_HSS, 6)] == "1" + "0" * 4900
+        assert by_claim[(CLAIM_C8_HSTAR, 6)] == "1" + "0" * 4200
+        assert by_claim[(CLAIM_C8_H, 6)] == "-6" + "0" * 3500
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prop9", f"--alpha={10**120}", "--n", "6", "--format", "json"),
+            ("triple", "--family", "C", f"--alpha={-10**120}", "--depth", "6"),
+            ("revert", "--family", "C", f"--alpha={10**120}", "--order", "40"),
+        ],
+    )
+    def test_other_commands_exit_0(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert max(len(word) for word in out.split()) > 4300
+
+
+class TestInternalErrors:
+    def test_exit_3_with_traceback(self, capsys, monkeypatch):
+        def broken(alpha, depth):
+            raise ArithmeticError("inexact Bareiss division")
+
+        monkeypatch.setattr(cli, "verify_conjecture8", broken)
+        code, out, err = invoke(
+            capsys, "verify", "--conjecture", "8", "--alpha", "2", "--depth", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert "Traceback" in err
+        assert "ArithmeticError: inexact Bareiss division" in err
+        assert err.rstrip().endswith("error: internal error (see the traceback above)")
 
 
 class TestSweep:

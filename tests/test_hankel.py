@@ -8,9 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hankelrev import (
+    FAMILY_A,
+    FAMILY_B,
+    FAMILY_C,
+    FamilyParams,
     HankelTriple,
     binomial_transform,
     det_exact,
+    family_reversion_terms,
     hankel_matrix,
     hankel_transform,
     hankel_triple,
@@ -19,6 +24,7 @@ from hankelrev import (
     sequence_from_json,
     sequence_to_json,
 )
+from hankelrev import hankel
 from oracles import det_cofactor, det_gauss
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
@@ -116,6 +122,113 @@ class TestHankelTransform:
         assert hankel_transform(terms, 6) == hankel_transform(
             binomial_transform(terms), 6
         )
+
+
+def per_index(terms, depth):
+    """The transform the slow way: one det_exact per index."""
+    return [det_exact(hankel_matrix(terms, n)) for n in range(depth + 1)]
+
+
+def oracle_transform(terms, depth):
+    return [det_gauss(hankel_matrix(terms, n)) for n in range(depth + 1)]
+
+
+def assert_transforms_agree(terms, depth):
+    """hankel_transform and every arm of hankel_triple against both oracles."""
+    triple = hankel_triple(terms, depth)
+    for shift, arm in enumerate((triple.h, triple.h_star, triple.h_star_star)):
+        shifted = terms[shift:]
+        expected = per_index(shifted, depth)
+        assert expected == oracle_transform(shifted, depth)
+        assert list(arm) == expected
+        assert hankel_transform(shifted, depth) == expected
+
+
+class TestOnePassDifferential:
+    """The one-pass engine against per-index Bareiss and the Fraction oracle."""
+
+    @given(st.lists(st.integers(-20, 20), min_size=3, max_size=17))
+    def test_random_sequences(self, terms):
+        assert_transforms_agree(terms, (len(terms) - 3) // 2)
+
+    @given(st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2]), min_size=3, max_size=15))
+    def test_zero_heavy_sequences(self, terms):
+        assert_transforms_agree(terms, (len(terms) - 3) // 2)
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+        st.integers(3, 15),
+    )
+    def test_periodic_sequences(self, block, length):
+        terms = (block * length)[:length]
+        assert_transforms_agree(terms, (length - 3) // 2)
+
+    @given(st.integers(1, 4), st.lists(st.integers(-9, 9), min_size=3, max_size=13))
+    def test_zero_prefixed_sequences(self, zeros, tail):
+        terms = [0] * zeros + tail
+        assert_transforms_agree(terms, (len(terms) - 3) // 2)
+
+    def test_nonzero_head_with_a_later_zero_pivot(self):
+        # H_1 of 1, 1, 1, ... is singular, so the pass stops at index 1
+        ones = [1] * 15
+        assert hankel._leading_minors(ones, 6) == [1, 0]
+        assert_transforms_agree(ones, 6)
+        # the Catalan numbers with one entry changed: pivots 1, 1, 0, ...
+        bent = CATALAN[:4] + [CATALAN[4] - 1] + CATALAN[5:]
+        assert hankel._leading_minors(bent, 5)[-1] == 0
+        assert_transforms_agree(bent, 5)
+
+    @given(st.lists(st.integers(-50, 50), min_size=3, max_size=3))
+    def test_depth_zero(self, terms):
+        assert_transforms_agree(terms, 0)
+        assert hankel_transform(terms, 0) == [terms[0]]
+
+    def test_one_pass_needs_no_determinants(self, monkeypatch):
+        calls = []
+        real = hankel.det_exact
+        monkeypatch.setattr(hankel, "det_exact", lambda m: calls.append(len(m)) or real(m))
+        assert hankel_transform(CATALAN, 6) == [1] * 7
+        assert calls == []
+        # a zero pivot at index 1 leaves indices 2..6 to det_exact
+        assert hankel_transform([1] * 13, 6) == [1] + [0] * 6
+        assert calls == [3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize(
+        "family, alpha, beta",
+        [
+            # with head 1, family C hits a zero pivot where alpha = n
+            (FAMILY_C, 1, 0),
+            (FAMILY_C, 2, 0),
+            (FAMILY_C, 4, 0),
+            (FAMILY_C, -3, 0),
+            # alpha = beta: h* vanishes from index 1 on
+            (FAMILY_B, 3, 3),
+            (FAMILY_B, -2, -2),
+            (FAMILY_B, 2, 5),
+            # alpha = 0
+            (FAMILY_A, 0, 1),
+            (FAMILY_A, 0, -2),
+            (FAMILY_A, -3, -5),
+        ],
+    )
+    def test_named_family_points(self, family, alpha, beta):
+        depth = 8
+        terms = family_reversion_terms(FamilyParams(alpha, beta, family), 2 * depth + 3)
+        assert terms[0] == 0
+        assert_transforms_agree(terms, depth)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 4])
+    def test_family_c_head_one_is_degenerate(self, alpha):
+        depth = 8
+        terms = family_reversion_terms(FamilyParams(alpha, 0, FAMILY_C), 2 * depth + 3)
+        assert len(hankel._leading_minors([1, *terms[1:]], depth)) <= depth
+        assert list(hankel_triple(terms, depth).h) == [
+            0 if n == 0 else -n * alpha ** (n * n - 1) for n in range(depth + 1)
+        ]
+
+    def test_family_b_alpha_equals_beta(self):
+        terms = family_reversion_terms(FamilyParams(3, 3, FAMILY_B), 15)
+        assert list(hankel_triple(terms, 6).h_star) == [1] + [0] * 6
 
 
 class TestBinomialTransform:

@@ -1,5 +1,6 @@
 """Truncated power series arithmetic over exact rationals."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,26 @@ class TestSerialization:
         assert coefficient_string(Fraction(3, 2)) == "3/2"
         assert coefficient_string(Fraction(5)) == "5"
         assert coefficient_string(Fraction(-1, 3)) == "-1/3"
+
+    @pytest.mark.parametrize("digits", [1, 4299, 4300, 4301, 9000, 25001])
+    def test_coefficient_string_past_the_digit_limit(self, digits):
+        value = 7 * 10 ** (digits - 1) + 123456789
+        text = "7" + "0" * (digits - 10) + "123456789" if digits > 9 else str(value)
+        assert coefficient_string(Fraction(value)) == text
+        assert coefficient_string(Fraction(-value)) == "-" + text
+        assert coefficient_string(Fraction(-1, value)) == "-1/" + text
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit"
+    )
+    def test_coefficient_string_keeps_a_lowered_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert coefficient_string(Fraction(-(10**2000))) == "-1" + "0" * 2000
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_json_form(self):
         s = PowerSeries.from_polynomial([0, 1, Fraction(1, 2)], 3)
