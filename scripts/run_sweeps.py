@@ -8,24 +8,8 @@ Exit status 1 signals that a counterexample was found.
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
-from hankelrev import report_to_json, sweep
-
-
-@dataclass(frozen=True)
-class SweepJob:
-    conjecture_id: str
-    needs_beta: bool
-
-
-JOBS = (
-    SweepJob("4", True),
-    SweepJob("6", True),
-    SweepJob("8", False),
-    SweepJob("prop9", False),
-    SweepJob("alpha_shift", True),
-)
+from hankelrev import SWEEPABLE, report_to_json, sweep
 
 
 def main() -> int:
@@ -37,17 +21,13 @@ def main() -> int:
 
     bounds = (args.lo, args.hi)
     failed = False
-    for job in JOBS:
+    for cid in SWEEPABLE:
         started = time.perf_counter()
-        result = sweep(
-            job.conjecture_id,
-            bounds,
-            bounds if job.needs_beta else None,
-            depth=args.depth,
-        )
+        # sweeps of sets without beta ignore the beta range
+        result = sweep(cid, bounds, bounds, depth=args.depth)
         elapsed = time.perf_counter() - started
         print(
-            f"{job.conjecture_id:>11}: grid={len(result.grid)}"
+            f"{cid:>11}: grid={len(result.grid)}"
             f" checked={len(result.reports)} skipped={len(result.skipped)}"
             f" counterexamples={len(result.counterexamples)} ({elapsed:.2f}s)"
         )

@@ -10,23 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import traceback
 
 from hankelrev.conjectures import (
+    CONJECTURES,
+    SWEEPABLE,
     ConjectureReport,
     SweepResult,
     prop9_verify,
     report_to_csv,
-    report_to_dict,
     report_to_json,
     sweep,
     sweep_to_json,
-    verify_alpha_shift,
-    verify_anchors,
-    verify_conjecture4,
-    verify_conjecture6,
-    verify_conjecture8,
 )
 from hankelrev.families import FamilyParams, family_base_ogf, family_reversion_terms
 from hankelrev.gf import expand_gf
@@ -46,33 +43,52 @@ DEFAULT_SHIFT_ORDER = 10
 # input plumbing
 
 
+def _parse_int(text: str) -> int:
+    """``int(text)`` for decimal text of any length.
+
+    CPython caps str->int conversion as it caps int->str.  Well-formed text
+    past the cap is split in two and each part converted on its own (the
+    inverse of ``series._decimal``), so the process-wide limit is never
+    touched.  Malformed text raises int()'s own error.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        match = re.fullmatch(r"\s*([+-]?)(\d+(?:_\d+)*)\s*", text)
+        if match is None:
+            raise
+    sign, digits = match.groups()
+    digits = digits.replace("_", "")
+    high, low = digits[: len(digits) // 2], digits[len(digits) // 2 :]
+    value = _parse_int(high) * 10 ** len(low) + _parse_int(low)
+    return -value if sign == "-" else value
+
+
+# argparse names the type in its "invalid int value" message
+_parse_int.__name__ = "int"
+
+
 def _parse_sequence(text: str) -> list[int]:
     if text == "-":
         text = sys.stdin.read()
     entries = [piece.strip() for piece in text.split(",")]
     if entries == [""]:
         raise ValueError("empty sequence")
-    try:
-        return [int(piece) for piece in entries]
-    except ValueError:
-        bad = next(piece for piece in entries if not _is_int(piece))
-        raise ValueError(f"invalid sequence entry {bad!r}") from None
-
-
-def _is_int(piece: str) -> bool:
-    try:
-        int(piece)
-        return True
-    except ValueError:
-        return False
+    values = []
+    for piece in entries:
+        try:
+            values.append(_parse_int(piece))
+        except ValueError:
+            raise ValueError(f"invalid sequence entry {piece!r}") from None
+    return values
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     if ":" in text:
         lo_text, hi_text = text.split(":", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = _parse_int(lo_text), _parse_int(hi_text)
     else:
-        lo = hi = int(text)
+        lo = hi = _parse_int(text)
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
     return lo, hi
@@ -240,28 +256,13 @@ def _cmd_binomial(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cid = args.conjecture
-    if cid == "4":
-        report = verify_conjecture4(_required(args, "alpha"), _required(args, "beta"), args.depth)
-    elif cid == "6":
-        report = verify_conjecture6(_required(args, "alpha"), _required(args, "beta"), args.depth)
-    elif cid == "8":
-        report = verify_conjecture8(_required(args, "alpha"), args.depth)
-    elif cid == "alpha_shift":
-        report = verify_alpha_shift(
-            _required(args, "alpha"), _required(args, "beta"), args.order
-        )
-    else:
-        report = verify_anchors(args.depth)
+    conjecture = CONJECTURES[args.conjecture]
+    for name in conjecture.parameters:
+        if getattr(args, name) is None:
+            raise ValueError(f"conjecture {args.conjecture} needs --{name}")
+    report = conjecture.verify(args.alpha, args.beta, args.depth, args.order)
     print(render_report(report, args.format))
     return 0 if report.all_pass else 1
-
-
-def _required(args: argparse.Namespace, name: str) -> int:
-    value = getattr(args, name)
-    if value is None:
-        raise ValueError(f"conjecture {args.conjecture} needs --{name}")
-    return value
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -332,8 +333,8 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
 
 def _add_family_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", choices=("A", "B", "C"), help="use a built-in family")
-    parser.add_argument("--alpha", type=int, help="family parameter alpha")
-    parser.add_argument("--beta", type=int, help="family parameter beta")
+    parser.add_argument("--alpha", type=_parse_int, help="family parameter alpha")
+    parser.add_argument("--beta", type=_parse_int, help="family parameter beta")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,11 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--conjecture",
         required=True,
-        choices=("4", "6", "8", "alpha_shift", "anchors"),
+        # prop9 has its own subcommand, sized by --n
+        choices=tuple(cid for cid in CONJECTURES if cid != "prop9"),
         help="which identity set to check",
     )
-    p.add_argument("--alpha", type=int, help="family parameter alpha")
-    p.add_argument("--beta", type=int, help="family parameter beta")
+    p.add_argument("--alpha", type=_parse_int, help="family parameter alpha")
+    p.add_argument("--beta", type=_parse_int, help="family parameter beta")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="check depth")
     p.add_argument(
         "--order",
@@ -405,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--conjecture",
         required=True,
-        choices=("4", "6", "8", "prop9", "alpha_shift"),
+        choices=SWEEPABLE,
         help="which identity set to sweep",
     )
     p.add_argument("--alpha-range", default="-5:5", help="inclusive range LO:HI")
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("prop9", help="verify the scaled-Catalan factorization H = T*T^t")
-    p.add_argument("--alpha", type=int, required=True, help="scale parameter")
+    p.add_argument("--alpha", type=_parse_int, required=True, help="scale parameter")
     p.add_argument("--n", type=int, default=DEFAULT_DEPTH, help="matrix index")
     _add_format(p)
     p.set_defaults(handler=_cmd_prop9)

@@ -23,6 +23,9 @@ The built-in catalog:
            with T lower triangular, forcing det = alpha^(n(n+1)).
 * ``anchors``      - classical sequences with known transforms, kept as a
            fixed regression bed.
+
+``CONJECTURES`` holds the catalog as one table; the CLI, :func:`sweep` and
+the scripts read what each set needs from it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from hankelrev.families import (
     FAMILY_A,
@@ -74,8 +77,6 @@ CLAIM_ANCHOR_CENTRAL = "hankel(central_binomial)[n] == 2^n"
 CLAIM_ANCHOR_CENTRAL_ZERO = "hankel(zero_prefixed_central_binomial)[n] == -n*2^(n-1)"
 CLAIM_ANCHOR_CATALAN_ZERO = "hankel(zero_prefixed_catalan)[n] == -n"
 CLAIM_ANCHOR_CATALAN_HEADLESS = "hankel(head_zeroed_catalan)[n] == -n"
-
-CONJECTURE_IDS = ("4", "6", "8", "alpha_shift", "prop9", "anchors")
 
 
 @dataclass(frozen=True)
@@ -446,6 +447,45 @@ def verify_anchors(depth: int = 6) -> ConjectureReport:
 
 
 # ----------------------------------------------------------------------
+# the registry
+
+
+class Conjecture(NamedTuple):
+    """One identity set: its family, the parameters it needs, the points
+    its verifier accepts, and how to call that verifier.
+
+    ``verify(alpha, beta, depth, order)`` passes on the values the verifier
+    takes and looks it up by module name at call time, so a patched module
+    attribute reaches every caller.
+    """
+
+    id: str
+    family: str | None
+    parameters: tuple[str, ...]
+    admissible: Callable[[int, int], bool]
+    verify: Callable[[int, int, int, int], ConjectureReport]
+
+
+CONJECTURES: dict[str, Conjecture] = {c.id: c for c in (
+    Conjecture("4", FAMILY_A, ("alpha", "beta"), lambda a, b: b != 0,
+               lambda a, b, depth, order: verify_conjecture4(a, b, depth)),
+    Conjecture("6", FAMILY_B, ("alpha", "beta"), lambda a, b: a != 0 and b != 0,
+               lambda a, b, depth, order: verify_conjecture6(a, b, depth)),
+    Conjecture("8", FAMILY_C, ("alpha",), lambda a, b: a != 0,
+               lambda a, b, depth, order: verify_conjecture8(a, depth)),
+    Conjecture("prop9", FAMILY_C, ("alpha",), lambda a, b: a != 0,
+               lambda a, b, depth, order: prop9_verify(a, depth)),
+    Conjecture("alpha_shift", FAMILY_A, ("alpha", "beta"), lambda a, b: b != 0,
+               lambda a, b, depth, order: verify_alpha_shift(a, b, order)),
+    Conjecture("anchors", None, (), lambda a, b: True,
+               lambda a, b, depth, order: verify_anchors(depth)),
+)}
+
+# the sets with parameters to sweep, in table order
+SWEEPABLE = tuple(cid for cid, c in CONJECTURES.items() if c.parameters)
+
+
+# ----------------------------------------------------------------------
 # parameter sweeps
 
 
@@ -457,15 +497,6 @@ class SweepResult:
     reports: tuple[ConjectureReport, ...]
     counterexamples: tuple[ConjectureReport, ...]
     skipped: tuple[FamilyParams, ...]
-
-
-_SWEEP_FAMILY = {
-    "4": FAMILY_A,
-    "6": FAMILY_B,
-    "8": FAMILY_C,
-    "prop9": FAMILY_C,
-    "alpha_shift": FAMILY_A,
-}
 
 
 def _expand_range(bounds: tuple[int, int]) -> list[int]:
@@ -485,51 +516,33 @@ def sweep(
 
     Grid points violating the verifier's preconditions are recorded as
     skipped, never as failed.  Points are evaluated in grid order
-    (alpha-major) and the aggregation is deterministic.
+    (alpha-major) and the aggregation is deterministic.  alpha_shift runs
+    at series order 2 * depth + 1.
     """
     cid = str(conjecture_id)
-    if cid not in _SWEEP_FAMILY:
+    if cid not in SWEEPABLE:
         raise ValueError(f"cannot sweep conjecture {cid!r}")
     _require_depth(depth)
-    needs_beta = cid in ("4", "6", "alpha_shift")
+    conjecture = CONJECTURES[cid]
     alphas = _expand_range(alpha_range)
-    if needs_beta:
+    if "beta" in conjecture.parameters:
         if beta_range is None:
             raise ValueError(f"conjecture {cid} needs a beta range")
         betas = _expand_range(beta_range)
     else:
         betas = [0]
-    family = _SWEEP_FAMILY[cid]
-
-    def admissible(a: int, b: int) -> bool:
-        if cid == "4" or cid == "alpha_shift":
-            return b != 0
-        if cid == "6":
-            return a != 0 and b != 0
-        return a != 0  # 8, prop9
-
-    def run(a: int, b: int) -> ConjectureReport:
-        if cid == "4":
-            return verify_conjecture4(a, b, depth)
-        if cid == "6":
-            return verify_conjecture6(a, b, depth)
-        if cid == "8":
-            return verify_conjecture8(a, depth)
-        if cid == "prop9":
-            return prop9_verify(a, depth)
-        return verify_alpha_shift(a, b, 2 * depth + 1)
 
     grid: list[FamilyParams] = []
     skipped: list[FamilyParams] = []
     reports: list[ConjectureReport] = []
     for a in alphas:
         for b in betas:
-            point = FamilyParams(a, b, family)
+            point = FamilyParams(a, b, conjecture.family)
             grid.append(point)
-            if not admissible(a, b):
+            if not conjecture.admissible(a, b):
                 skipped.append(point)
                 continue
-            reports.append(run(a, b))
+            reports.append(conjecture.verify(a, b, depth, 2 * depth + 1))
     counterexamples = tuple(r for r in reports if not r.all_pass)
     return SweepResult(
         conjecture_id=cid,

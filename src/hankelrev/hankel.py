@@ -242,26 +242,3 @@ def inverse_binomial_transform(terms: Sequence[int]) -> list[int]:
         )
         for n in range(len(terms))
     ]
-
-
-def pascal_matrix(n: int) -> list[list[int]]:
-    """Lower-triangular (n+1) x (n+1) matrix of binomial coefficients."""
-    if n < 0:
-        raise ValueError("matrix index must be non-negative")
-    rows: list[list[int]] = [[1]]
-    for i in range(1, n + 1):
-        prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, i)] + [1])
-    return [row + [0] * (n + 1 - len(row)) for row in rows]
-
-
-def sequence_to_json(terms: Sequence[int]) -> str:
-    """Serialize a sequence as a JSON array of decimal strings."""
-    return json.dumps([str(operator.index(t)) for t in terms])
-
-
-def sequence_from_json(text: str) -> list[int]:
-    data = json.loads(text)
-    if not isinstance(data, list) or not all(isinstance(s, str) for s in data):
-        raise ValueError("expected a JSON array of decimal strings")
-    return [int(s) for s in data]

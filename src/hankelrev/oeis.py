@@ -5,9 +5,9 @@ network-free.  Lookups run in one of two modes:
 
 * ``offline`` (safe everywhere): consults the on-disk cache, then a small
   set of bundled fixtures.  Never touches the network.
-* ``online``: queries the public OEIS JSON search endpoint, at most one
-  request per second, and writes results into the cache so later offline
-  runs can reuse them.
+* ``online``: queries the public OEIS JSON search endpoint with the
+  standard library's ``urllib``, at most one request per second, and
+  writes results into the cache so later offline runs can reuse them.
 
 The cache is a directory of JSON files named by the SHA-256 of the query
 key; a corrupt or unreadable entry is a miss and is repaired by the next
@@ -22,6 +22,8 @@ import os
 import tempfile
 import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -201,17 +203,16 @@ def _ordered(matches: Sequence[OeisMatch]) -> list[OeisMatch]:
 
 def _http_get_json(url: str, params: dict) -> object:
     """One rate-limited GET; isolated so tests can stub the network."""
-    import requests
-
     global _last_request_time
     with _rate_lock:
         wait = _REQUEST_INTERVAL_SECONDS - (time.monotonic() - _last_request_time)
         if wait > 0:
             time.sleep(wait)
         _last_request_time = time.monotonic()
-    response = requests.get(url, params=params, timeout=10)
-    response.raise_for_status()
-    return response.json()
+    query = urllib.parse.urlencode(params)
+    # an HTTP error status raises urllib.error.HTTPError
+    with urllib.request.urlopen(f"{url}?{query}", timeout=10) as response:
+        return json.load(response)
 
 
 def _fetch_online(terms: Sequence[int]) -> list[OeisMatch]:

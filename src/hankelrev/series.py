@@ -9,7 +9,6 @@ so mixing orders raises instead.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -144,17 +143,6 @@ class PowerSeries:
 
     def coefficient_strings(self) -> list[str]:
         return [coefficient_string(c) for c in self.coeffs]
-
-    def to_json(self) -> str:
-        """Serialize as a JSON array of exact "num/den" strings."""
-        return json.dumps(self.coefficient_strings())
-
-    @classmethod
-    def from_json(cls, text: str) -> "PowerSeries":
-        data = json.loads(text)
-        if not isinstance(data, list) or not all(isinstance(s, str) for s in data):
-            raise ValueError("expected a JSON array of coefficient strings")
-        return cls(tuple(Fraction(s) for s in data))
 
     def _require_same_order(self, other: "PowerSeries") -> None:
         if self.order != other.order:

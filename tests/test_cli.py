@@ -3,13 +3,15 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
 from hankelrev import Check, ConjectureReport, FAMILY_C, FamilyParams, SweepResult
-from hankelrev import cli
+from hankelrev import cli, conjectures
 from hankelrev.cli import run
 from hankelrev.conjectures import CLAIM_C8_H, CLAIM_C8_HSS, CLAIM_C8_HSTAR
+from hankelrev.series import _decimal
 
 WORKED_TABLE = (
     "n,h,h_star,h_star_star\n"
@@ -200,7 +202,7 @@ class TestVerify:
             checks=(Check(0, "demo claim", "1", "2", False),),
             all_pass=False,
         )
-        monkeypatch.setattr(cli, "verify_conjecture8", lambda a, d: failing)
+        monkeypatch.setattr(conjectures, "verify_conjecture8", lambda a, d: failing)
         code, out, _ = invoke(
             capsys, "verify", "--conjecture", "8", "--alpha", "2", "--depth", "1",
         )
@@ -260,12 +262,80 @@ class TestOverLimitValues:
         assert max(len(word) for word in out.split()) > 4300
 
 
+class TestOverLimitInput:
+    """Integers past CPython's str->int digit limit (4300 by default) as input."""
+
+    ONES = "1" * 5000  # (10**5000 - 1) / 9
+
+    def test_sequence_entry(self, capsys):
+        code, out, err = invoke(
+            capsys, "hankel", "--seq", f"{self.ONES},1,1", "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        assert out == f"{self.ONES},{self.ONES[:-1]}0\n"  # h_1 = ONES - 1
+
+    def test_alpha(self, capsys):
+        code, out, err = invoke(
+            capsys, "verify", "--conjecture", "8", f"--alpha={self.ONES}",
+            "--depth", "1", "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert all(row[1] == self.ONES and row[-1] == "true" for row in rows)
+        alpha = (10**5000 - 1) // 9
+        by_claim = {(row[5], int(row[4])): row[6] for row in rows}
+        assert by_claim[(CLAIM_C8_HSTAR, 1)] == _decimal(alpha**2)
+        assert by_claim[(CLAIM_C8_H, 1)] == "-1"
+
+    def test_range_bounds(self, capsys):
+        code, out, err = invoke(
+            capsys, "sweep", "--conjecture", "8",
+            f"--alpha-range=-{self.ONES}:-{self.ONES}", "--depth", "1",
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("conjecture 8: depth=1 grid=1 checked=1 skipped=0")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("hankel", "--seq", f"1,{ONES}x"), f"error: invalid sequence entry '{ONES}x'\n"),
+            (("sweep", "--conjecture", "8", "--alpha-range=1:2x"),
+             "error: invalid literal for int() with base 10: '2x'\n"),
+        ],
+    )
+    def test_malformed_entry_keeps_its_message(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", message)
+
+    def test_malformed_alpha_keeps_its_message(self, capsys):
+        code, _, err = invoke(capsys, "verify", "--conjecture", "8", "--alpha=1_x")
+        assert code == 2
+        assert err.endswith("error: argument --alpha: invalid int value: '1_x'\n")
+
+    @pytest.mark.parametrize("text", [f"{ONES}", f" -{ONES} ", f"+{ONES[:2000]}_{ONES[2000:]}"])
+    def test_parse_int_past_the_limit(self, text):
+        value = (10**5000 - 1) // 9
+        assert cli._parse_int(text) == (-value if "-" in text else value)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no str->int digit limit"
+    )
+    def test_parse_int_keeps_a_lowered_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert cli._parse_int("-1" + "0" * 2000) == -(10**2000)
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(before)
+
+
 class TestInternalErrors:
     def test_exit_3_with_traceback(self, capsys, monkeypatch):
         def broken(alpha, depth):
             raise ArithmeticError("inexact Bareiss division")
 
-        monkeypatch.setattr(cli, "verify_conjecture8", broken)
+        monkeypatch.setattr(conjectures, "verify_conjecture8", broken)
         code, out, err = invoke(
             capsys, "verify", "--conjecture", "8", "--alpha", "2", "--depth", "1",
         )

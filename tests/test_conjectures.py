@@ -1,5 +1,6 @@
 """Verifier reports, parameter sweeps, and the matrix factorization checks."""
 
+import argparse
 import json
 import math
 
@@ -8,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hankelrev import (
+    CONJECTURES,
     FAMILY_A,
     FAMILY_C,
+    SWEEPABLE,
     Check,
     ConjectureReport,
     FamilyParams,
@@ -33,6 +36,7 @@ from hankelrev import (
     verify_conjecture6,
     verify_conjecture8,
 )
+from hankelrev import cli
 from hankelrev.conjectures import (
     CLAIM_C4_H,
     CLAIM_C4_HSS,
@@ -222,6 +226,43 @@ class TestProp9:
         # form must still be checked there rather than skipped
         for i in range(5):
             assert prop9_coeff_identity_2(i, 2 * i + 1, 2)
+
+
+def conjecture_choices(command):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    option = next(a for a in commands.choices[command]._actions if a.dest == "conjecture")
+    return tuple(option.choices)
+
+
+class TestRegistry:
+    def test_table_order(self):
+        assert tuple(CONJECTURES) == ("4", "6", "8", "prop9", "alpha_shift", "anchors")
+        assert all(cid == c.id for cid, c in CONJECTURES.items())
+
+    def test_cli_choices(self):
+        assert conjecture_choices("verify") == ("4", "6", "8", "alpha_shift", "anchors")
+        assert conjecture_choices("sweep") == ("4", "6", "8", "prop9", "alpha_shift")
+        assert SWEEPABLE == conjecture_choices("sweep")
+
+    @pytest.mark.parametrize("cid", SWEEPABLE)
+    def test_admissible_exactly_where_the_verifier_accepts(self, cid):
+        conjecture = CONJECTURES[cid]
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                try:
+                    conjecture.verify(a, b, 1, 3)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert conjecture.admissible(a, b) == accepted, (a, b)
+
+    def test_verify_passes_the_sizes_each_verifier_takes(self):
+        assert CONJECTURES["4"].verify(2, 3, 2, 9).depth == 2
+        assert CONJECTURES["8"].verify(2, None, 2, 9).depth == 2
+        assert CONJECTURES["prop9"].verify(2, None, 2, 9).depth == 2
+        assert CONJECTURES["alpha_shift"].verify(2, 3, 2, 9).depth == 9
+        assert CONJECTURES["anchors"].verify(None, None, 2, 9).depth == 2
 
 
 class TestSweep:

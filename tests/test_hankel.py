@@ -20,9 +20,6 @@ from hankelrev import (
     hankel_transform,
     hankel_triple,
     inverse_binomial_transform,
-    pascal_matrix,
-    sequence_from_json,
-    sequence_to_json,
 )
 from hankelrev import hankel
 from oracles import det_cofactor, det_gauss
@@ -243,23 +240,6 @@ class TestBinomialTransform:
         assert inverse_binomial_transform(binomial_transform(terms)) == terms
         assert binomial_transform(inverse_binomial_transform(terms)) == terms
 
-    def test_pascal_matrix_layout(self):
-        assert pascal_matrix(3) == [
-            [1, 0, 0, 0],
-            [1, 1, 0, 0],
-            [1, 2, 1, 0],
-            [1, 3, 3, 1],
-        ]
-
-    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=8))
-    def test_pascal_matrix_reproduces_transform(self, terms):
-        p = pascal_matrix(len(terms) - 1)
-        applied = [
-            sum(p[n][k] * terms[k] for k in range(len(terms)))
-            for n in range(len(terms))
-        ]
-        assert applied == binomial_transform(terms)
-
 
 class TestHankelTriple:
     REVERSION = [0, 1, -3, 4, 18, -139, 357, 779, -10797, 39251, 24327, -981426, 4666428]
@@ -306,17 +286,3 @@ class TestHankelTriple:
     def test_row_length_validation(self):
         with pytest.raises(ValueError, match="depth \\+ 1 entries"):
             HankelTriple(h=(1,), h_star=(1, 2), h_star_star=(1,), depth=0)
-
-
-class TestSequenceJson:
-    def test_form(self):
-        assert sequence_to_json([0, -1, 25]) == '["0", "-1", "25"]'
-        assert sequence_from_json('["0", "-1", "25"]') == [0, -1, 25]
-
-    def test_rejects_non_arrays(self):
-        with pytest.raises(ValueError, match="JSON array"):
-            sequence_from_json('"1,2,3"')
-
-    def test_roundtrip_huge_values(self):
-        terms = [-(10 ** 40), 0, 3 ** 90]
-        assert sequence_from_json(sequence_to_json(terms)) == terms

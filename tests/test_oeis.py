@@ -1,6 +1,11 @@
 """Sequence identification: fixtures, the local cache, and the online path."""
 
+import io
 import json
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,10 @@ from hankelrev.oeis import (
     match_length,
     query_key,
 )
+
+
+# the real GET, kept before the autouse fixture below stubs it out
+_http_get_json = oeis._http_get_json
 
 
 @pytest.fixture(autouse=True)
@@ -204,6 +213,32 @@ class TestOnlineLookup:
             lookup([1, 2, 3, 4], mode="online")
 
 
+class TestHttpGetJson:
+    def test_request_and_decoding(self, monkeypatch):
+        seen = {}
+
+        def fake_urlopen(url, timeout):
+            seen.update(url=url, timeout=timeout)
+            return io.BytesIO(b'{"results": [{"number": 108}]}')
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        payload = _http_get_json(oeis.OEIS_SEARCH_URL, {"q": "1,1,2,5", "fmt": "json"})
+        assert payload == {"results": [{"number": 108}]}
+        assert seen == {"url": "https://oeis.org/search?q=1%2C1%2C2%2C5&fmt=json", "timeout": 10}
+
+    def test_works_without_requests(self, tmp_path):
+        script = (
+            "import sys; sys.modules['requests'] = None\n"
+            "from hankelrev import oeis\n"
+            "print(oeis.lookup([1, 1, 2, 5, 14], mode='offline')[0].id)\n"
+        )
+        env = {"PYTHONPATH": str(Path(oeis.__file__).parents[1]), CACHE_DIR_ENV: str(tmp_path)}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "A000108\n", "")
+
+
 class TestFixturesAgainstGenerators:
     def test_catalan_fixture_terms(self):
         from hankelrev import catalan
@@ -217,13 +252,14 @@ class TestFixturesAgainstGenerators:
         stored = dict((f[0], f[2]) for f in oeis.FIXTURES)["A000984"]
         assert list(stored) == [math.comb(2 * n, n) for n in range(len(stored))]
 
-    def test_core_package_does_not_import_this_module(self):
+    def test_core_package_does_not_import_this_module(self, monkeypatch):
         import importlib
-        import sys
 
+        # the originals come back at teardown, so later tests patch the
+        # same module objects their code runs in
         for name in list(sys.modules):
             if name.startswith("hankelrev"):
-                del sys.modules[name]
+                monkeypatch.delitem(sys.modules, name)
         importlib.import_module("hankelrev")
         assert "hankelrev.oeis" not in sys.modules
         importlib.import_module("hankelrev.oeis")

@@ -232,16 +232,3 @@ class TestSerialization:
             assert sys.get_int_max_str_digits() == 640
         finally:
             sys.set_int_max_str_digits(before)
-
-    def test_json_form(self):
-        s = PowerSeries.from_polynomial([0, 1, Fraction(1, 2)], 3)
-        assert s.to_json() == '["0", "1", "1/2", "0"]'
-        assert PowerSeries.from_json(s.to_json()) == s
-
-    def test_from_json_rejects_non_arrays(self):
-        with pytest.raises(ValueError, match="JSON array"):
-            PowerSeries.from_json('{"0": "1"}')
-
-    @given(series_of_order(4))
-    def test_roundtrip(self, s):
-        assert PowerSeries.from_json(s.to_json()) == s
