@@ -11,10 +11,10 @@ the leading minor of order k+1.  So a transform of depth d costs one
 O(d^3) pass instead of d separate eliminations (O(d^4) in all).  The pass
 must stop at a zero pivot, because the next step divides by it; the
 minors past that point are then computed one index at a time with
-:func:`det_exact`, which swaps rows.  For the triple (h, h*, h**), h is
-rescued from the zero head u_0 of a reversion sequence by expanding along
-the (0, 0) entry, whose cofactor is a value of h** (see
-:func:`hankel_triple`).
+:func:`det_exact`, which swaps rows.  A zero head u_0, as in every
+reversion sequence, is handled by expanding along the (0, 0) entry, whose
+cofactor is a value of the transform of u[2:] (see :func:`_head_prefix`);
+:func:`hankel_transform` and the h of :func:`hankel_triple` both use it.
 """
 
 from __future__ import annotations
@@ -116,7 +116,10 @@ def hankel_transform(terms: Sequence[int], depth: int) -> list[int]:
     """Determinants of the Hankel matrices of index 0..depth.
 
     One Bareiss pass over the largest matrix gives them all; past a zero
-    pivot the remaining indices fall back to one det_exact each.
+    pivot the remaining indices fall back to one det_exact each.  A
+    zero-headed sequence (a reversion, a zero-prefixed anchor) would stop
+    the pass at once, so its values come from the transform of
+    ``terms[2:]`` instead, as h does in :func:`hankel_triple`.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -126,7 +129,25 @@ def hankel_transform(terms: Sequence[int], depth: int) -> list[int]:
             f"hankel transform of depth {depth} needs at least {needed} terms,"
             f" got {len(terms)}"
         )
-    return _complete(terms, depth, _leading_minors(terms, depth))
+    return _complete(terms, depth, _exact_prefix(terms, depth))
+
+
+def _exact_prefix(terms: Sequence[int], depth: int) -> list[int]:
+    """The values of the transform that one-pass eliminations give, in order.
+
+    A zero head stops the pass at index 0, so the values then come from
+    those of ``terms[2:]`` through the (0, 0) cofactor expansion (see
+    :func:`_head_prefix`), and so on while ``terms[2k]`` is zero.  Only
+    the caller falls back to det_exact, so a run of zero heads costs no
+    more determinants than one.
+    """
+    heads = 0  # terms[2k:] at depth - k is zero-headed for every k < heads
+    while heads < depth and terms[2 * heads] == 0:
+        heads += 1
+    prefix = _leading_minors(terms[2 * heads :], depth - heads)
+    for k in reversed(range(heads)):
+        prefix = _head_prefix(terms[2 * k :], depth - k, prefix)
+    return prefix
 
 
 @dataclass(frozen=True)
@@ -168,7 +189,7 @@ class HankelTriple:
         )
 
 
-# heads tried in place of u_0 by _head_transform; with c = 1 alone, family C
+# heads tried in place of u_0 by _head_prefix; with c = 1 alone, family C
 # (scaled Catalan, alpha > 0) hits a zero pivot wherever c * alpha = n
 _HEADS = (1, -1, 2, -2)
 
@@ -178,7 +199,7 @@ def hankel_triple(terms: Sequence[int], depth: int) -> HankelTriple:
 
     h* and h** come from one pass each.  h is computed from h** and a
     one-pass transform of the sequence with its head replaced (see
-    :func:`_head_transform`), because a reversion sequence has u_0 = 0 and
+    :func:`_head_prefix`), because a reversion sequence has u_0 = 0 and
     so a zero first pivot.
     """
     if depth < 0:
@@ -191,17 +212,18 @@ def hankel_triple(terms: Sequence[int], depth: int) -> HankelTriple:
         )
     h_star_star = hankel_transform(terms[2:], depth)
     return HankelTriple(
-        h=tuple(_head_transform(terms, depth, h_star_star)),
+        h=tuple(_complete(terms, depth, _head_prefix(terms, depth, h_star_star))),
         h_star=tuple(hankel_transform(terms[1:], depth)),
         h_star_star=tuple(h_star_star),
         depth=depth,
     )
 
 
-def _head_transform(
+def _head_prefix(
     terms: Sequence[int], depth: int, h_star_star: Sequence[int]
 ) -> list[int]:
-    """Hankel transform of ``terms`` given that of ``terms[2:]``.
+    """Leading values of the Hankel transform of ``terms`` given leading
+    values of that of ``terms[2:]``.
 
     A determinant is linear in its (0, 0) entry, and the cofactor of that
     entry in H_n(u) is H_{n-1}(u[2:]).  So for u' equal to u with u_0
@@ -210,19 +232,21 @@ def _head_transform(
         det H_n(u) = det H_n(u') - (c - u_0) * h**_{n-1},   h**_{-1} = 1.
 
     The sequence itself is tried first, then each head in ``_HEADS``; the
-    longest exact prefix wins and any indices past it fall back to
-    det_exact.
+    longest prefix wins.  A value needs its minor of u' and h**_{n-1}, so
+    a head can give at most ``len(h_star_star) + 1`` values and its pass
+    stops there; the caller completes the prefix with det_exact.
     """
     u0 = operator.index(terms[0])
-    best = _leading_minors(terms, depth)
+    best = _leading_minors(terms, depth) if u0 else [0]  # a zero pivot at once
     cofactors = [1, *h_star_star]
+    reach = min(depth, len(h_star_star))
     for c in _HEADS:
         if len(best) > depth:
             break
-        minors = _leading_minors([c, *terms[1:]], depth)
+        minors = _leading_minors([c, *terms[1:]], reach)
         if len(minors) > len(best):
             best = [m - (c - u0) * cof for m, cof in zip(minors, cofactors)]
-    return _complete(terms, depth, best)
+    return best
 
 
 def binomial_transform(terms: Sequence[int]) -> list[int]:

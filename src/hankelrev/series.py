@@ -5,13 +5,19 @@ values; all arithmetic is exact and nothing is ever rounded.  Binary
 operations insist on equal truncation orders.  Silent extension or
 truncation is how precision bugs sneak into determinant work downstream,
 so mixing orders raises instead.
+
+Products, reversion and the binomial o.g.f. run on integer numerators over
+one common denominator (:func:`_common`, :func:`_conv`), so the inner loops
+multiply and add plain ints and each output coefficient is reduced once.
+Division and square roots stay on `Fraction`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -42,6 +48,29 @@ def _decimal(value: int) -> str:
     return _decimal(high) + _decimal(low).zfill(half)
 
 
+def _common(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator: c_k = nums[k] / den."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Coefficients 0..n of the product of two integer coefficient lists.
+
+    Zero entries of either list are skipped, so a product with a sparse or
+    polynomial factor costs only its nonzero terms.
+    """
+    out = [0] * (n + 1)
+    nonzero_b = [(j, y) for j, y in enumerate(b[: n + 1]) if y]
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for j, y in nonzero_b:
+                if i + j > n:
+                    break
+                out[i + j] += x * y
+    return out
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """A formal power series truncated at a fixed order.
@@ -53,7 +82,9 @@ class PowerSeries:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        normalized = tuple(Fraction(c) for c in self.coeffs)
+        normalized = tuple(
+            c if type(c) is Fraction else Fraction(c) for c in self.coeffs
+        )
         if not normalized:
             raise ValueError("series must carry at least the constant coefficient")
         object.__setattr__(self, "coeffs", normalized)
@@ -169,16 +200,12 @@ class PowerSeries:
     def __mul__(self, other: Union["PowerSeries", Scalar]) -> "PowerSeries":
         if isinstance(other, PowerSeries):
             self._require_same_order(other)
-            n = self.order
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j in range(n - i + 1):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return PowerSeries(tuple(out))
+            a, da = _common(self.coeffs)
+            b, db = _common(other.coeffs)
+            den = da * db
+            return PowerSeries(
+                tuple(Fraction(c, den) for c in _conv(a, b, self.order))
+            )
         if isinstance(other, (int, Fraction)):
             scalar = Fraction(other)
             return PowerSeries(tuple(c * scalar for c in self.coeffs))
@@ -278,23 +305,28 @@ class PowerSeries:
             raise ValueError("series not reversible")
         n = self.order
         g = self.shift_down(1)  # f/x, invertible constant term
-        h = PowerSeries.one(n - 1) / g  # x/f
-        out = [Fraction(0), h.coeffs[0]]
-        power = h
+        x_over_f = PowerSeries.one(n - 1) / g
+        h, d = _common(x_over_f.coeffs)
+        out = [Fraction(0), x_over_f.coeffs[0]]
+        power, d_power = h, d  # (x/f)^m = power / d_power
         for m in range(2, n + 1):
-            power = power * h
-            out.append(power.coeffs[m - 1] / m)
+            power = _conv(power, h, n - 1)
+            d_power *= d
+            out.append(Fraction(power[m - 1], d_power * m))
         return PowerSeries(tuple(out))
 
     def binomial_ogf(self) -> "PowerSeries":
         """The o.g.f.-level binomial transform (1/(1-x)) * f(x/(1-x)).
 
         Coefficient n of the result is sum_k C(n, k) * f_k, matching the
-        sequence-level transform on integer inputs.
+        sequence-level transform on integer inputs.  The sums are taken over
+        the common numerators with Pascal's rule: the rows t_0 = f,
+        t_{j+1}[i] = t_j[i] + t_j[i+1] have t_n[0] = sum_k C(n, k) f_k, so
+        the whole transform costs O(n^2) integer additions.
         """
-        n = self.order
-        if n == 0:
-            return self
-        shifted_geometric = PowerSeries((Fraction(0),) + (Fraction(1),) * n)
-        geometric = PowerSeries((Fraction(1),) * (n + 1))
-        return self.compose(shifted_geometric) * geometric
+        row, den = _common(self.coeffs)
+        out = []
+        while row:
+            out.append(Fraction(row[0], den))
+            row = [x + y for x, y in zip(row, row[1:])]
+        return PowerSeries(tuple(out))

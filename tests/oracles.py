@@ -2,7 +2,9 @@
 
 Everything here trades speed for obviousness: cofactor expansion is
 exponential and the Gaussian variant works over Fraction, so neither is
-suitable outside tests.
+suitable outside tests.  The series routines work on plain lists of
+Fraction coefficients, one Fraction operation per pair of terms, without
+the library's common-denominator kernel.
 """
 
 from __future__ import annotations
@@ -67,3 +69,49 @@ def binomial_transform_ref(terms: Sequence[int]) -> list[int]:
         row = binomial_row(n)
         out.append(sum(row[k] * terms[k] for k in range(n + 1)))
     return out
+
+
+def series_product_ref(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """Truncated product of two equal-length coefficient lists, one Fraction
+    multiply-add per pair of terms."""
+    n = len(a)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += Fraction(a[i]) * Fraction(b[j])
+    return out
+
+
+def series_inverse_ref(b: Sequence[Fraction]) -> list[Fraction]:
+    """1/b for a coefficient list with b[0] != 0, by the division recurrence."""
+    out: list[Fraction] = []
+    for m in range(len(b)):
+        acc = Fraction(1 if m == 0 else 0)
+        for k in range(1, m + 1):
+            acc -= b[k] * out[m - k]
+        out.append(acc / b[0])
+    return out
+
+
+def revert_ref(f: Sequence[Fraction]) -> list[Fraction]:
+    """Compositional inverse by Lagrange inversion, n u_n = [x^(n-1)] (x/f)^n,
+    with every power of x/f formed by the Fraction product above."""
+    n = len(f) - 1
+    h = series_inverse_ref(f[1:])  # x/f, to order n - 1
+    out = [Fraction(0), h[0]]
+    power = h
+    for m in range(2, n + 1):
+        power = series_product_ref(power, h)
+        out.append(power[m - 1] / m)
+    return out
+
+
+def binomial_ogf_horner_ref(f: Sequence[Fraction]) -> list[Fraction]:
+    """(1/(1-x)) * f(x/(1-x)), with f(x/(1-x)) by Horner's rule."""
+    n = len(f) - 1
+    inner = [Fraction(0)] + [Fraction(1)] * n  # x/(1-x)
+    result = [Fraction(0)] * (n + 1)
+    for c in reversed(f):
+        result = series_product_ref(result, inner)
+        result[0] += c
+    return series_product_ref(result, [Fraction(1)] * (n + 1))

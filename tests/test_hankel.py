@@ -25,6 +25,8 @@ from hankelrev import hankel
 from oracles import det_cofactor, det_gauss
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
+CENTRAL_60 = [math.comb(2 * k, k) for k in range(60)]
+CATALAN_61 = [math.comb(2 * k, k) // (k + 1) for k in range(61)]
 
 
 def square_matrices(max_dim=5, bound=9):
@@ -189,6 +191,40 @@ class TestOnePassDifferential:
         # a zero pivot at index 1 leaves indices 2..6 to det_exact
         assert hankel_transform([1] * 13, 6) == [1] + [0] * 6
         assert calls == [3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize(
+        "name, terms",
+        [
+            ("family A", family_reversion_terms(FamilyParams(-3, -5, FAMILY_A), 61)),
+            ("family B", family_reversion_terms(FamilyParams(2, -3, FAMILY_B), 61)),
+            ("family C", family_reversion_terms(FamilyParams(3, 0, FAMILY_C), 61)),
+            ("zero-prefixed central binomial", [0] + CENTRAL_60),
+            ("zero-prefixed Catalan", [0] + CATALAN_61[:60]),
+            ("head-zeroed Catalan", [0] + CATALAN_61[1:]),
+        ],
+    )
+    def test_zero_head_needs_no_determinants(self, monkeypatch, name, terms):
+        depth = 30
+        assert terms[0] == 0 and len(terms) == 2 * depth + 1
+        expected = per_index(terms, depth)
+        calls = []
+        real = hankel.det_exact
+        monkeypatch.setattr(hankel, "det_exact", lambda m: calls.append(len(m)) or real(m))
+        assert hankel_transform(terms, depth) == expected
+        assert calls == []
+
+    def test_nested_zero_heads_fall_back_once_per_index(self, monkeypatch):
+        calls = []
+        real = hankel.det_exact
+        monkeypatch.setattr(hankel, "det_exact", lambda m: calls.append(len(m)) or real(m))
+        # every shift by two is zero-headed again; the passes give indices
+        # 0 and 1, and det_exact each later index once, not once per shift
+        assert hankel_transform([0] * 13, 6) == [0] * 7
+        assert calls == [3, 4, 5, 6, 7]
+        calls.clear()
+        alternating = [k % 2 for k in range(13)]
+        assert hankel_transform(alternating, 6) == per_index(alternating, 6)
+        assert calls == [5, 6, 7]
 
     @pytest.mark.parametrize(
         "family, alpha, beta",

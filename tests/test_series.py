@@ -1,6 +1,8 @@
 """Truncated power series arithmetic over exact rationals."""
 
+import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelrev import PowerSeries, coefficient_string
-from oracles import binomial_transform_ref
+from hankelrev.series import _common, _conv
+from oracles import (
+    binomial_ogf_horner_ref,
+    binomial_transform_ref,
+    revert_ref,
+    series_product_ref,
+)
 
 ORDER = 6
 
@@ -179,6 +187,133 @@ class TestBinomialOgf:
     def test_matches_sequence_level_definition(self, terms):
         s = PowerSeries.from_polynomial(terms, len(terms) - 1)
         assert int_coeffs(s.binomial_ogf()) == binomial_transform_ref(terms)
+
+
+# the eight largest primes below 10**6: pairwise coprime denominators make
+# the common denominator of a series as large as it gets
+PRIMES = (999983, 999979, 999961, 999959, 999953, 999931, 999917, 999907)
+numerators = st.integers(-(10**6), 10**6)
+
+
+@st.composite
+def coefficient_lists(draw, size):
+    """``size`` coefficients mixing runs of zeros, fractions over pairwise
+    coprime denominators near 10**6, and fractions with any denominator up
+    to 10**6."""
+    cs = []
+    while len(cs) < size:
+        kind = draw(st.sampled_from(("zeros", "coprime", "any")))
+        if kind == "zeros":
+            cs += [Fraction(0)] * draw(st.integers(1, 5))
+        elif kind == "coprime":
+            cs.append(Fraction(draw(numerators), draw(st.sampled_from(PRIMES))))
+        else:
+            cs.append(Fraction(draw(numerators), draw(st.integers(1, 10**6))))
+    return cs[:size]
+
+
+def sized_pairs(max_order):
+    return st.integers(0, max_order).flatmap(
+        lambda n: st.tuples(coefficient_lists(n + 1), coefficient_lists(n + 1))
+    )
+
+
+nonzero_slopes = st.fractions(
+    min_value=-(10**6), max_value=10**6, max_denominator=10**6
+).filter(bool)
+# proper fractions p/q with 0 < |p| < q <= 10**6
+proper_slopes = st.integers(2, 10**6).flatmap(
+    lambda q: st.integers(1, q - 1).flatmap(
+        lambda p: st.sampled_from((Fraction(p, q), Fraction(-p, q)))
+    )
+)
+
+
+def all_fractions(series):
+    return all(type(c) is Fraction for c in series.coeffs)
+
+
+class TestIntegerKernel:
+    """Products, reversion and the binomial o.g.f. on common numerators equal
+    the one-Fraction-per-term routines in ``oracles``."""
+
+    @given(
+        st.lists(st.integers(-3, 3), max_size=9),
+        st.lists(st.integers(-3, 3), max_size=9),
+        st.integers(0, 12),
+    )
+    def test_conv_is_the_truncated_integer_product(self, a, b, n):
+        expected = [
+            sum(a[i] * b[k - i] for i in range(k + 1) if i < len(a) and k - i < len(b))
+            for k in range(n + 1)
+        ]
+        assert _conv(a, b, n) == expected
+
+    @given(coefficient_lists(9))
+    def test_common_numerators_share_the_lcm_denominator(self, cs):
+        nums, den = _common(cs)
+        assert [Fraction(c, den) for c in nums] == cs
+        assert all(den % c.denominator == 0 for c in cs)
+        assert math.gcd(den, *nums) == 1
+
+    @given(sized_pairs(12))
+    def test_product_equals_the_fraction_product(self, pair):
+        a, b = pair
+        product = PowerSeries(tuple(a)) * PowerSeries(tuple(b))
+        assert list(product.coeffs) == series_product_ref(a, b)
+        assert all_fractions(product)
+
+    def test_product_at_order_zero(self):
+        a = PowerSeries((Fraction(2, 999983),))
+        assert (a * PowerSeries((Fraction(-3, 4),))).coeffs == (Fraction(-3, 1999966),)
+        assert (a * PowerSeries.zero(0)).coeffs == (Fraction(0),)
+
+    @settings(max_examples=25)
+    @given(st.integers(0, 10**6), st.sampled_from(PRIMES), st.integers(0, 4))
+    def test_product_is_exact_past_the_digit_limit(self, small, prime, order):
+        huge = 7 * 10**5000 + small
+        a = [Fraction(huge, prime)] + [Fraction(small, huge | 1)] * order
+        b = [Fraction(prime)] + [Fraction(-huge, 3)] * order
+        product = PowerSeries(tuple(a)) * PowerSeries(tuple(b))
+        assert list(product.coeffs) == series_product_ref(a, b)
+        assert product[0] == huge
+        assert coefficient_string(product[0]).startswith("7" + "0" * 4000)
+
+    @given(st.integers(1, 10), st.one_of(nonzero_slopes, proper_slopes), st.data())
+    def test_revert_equals_lagrange_inversion_over_fractions(self, order, slope, data):
+        f = [Fraction(0), slope] + data.draw(coefficient_lists(order - 1))
+        reverted = PowerSeries(tuple(f)).revert()
+        assert list(reverted.coeffs) == revert_ref(f)
+        assert all_fractions(reverted)
+
+    @given(st.one_of(nonzero_slopes, proper_slopes))
+    def test_revert_at_order_one_inverts_the_slope(self, slope):
+        assert PowerSeries((Fraction(0), slope)).revert().coeffs == (Fraction(0), 1 / slope)
+
+    def test_revert_at_order_zero_is_refused(self):
+        with pytest.raises(ValueError, match="series not reversible"):
+            PowerSeries.zero(0).revert()
+
+    @given(st.integers(0, 12).flatmap(lambda n: coefficient_lists(n + 1)))
+    def test_binomial_ogf_equals_the_binomial_sum_and_horner_composition(self, cs):
+        transformed = PowerSeries(tuple(cs)).binomial_ogf()
+        assert list(transformed.coeffs) == binomial_transform_ref(cs)
+        assert list(transformed.coeffs) == binomial_ogf_horner_ref(cs)
+        assert all_fractions(transformed)
+
+    def test_binomial_ogf_at_order_zero_is_the_series(self):
+        s = PowerSeries((Fraction(5, 999983),))
+        assert s.binomial_ogf() == s
+
+    def test_constructor_keeps_fractions_and_converts_the_rest(self):
+        class Half(Fraction):
+            pass
+
+        kept = Fraction(1, 3)
+        s = PowerSeries((kept, 2, True, Half(1, 2), Decimal("0.25")))
+        assert s.coeffs[0] is kept
+        assert s.coeffs == (Fraction(1, 3), 2, 1, Fraction(1, 2), Fraction(1, 4))
+        assert all_fractions(s)
 
 
 class TestShapeOperations:
