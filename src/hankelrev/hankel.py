@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -250,19 +249,28 @@ def _head_prefix(
 
 
 def binomial_transform(terms: Sequence[int]) -> list[int]:
-    """b_n = sum_k C(n, k) * a_k, same length as the input."""
-    return [
-        sum(math.comb(n, k) * operator.index(terms[k]) for k in range(n + 1))
-        for n in range(len(terms))
-    ]
+    """b_n = sum_k C(n, k) * a_k, same length as the input.
+
+    Taken by Pascal's rule: the rows t_0 = a, t_{j+1}[i] = t_j[i] + t_j[i+1]
+    have t_n[0] = b_n, so the transform costs O(n^2) integer additions.
+    """
+    row = [operator.index(t) for t in terms]
+    out = []
+    while row:
+        out.append(row[0])
+        row = [x + y for x, y in zip(row, row[1:])]
+    return out
 
 
 def inverse_binomial_transform(terms: Sequence[int]) -> list[int]:
-    """a_n = sum_k (-1)^(n-k) * C(n, k) * b_k; inverts binomial_transform."""
-    return [
-        sum(
-            (-1) ** (n - k) * math.comb(n, k) * operator.index(terms[k])
-            for k in range(n + 1)
-        )
-        for n in range(len(terms))
-    ]
+    """a_n = sum_k (-1)^(n-k) * C(n, k) * b_k; inverts binomial_transform.
+
+    a_n is the n-th forward difference of b at 0, taken by the difference
+    rows t_{j+1}[i] = t_j[i+1] - t_j[i], which have t_n[0] = a_n.
+    """
+    row = [operator.index(t) for t in terms]
+    out = []
+    while row:
+        out.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    return out

@@ -6,10 +6,10 @@ operations insist on equal truncation orders.  Silent extension or
 truncation is how precision bugs sneak into determinant work downstream,
 so mixing orders raises instead.
 
-Products, reversion and the binomial o.g.f. run on integer numerators over
-one common denominator (:func:`_common`, :func:`_conv`), so the inner loops
-multiply and add plain ints and each output coefficient is reduced once.
-Division and square roots stay on `Fraction`.
+Products, division, square roots, reversion and the binomial o.g.f. run on
+integer numerators over one common denominator (:func:`_common`,
+:func:`_conv`), so the inner loops multiply and add plain ints and each
+output coefficient is reduced once.
 """
 
 from __future__ import annotations
@@ -217,19 +217,47 @@ class PowerSeries:
         return NotImplemented
 
     def __truediv__(self, other: Union["PowerSeries", Scalar]) -> "PowerSeries":
+        """Quotient by a series with a nonzero constant term, or by a scalar.
+
+        With a = A/da and b = g*B/db, where g is the content (gcd) of b's
+        common numerators, the quotient of the integer lists is
+        q_m = R_m / B_0^(m+1) for the fraction-free recurrence
+
+            R_m = A_m * B_0^m - sum_{k>=1, B_k != 0} B_k * B_0^(k-1) * R_{m-k},
+
+        so coefficient m of a/b is R_m * db / (da * g * B_0^(m+1)), reduced
+        once.  Taking the content out keeps a divisor like 10^100 * (1 + x)
+        from scaling every R_m, and makes a constant divisor cost one
+        Fraction per coefficient.
+        """
         if isinstance(other, PowerSeries):
             self._require_same_order(other)
             if other.coeffs[0] == 0:
                 raise ValueError("non-invertible series")
-            b0 = other.coeffs[0]
-            out: list[Fraction] = []
-            for m in range(self.order + 1):
-                acc = self.coeffs[m]
-                for k in range(1, m + 1):
-                    bk = other.coeffs[k]
-                    if bk:
-                        acc -= bk * out[m - k]
-                out.append(acc / b0)
+            a, da = _common(self.coeffs)
+            b, db = _common(other.coeffs)
+            g = math.gcd(*b)
+            b0 = b[0] // g
+            # (k, B_k * B_0^(k-1)) for the nonzero B_k, k >= 1
+            terms = [
+                (k, bk // g * b0 ** (k - 1))
+                for k, bk in enumerate(b[1:], start=1)
+                if bk
+            ]
+            rs: list[int] = []  # R_0, R_1, ...
+            out = []
+            scale = da * g  # da * g * B_0^m, before the step for m
+            b0_power = 1  # B_0^m
+            for m, am in enumerate(a):
+                r = am * b0_power
+                for k, w in terms:
+                    if k > m:
+                        break
+                    r -= w * rs[m - k]
+                rs.append(r)
+                scale *= b0
+                out.append(Fraction(r * db, scale))
+                b0_power *= b0
             return PowerSeries(tuple(out))
         if isinstance(other, (int, Fraction)):
             scalar = Fraction(other)
@@ -281,16 +309,46 @@ class PowerSeries:
         return result
 
     def sqrt(self) -> "PowerSeries":
-        """Square root of a series with constant term exactly 1."""
+        """Square root of a series with constant term exactly 1.
+
+        y = sqrt(f) solves the linear equation 2 f y' = f' y, whose
+        coefficient m - 1 reads
+
+            2m * y_m = sum_{i=1..m, f_i != 0} (3i - 2m) * f_i * y_{m-i},
+
+        so a polynomial f of degree k costs O(k) operations per coefficient.
+        With f = N/d (N_0 = d) the recurrence runs on integers
+        Y_m = y_m * (4d)^m:
+
+            2m * Y_m = sum (3i - 2m) * N_i * 4^i * d^(i-1) * Y_{m-i}.
+
+        Y_m is an integer because binom(1/2, j) * 4^j = +-2 * Catalan(j-1)
+        for j >= 1, so each division by 2m is exact, and checked.
+        """
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires unit constant term")
-        n = self.order
-        out = [Fraction(1)] + [Fraction(0)] * n
-        for m in range(1, n + 1):
-            acc = self.coeffs[m]
-            for k in range(1, m):
-                acc -= out[k] * out[m - k]
-            out[m] = acc / 2
+        nums, d = _common(self.coeffs)
+        # (i, N_i * 4^i * d^(i-1)) for the nonzero N_i, i >= 1
+        terms = [
+            (i, ni * 4**i * d ** (i - 1))
+            for i, ni in enumerate(nums[1:], start=1)
+            if ni
+        ]
+        scaled = [1]  # Y_0
+        out = [Fraction(1)]
+        scale = 1  # (4d)^m
+        for m in range(1, self.order + 1):
+            acc = 0
+            for i, w in terms:
+                if i > m:
+                    break
+                acc += (3 * i - 2 * m) * w * scaled[m - i]
+            y, r = divmod(acc, 2 * m)
+            if r:
+                raise ArithmeticError("inexact division in the sqrt recurrence")
+            scaled.append(y)
+            scale *= 4 * d
+            out.append(Fraction(y, scale))
         return PowerSeries(tuple(out))
 
     def revert(self) -> "PowerSeries":
@@ -319,14 +377,10 @@ class PowerSeries:
         """The o.g.f.-level binomial transform (1/(1-x)) * f(x/(1-x)).
 
         Coefficient n of the result is sum_k C(n, k) * f_k, matching the
-        sequence-level transform on integer inputs.  The sums are taken over
-        the common numerators with Pascal's rule: the rows t_0 = f,
-        t_{j+1}[i] = t_j[i] + t_j[i+1] have t_n[0] = sum_k C(n, k) f_k, so
-        the whole transform costs O(n^2) integer additions.
+        sequence-level transform on integer inputs, which is applied here
+        to the common numerators.
         """
+        from hankelrev.hankel import binomial_transform  # hankel imports series
+
         row, den = _common(self.coeffs)
-        out = []
-        while row:
-            out.append(Fraction(row[0], den))
-            row = [x + y for x, y in zip(row, row[1:])]
-        return PowerSeries(tuple(out))
+        return PowerSeries(tuple(Fraction(c, den) for c in binomial_transform(row)))

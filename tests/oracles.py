@@ -71,6 +71,15 @@ def binomial_transform_ref(terms: Sequence[int]) -> list[int]:
     return out
 
 
+def inverse_binomial_transform_ref(terms: Sequence[int]) -> list[int]:
+    """Inverse binomial transform from its double sum with signs (-1)^(n-k)."""
+    out = []
+    for n in range(len(terms)):
+        row = binomial_row(n)
+        out.append(sum((-1) ** (n - k) * row[k] * terms[k] for k in range(n + 1)))
+    return out
+
+
 def series_product_ref(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     """Truncated product of two equal-length coefficient lists, one Fraction
     multiply-add per pair of terms."""
@@ -82,14 +91,32 @@ def series_product_ref(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fra
     return out
 
 
-def series_inverse_ref(b: Sequence[Fraction]) -> list[Fraction]:
-    """1/b for a coefficient list with b[0] != 0, by the division recurrence."""
+def series_quotient_ref(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """a/b for equal-length coefficient lists with b[0] != 0, by the division
+    recurrence q_m = (a_m - sum_k b_k q_{m-k}) / b_0."""
     out: list[Fraction] = []
-    for m in range(len(b)):
-        acc = Fraction(1 if m == 0 else 0)
+    for m in range(len(a)):
+        acc = Fraction(a[m])
         for k in range(1, m + 1):
             acc -= b[k] * out[m - k]
         out.append(acc / b[0])
+    return out
+
+
+def series_inverse_ref(b: Sequence[Fraction]) -> list[Fraction]:
+    """1/b for a coefficient list with b[0] != 0."""
+    return series_quotient_ref([Fraction(1)] + [Fraction(0)] * (len(b) - 1), b)
+
+
+def series_sqrt_ref(f: Sequence[Fraction]) -> list[Fraction]:
+    """sqrt(f) for f[0] == 1, by matching coefficients of y * y = f:
+    y_m = (f_m - sum_{0<k<m} y_k y_{m-k}) / 2."""
+    out = [Fraction(1)]
+    for m in range(1, len(f)):
+        acc = Fraction(f[m])
+        for k in range(1, m):
+            acc -= out[k] * out[m - k]
+        out.append(acc / 2)
     return out
 
 

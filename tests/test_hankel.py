@@ -22,7 +22,12 @@ from hankelrev import (
     inverse_binomial_transform,
 )
 from hankelrev import hankel
-from oracles import det_cofactor, det_gauss
+from oracles import (
+    binomial_transform_ref,
+    det_cofactor,
+    det_gauss,
+    inverse_binomial_transform_ref,
+)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
 CENTRAL_60 = [math.comb(2 * k, k) for k in range(60)]
@@ -275,6 +280,16 @@ class TestBinomialTransform:
     def test_roundtrip(self, terms):
         assert inverse_binomial_transform(binomial_transform(terms)) == terms
         assert binomial_transform(inverse_binomial_transform(terms)) == terms
+
+    @given(st.lists(st.integers(-(10**30), 10**30), max_size=14))
+    def test_pascal_rows_equal_the_defining_sums(self, terms):
+        assert binomial_transform(terms) == binomial_transform_ref(terms)
+        assert inverse_binomial_transform(terms) == inverse_binomial_transform_ref(terms)
+
+    def test_rejects_non_integer_terms(self):
+        for transform in (binomial_transform, inverse_binomial_transform):
+            with pytest.raises(TypeError):
+                transform([1, 2.0])
 
 
 class TestHankelTriple:

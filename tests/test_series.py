@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from oracles import (
     binomial_transform_ref,
     revert_ref,
     series_product_ref,
+    series_quotient_ref,
+    series_sqrt_ref,
 )
 
 ORDER = 6
@@ -233,9 +236,37 @@ def all_fractions(series):
     return all(type(c) is Fraction for c in series.coeffs)
 
 
+# divisor heads: negative, fractional, proper fractions and huge constants
+heads = st.one_of(
+    nonzero_slopes, proper_slopes, st.sampled_from((10**120, -(10**120)))
+)
+contents = st.sampled_from(
+    (10**100, -(10**100), Fraction(10**100, 999983), Fraction(3, 10**100))
+)
+
+
+@st.composite
+def quotients(draw, max_order):
+    """(a, b) coefficient lists of one order, with b[0] drawn from ``heads``."""
+    n = draw(st.integers(0, max_order))
+    a = draw(coefficient_lists(n + 1))
+    b = [draw(heads)] + draw(coefficient_lists(n))
+    return a, b
+
+
+def sqrt_binomial(c, order):
+    """Coefficients of sqrt(1 + c x): binom(1/2, j) c^j, with
+    binom(1/2, j) = (-1)^(j-1) C(2j, j) / (4^j (2j - 1))."""
+    return [
+        Fraction(-((-1) ** j) * math.comb(2 * j, j), 4**j * (2 * j - 1)) * c**j
+        for j in range(order + 1)
+    ]
+
+
 class TestIntegerKernel:
-    """Products, reversion and the binomial o.g.f. on common numerators equal
-    the one-Fraction-per-term routines in ``oracles``."""
+    """Products, division, square roots, reversion and the binomial o.g.f. on
+    common numerators equal the one-Fraction-per-term routines in
+    ``oracles``."""
 
     @given(
         st.lists(st.integers(-3, 3), max_size=9),
@@ -293,6 +324,110 @@ class TestIntegerKernel:
     def test_revert_at_order_zero_is_refused(self):
         with pytest.raises(ValueError, match="series not reversible"):
             PowerSeries.zero(0).revert()
+
+    @given(quotients(12))
+    def test_division_equals_the_fraction_quotient(self, pair):
+        a, b = pair
+        quotient = PowerSeries(tuple(a)) / PowerSeries(tuple(b))
+        assert list(quotient.coeffs) == series_quotient_ref(a, b)
+        assert all_fractions(quotient)
+
+    @given(st.integers(0, 12), heads, st.data())
+    def test_division_by_a_constant_series_equals_the_scalar_quotient(
+        self, order, c, data
+    ):
+        a = data.draw(coefficient_lists(order + 1))
+        divisor = PowerSeries.constant(c, order)
+        quotient = PowerSeries(tuple(a)) / divisor
+        assert list(quotient.coeffs) == series_quotient_ref(a, divisor.coeffs)
+        assert quotient == PowerSeries(tuple(a)) / c
+        assert all_fractions(quotient)
+
+    @given(st.integers(0, 20), contents, st.data())
+    def test_division_by_a_divisor_with_large_content(self, order, content, data):
+        a = data.draw(coefficient_lists(order + 1))
+        polynomial = PowerSeries.from_polynomial([1, 3, -5], order)
+        dense = PowerSeries(
+            (data.draw(heads),) + tuple(data.draw(coefficient_lists(order)))
+        )
+        for divisor in (polynomial, dense):
+            b = [content * c for c in divisor.coeffs]
+            quotient = PowerSeries(tuple(a)) / PowerSeries(tuple(b))
+            assert list(quotient.coeffs) == series_quotient_ref(a, b)
+            assert quotient == PowerSeries(tuple(a)) / divisor / content
+
+    def test_division_takes_out_the_content(self):
+        # the same quotient as by 1 + 3x - 5x^2, over one extra factor: with
+        # the content left in, every R_m carries 10^1000 per step and this
+        # division runs for seconds instead of milliseconds
+        content = 10**1000
+        a = PowerSeries.from_polynomial(range(1, 152), 150)
+        b = PowerSeries.from_polynomial([content, 3 * content, -5 * content], 150)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            quotient = a / b
+            elapsed.append(time.perf_counter() - start)
+        assert quotient == a / PowerSeries.from_polynomial([1, 3, -5], 150) / content
+        assert min(elapsed) < 0.1
+
+    @settings(max_examples=25)
+    @given(st.integers(0, 10**6), st.sampled_from(PRIMES), st.integers(0, 4))
+    def test_division_is_exact_past_the_digit_limit(self, small, prime, order):
+        huge = 7 * 10**5000 + small
+        a = [Fraction(huge, prime)] + [Fraction(small, huge | 1)] * order
+        b = [Fraction(-huge, 3)] + [Fraction(prime), Fraction(0)] * order
+        b = b[: order + 1]
+        quotient = PowerSeries(tuple(a)) / PowerSeries(tuple(b))
+        assert list(quotient.coeffs) == series_quotient_ref(a, b)
+        assert quotient[0] == Fraction(-3, prime)
+
+    def test_division_at_order_zero(self):
+        a = PowerSeries((Fraction(2, 999983),))
+        assert (a / PowerSeries((Fraction(-3, 4),))).coeffs == (Fraction(-8, 2999949),)
+        assert (PowerSeries.zero(0) / a).coeffs == (Fraction(0),)
+
+    @given(st.integers(0, 12).flatmap(lambda n: coefficient_lists(n)))
+    def test_sqrt_equals_the_self_convolution(self, tail):
+        f = [Fraction(1)] + tail
+        root = PowerSeries(tuple(f)).sqrt()
+        assert list(root.coeffs) == series_sqrt_ref(f)
+        assert all_fractions(root)
+
+    @settings(max_examples=25)
+    @given(st.integers(0, 10**6), st.sampled_from(PRIMES), st.integers(0, 4))
+    def test_sqrt_is_exact_past_the_digit_limit(self, small, prime, order):
+        huge = 7 * 10**5000 + small
+        f = [Fraction(1), Fraction(huge, prime)] + [Fraction(-small, huge | 1)] * order
+        root = PowerSeries(tuple(f)).sqrt()
+        assert list(root.coeffs) == series_sqrt_ref(f)
+        assert root[1] == Fraction(huge, 2 * prime)
+
+    @settings(max_examples=20)
+    @given(st.one_of(st.integers(-10, 10), proper_slopes))
+    def test_sqrt_of_a_degree_one_radical_at_order_150(self, c):
+        root = PowerSeries.from_polynomial([1, c], 150).sqrt()
+        assert list(root.coeffs) == sqrt_binomial(Fraction(c), 150)
+
+    def test_sqrt_of_the_catalan_radical_past_the_digit_limit(self):
+        scale = 10**120
+        root = PowerSeries.from_polynomial([1, -4 * scale], 150).sqrt()
+        catalan = [math.comb(2 * j, j) // (j + 1) for j in range(150)]
+        assert list(root.coeffs) == [1] + [-2 * catalan[j - 1] * scale**j for j in range(1, 151)]
+
+    @settings(max_examples=10)
+    @given(st.integers(-10, 10), st.integers(-10, 10).filter(bool))
+    def test_sqrt_of_a_family_radical_at_order_150(self, alpha, beta):
+        # the radical of every family reversion: 1 - 2 alpha x + (alpha^2 - 4 beta) x^2
+        f = PowerSeries.from_polynomial([1, -2 * alpha, alpha**2 - 4 * beta], 150)
+        assert list(f.sqrt().coeffs) == series_sqrt_ref(f.coeffs)
+
+    def test_sqrt_of_a_fractional_degree_two_radical_at_order_150(self):
+        f = PowerSeries.from_polynomial([1, Fraction(3, 7), Fraction(-5, 11)], 150)
+        assert list(f.sqrt().coeffs) == series_sqrt_ref(f.coeffs)
+
+    def test_sqrt_at_order_zero(self):
+        assert PowerSeries.one(0).sqrt() == PowerSeries.one(0)
 
     @given(st.integers(0, 12).flatmap(lambda n: coefficient_lists(n + 1)))
     def test_binomial_ogf_equals_the_binomial_sum_and_horner_composition(self, cs):
