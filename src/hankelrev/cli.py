@@ -100,12 +100,13 @@ def _family_params(args: argparse.Namespace) -> FamilyParams:
     return FamilyParams(args.alpha, args.beta if args.beta is not None else 0, args.family)
 
 
-def _sequence_from_args(args: argparse.Namespace, count: int) -> list[int]:
-    sources = [s for s in ("seq", "gf", "family") if getattr(args, s, None)]
-    if len(sources) != 1:
+def _sequence_from_args(args: argparse.Namespace, depth: int, extra: int) -> list[int]:
+    """Terms 0..2*depth+extra-1 of --gf or --family (--seq is read by the caller)."""
+    if bool(args.gf) == bool(args.family):
         raise ValueError("provide exactly one of --seq, --gf, --family")
-    if args.seq:
-        return _parse_sequence(args.seq)
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    count = 2 * depth + extra
     if args.gf:
         return expand_gf(args.gf, count - 1).integer_coefficients()
     return family_reversion_terms(_family_params(args), count)
@@ -212,7 +213,10 @@ def _cmd_revert(args: argparse.Namespace) -> int:
     if args.gf:
         values = expand_gf(args.gf, args.order).revert().coefficient_strings()
     else:
-        terms = family_reversion_terms(_family_params(args), args.order + 1)
+        params = _family_params(args)
+        if args.order < 0:
+            raise ValueError("order must be non-negative")
+        terms = family_reversion_terms(params, args.order + 1)
         values = [_decimal(t) for t in terms]
     _emit_values(values, args.format)
     return 0
@@ -224,7 +228,7 @@ def _cmd_hankel(args: argparse.Namespace) -> int:
         depth = args.depth if args.depth is not None else max((len(terms) - 1) // 2, 0)
     else:
         depth = args.depth if args.depth is not None else DEFAULT_DEPTH
-        terms = _sequence_from_args(args, 2 * depth + 1)
+        terms = _sequence_from_args(args, depth, 1)
     transform = hankel_transform(terms, depth)
     _emit_values([_decimal(v) for v in transform], args.format)
     return 0
@@ -236,7 +240,7 @@ def _cmd_triple(args: argparse.Namespace) -> int:
         depth = args.depth if args.depth is not None else max((len(terms) - 3) // 2, 0)
     else:
         depth = args.depth if args.depth is not None else DEFAULT_DEPTH
-        terms = _sequence_from_args(args, 2 * depth + 3)
+        terms = _sequence_from_args(args, depth, 3)
     triple = hankel_triple(terms, depth)
     if args.format == "json":
         print(triple.to_json())

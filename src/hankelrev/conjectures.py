@@ -1,11 +1,13 @@
 """Mechanical verification of Hankel-transform identities for the families.
 
-Each verifier expands the relevant reversion sequence far enough for a
-depth-d Hankel triple, evaluates every claim in product form (no division,
-so zero values need no special casing), and returns a report whose check
-rows store both sides as exact decimal strings.  Claims that reference
-index n+1 of a depth-d transform are checked for n = 0..d-1; claims fully
-determined at index n run to n = d.
+Each verifier takes the relevant family sequence from the integer
+recurrences of :mod:`hankelrev.families` (``family_reversion_terms`` and
+``family_base_terms``), far enough for a depth-d Hankel triple, evaluates
+every claim in product form (no division, so zero values need no special
+casing), and returns a report whose check rows store both sides as exact
+decimal strings.  Claims that reference index n+1 of a depth-d transform
+are checked for n = 0..d-1; claims fully determined at index n run to
+n = d.
 
 The built-in catalog:
 
@@ -44,14 +46,11 @@ from hankelrev.families import (
     FAMILY_C,
     FamilyParams,
     catalan,
-    family_a_reversion_ogf,
-    family_a_reversion_term,
-    family_a_term,
-    family_b_reversion_term,
-    family_c_term,
+    family_base_terms,
+    family_reversion_terms,
 )
-from hankelrev.hankel import det_exact, hankel_transform, hankel_triple
-from hankelrev.series import PowerSeries, _decimal, coefficient_string
+from hankelrev.hankel import binomial_transform, det_exact, hankel_transform, hankel_triple
+from hankelrev.series import _decimal, coefficient_string
 
 # claim labels are stable strings: reports are regression artifacts and
 # downstream tooling matches on them
@@ -139,9 +138,9 @@ def verify_conjecture4(alpha: int, beta: int, depth: int) -> ConjectureReport:
         raise ValueError("beta must be nonzero")
     _require_depth(depth)
     params = FamilyParams(alpha, beta, FAMILY_A)
-    u = [family_a_reversion_term(params, n) for n in range(2 * depth + 3)]
+    u = family_reversion_terms(params, 2 * depth + 3)
     triple = hankel_triple(u, depth)
-    base = [family_a_term(params, n) for n in range(depth + 2)]
+    base = family_base_terms(params, depth + 2)
     checks = []
     for n in range(depth + 1):
         checks.append(
@@ -171,7 +170,7 @@ def verify_conjecture6(alpha: int, beta: int, depth: int) -> ConjectureReport:
         raise ValueError("beta must be nonzero")
     _require_depth(depth)
     params = FamilyParams(alpha, beta, FAMILY_B)
-    u = [family_b_reversion_term(params, n) for n in range(2 * depth + 3)]
+    u = family_reversion_terms(params, 2 * depth + 3)
     triple = hankel_triple(u, depth)
     checks = []
     for n in range(depth + 1):
@@ -209,7 +208,7 @@ def verify_conjecture8(alpha: int, depth: int) -> ConjectureReport:
         raise ValueError("alpha must be nonzero")
     _require_depth(depth)
     params = FamilyParams(alpha, 0, FAMILY_C)
-    u = [family_c_term(params, n) for n in range(2 * depth + 3)]
+    u = family_reversion_terms(params, 2 * depth + 3)
     triple = hankel_triple(u, depth)
     checks = []
     for n in range(depth + 1):
@@ -243,31 +242,23 @@ def verify_conjecture8(alpha: int, depth: int) -> ConjectureReport:
     return _report("8", params, depth, checks, sequence=u)
 
 
-def _shifted_reversion_terms(alpha: int, beta: int, order: int) -> list[int]:
-    """u_{n+1} for the family A reversion, n = 0..order, via the o.g.f."""
-    params = FamilyParams(alpha, beta, FAMILY_A)
-    ogf = family_a_reversion_ogf(params, order + 1)
-    return ogf.shift_down(1).integer_coefficients()
-
-
 def verify_alpha_shift(alpha: int, beta: int, order: int) -> ConjectureReport:
     """Check that the binomial transform shifts alpha by one.
 
-    The o.g.f.-level binomial transform of the shifted family A reversion
-    (u_{n+1})_{n>=0} at (alpha, beta) must equal the same construction at
-    (alpha + 1, beta), coefficient by coefficient; as a corollary both
-    sequences must share their Hankel transform, which is re-derived here
-    to depth (order - 1) // 2.
+    The binomial transform (o.g.f. f(x/(1-x))/(1-x)) of the shifted
+    family A reversion (u_{n+1})_{n>=0} at (alpha, beta) must equal the
+    same construction at (alpha + 1, beta), coefficient by coefficient;
+    as a corollary both sequences must share their Hankel transform,
+    which is re-derived here to depth (order - 1) // 2.
     """
     if beta == 0:
         raise ValueError("beta must be nonzero")
     if order < 1:
         raise ValueError("order must be at least 1")
     params = FamilyParams(alpha, beta, FAMILY_A)
-    here = _shifted_reversion_terms(alpha, beta, order)
-    shifted = _shifted_reversion_terms(alpha + 1, beta, order)
-    here_series = PowerSeries(tuple(Fraction(t) for t in here))
-    transformed = here_series.binomial_ogf().integer_coefficients()
+    here = family_reversion_terms(params, order + 2)[1:]
+    shifted = family_reversion_terms(FamilyParams(alpha + 1, beta, FAMILY_A), order + 2)[1:]
+    transformed = binomial_transform(here)
     checks = []
     for n in range(order + 1):
         checks.append(_check(n, CLAIM_SHIFT_COEFF, transformed[n], shifted[n]))
@@ -319,7 +310,7 @@ def prop9_verify(alpha: int, n: int) -> ConjectureReport:
     if n < 0:
         raise ValueError("matrix index must be non-negative")
     params = FamilyParams(alpha, 0, FAMILY_C)
-    sequence = [catalan(k) * alpha**k for k in range(2 * n + 1)]
+    sequence = family_reversion_terms(params, 2 * n + 2)[1:]
     H = [[sequence[i + j] for j in range(n + 1)] for i in range(n + 1)]
     T = prop9_T_matrix(alpha, n)
     checks = []

@@ -6,11 +6,18 @@ With integer parameters alpha and beta, the base o.g.f.s are::
     family B:  x * (1 - alpha*x) / (1 - beta*x)
     family C:  x * (1 - alpha*x)
 
-Each family admits closed forms both for its own coefficients and for the
-coefficients of its compositional reversion, and the reversions have
-closed-form o.g.f.s in terms of a square root.  Every closed form here is
-cross-checked in the test suite against direct expansion and against
-generic series reversion.
+Each family is one row of ``_ROWS``, and two integer loops read that row.
+The base series is numerator/denominator with a denominator of head 1, so
+its terms follow the linear recurrence of the denominator.  Every
+reversion u is quadratic-algebraic with the radical y = sqrt(D),
+D = 1 + 2e*x + d*x^2: past the row's seeds, u_m is a constant times
+y_{m+s} for the row's index shift s.  So, like ``PowerSeries.sqrt``,
+u follows the recurrence of 2*D*y' = D'*y; with k = m + s,
+
+    k*u_m = (3 - 2k)*e*u_{m-1} + (3 - k)*d*u_{m-2},
+
+an exact division that is checked.  The binomial-sum and radical closed
+forms are the test suite's independent references (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from hankelrev.series import PowerSeries
 
@@ -41,16 +49,6 @@ class FamilyParams:
         object.__setattr__(self, "beta", operator.index(self.beta))
 
 
-def _require_family(params: FamilyParams, family: str) -> None:
-    if params.family != family:
-        raise ValueError(f"parameters are for family {params.family}, not {family}")
-
-
-def _require_term_index(n: int) -> None:
-    if n < 0:
-        raise ValueError("term index must be non-negative")
-
-
 def catalan(n: int) -> int:
     """C(n) = binomial(2n, n) / (n + 1)."""
     if n < 0:
@@ -58,189 +56,56 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-# ----------------------------------------------------------------------
-# family A
+# family -> (alpha, beta) -> (numerator, denominator, e, d, shift, seeds):
+# the base o.g.f. is numerator/denominator (denominator head 1), and the
+# reversion has radical 1 + 2e*x + d*x^2, index shift ``shift`` and first
+# terms ``seeds``
+_ROWS: dict[str, Callable[[int, int], tuple]] = {
+    FAMILY_A: lambda a, b: ((0, 1), (1, a, b), -a, a * a - 4 * b, 1, (0, 1)),
+    FAMILY_B: lambda a, b: ((0, 1, -a), (1, -b), b - 2 * a, b * b, 0, (0, 1, a - b)),
+    # the B row at beta = 0
+    FAMILY_C: lambda a, b: ((0, 1, -a), (1,), -2 * a, 0, 0, (0, 1, a)),
+}
 
 
-def family_a_term(params: FamilyParams, n: int) -> int:
-    """Coefficient n of x / (1 + alpha*x + beta*x^2).
-
-    a_0 = 0 and, for n >= 1,
-    a_n = sum_k C(n-1-k, k) * (-alpha)^(n-1-2k) * (-beta)^k.
-    """
-    _require_family(params, FAMILY_A)
-    _require_term_index(n)
-    if n == 0:
-        return 0
-    a, b = params.alpha, params.beta
-    return sum(
-        math.comb(n - 1 - k, k) * (-a) ** (n - 1 - 2 * k) * (-b) ** k
-        for k in range((n - 1) // 2 + 1)
-    )
-
-
-def family_a_reversion_term(params: FamilyParams, n: int) -> int:
-    """Coefficient n of the reversion of family A.
-
-    u_0 = 0 and, for n >= 1,
-    u_n = sum_k C(n-1, 2k) * catalan(k) * alpha^(n-2k-1) * beta^k.
-    """
-    _require_family(params, FAMILY_A)
-    _require_term_index(n)
-    if n == 0:
-        return 0
-    a, b = params.alpha, params.beta
-    return sum(
-        math.comb(n - 1, 2 * k) * catalan(k) * a ** (n - 2 * k - 1) * b**k
-        for k in range((n - 1) // 2 + 1)
-    )
-
-
-def family_a_reversion_ogf(params: FamilyParams, order: int) -> PowerSeries:
-    """Reversion of family A in closed form:
-
-    (1 - alpha*x - sqrt(1 - 2*alpha*x + (alpha^2 - 4*beta)*x^2)) / (2*beta*x).
-
-    Needs beta != 0; the beta = 0 base series x/(1 + alpha*x) is the
-    beta -> 0 limit of family A but its reversion is family C territory.
-    """
-    _require_family(params, FAMILY_A)
-    if params.beta == 0:
-        raise ValueError("closed form undefined; use family C")
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    a, b = params.alpha, params.beta
-    radical = PowerSeries.from_polynomial([1, -2 * a, a * a - 4 * b], order + 1).sqrt()
-    numerator = PowerSeries.from_polynomial([1, -a], order + 1) - radical
-    return numerator.shift_down(1) / (2 * b)
-
-
-# ----------------------------------------------------------------------
-# family B
-
-
-def family_b_term(params: FamilyParams, n: int) -> int:
-    """Coefficient n of x * (1 - alpha*x) / (1 - beta*x).
-
-    a_0 = 0, a_1 = 1, and a_n = (beta - alpha) * beta^(n-2) for n >= 2.
-    """
-    _require_family(params, FAMILY_B)
-    _require_term_index(n)
-    if params.beta == 0:
-        raise ValueError("family C handles beta = 0")
-    if n == 0:
-        return 0
-    if n == 1:
-        return 1
-    a, b = params.alpha, params.beta
-    return (b - a) * b ** (n - 2)
-
-
-def family_b_reversion_term(params: FamilyParams, n: int) -> int:
-    """Coefficient n of the reversion of family B.
-
-    u_0 = 0 and, for n >= 1,
-    u_n = sum_{k=0}^{n-1} C(n+k-1, 2k) * catalan(k) * alpha^k * (-beta)^(n-k-1).
-    """
-    _require_family(params, FAMILY_B)
-    _require_term_index(n)
-    if n == 0:
-        return 0
-    a, b = params.alpha, params.beta
-    return sum(
-        math.comb(n + k - 1, 2 * k) * catalan(k) * a**k * (-b) ** (n - k - 1)
-        for k in range(n)
-    )
-
-
-def family_b_reversion_ogf(params: FamilyParams, order: int) -> PowerSeries:
-    """Reversion of family B in closed form:
-
-    (1 + beta*x - sqrt(1 - 2*(2*alpha - beta)*x + beta^2*x^2)) / (2*alpha).
-    """
-    _require_family(params, FAMILY_B)
-    if params.alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    a, b = params.alpha, params.beta
-    radical = PowerSeries.from_polynomial([1, -2 * (2 * a - b), b * b], order).sqrt()
-    numerator = PowerSeries.from_polynomial([1, b], order) - radical
-    return numerator / (2 * a)
-
-
-# ----------------------------------------------------------------------
-# family C
-
-
-def family_c_term(params: FamilyParams, n: int) -> int:
-    """Coefficient n of the reversion of x * (1 - alpha*x).
-
-    u_0 = 0 and u_n = catalan(n-1) * alpha^(n-1) for n >= 1; equivalently
-    coefficient n of (1 - sqrt(1 - 4*alpha*x)) / (2*alpha).
-    """
-    _require_family(params, FAMILY_C)
-    _require_term_index(n)
-    if params.alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    if n == 0:
-        return 0
-    return catalan(n - 1) * params.alpha ** (n - 1)
-
-
-def family_c_reversion_ogf(params: FamilyParams, order: int) -> PowerSeries:
-    """(1 - sqrt(1 - 4*alpha*x)) / (2*alpha), the o.g.f. of family_c_term."""
-    _require_family(params, FAMILY_C)
-    if params.alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    a = params.alpha
-    radical = PowerSeries.from_polynomial([1, -4 * a], order).sqrt()
-    return (PowerSeries.one(order) - radical) / (2 * a)
-
-
-# ----------------------------------------------------------------------
-# dispatch helpers
+def _row(params: FamilyParams) -> tuple:
+    return _ROWS[params.family](params.alpha, params.beta)
 
 
 def family_base_ogf(params: FamilyParams, order: int) -> PowerSeries:
     """Expansion of the family's base o.g.f."""
-    a, b = params.alpha, params.beta
-    if params.family == FAMILY_A:
-        return PowerSeries.from_rational([0, 1], [1, a, b], order)
-    if params.family == FAMILY_B:
-        return PowerSeries.from_rational([0, 1, -a], [1, -b], order)
-    return PowerSeries.from_polynomial([0, 1, -a], order)
+    num, den, *_ = _row(params)
+    return PowerSeries.from_rational(num, den, order)
 
 
 def family_base_terms(params: FamilyParams, count: int) -> list[int]:
     """The first ``count`` coefficients of the base o.g.f. as integers."""
     if count < 1:
         raise ValueError("count must be positive")
-    if params.family == FAMILY_A:
-        return [family_a_term(params, n) for n in range(count)]
-    if params.family == FAMILY_B:
-        return [family_b_term(params, n) for n in range(count)]
-    poly = [0, 1, -params.alpha]
-    return [poly[n] if n < len(poly) else 0 for n in range(count)]
+    if params.family == FAMILY_B and params.beta == 0:
+        raise ValueError("family C handles beta = 0")
+    num, den, *_ = _row(params)
+    terms: list[int] = []
+    for n in range(count):
+        t = num[n] if n < len(num) else 0
+        for k in range(1, min(n, len(den) - 1) + 1):
+            t -= den[k] * terms[n - k]
+        terms.append(t)
+    return terms
 
 
 def family_reversion_terms(params: FamilyParams, count: int) -> list[int]:
-    """The first ``count`` coefficients of the reversion, by closed form."""
+    """The first ``count`` coefficients of the reversion of the base o.g.f."""
     if count < 1:
         raise ValueError("count must be positive")
-    if params.family == FAMILY_A:
-        return [family_a_reversion_term(params, n) for n in range(count)]
-    if params.family == FAMILY_B:
-        return [family_b_reversion_term(params, n) for n in range(count)]
-    return [family_c_term(params, n) for n in range(count)]
-
-
-def family_reversion_ogf(params: FamilyParams, order: int) -> PowerSeries:
-    """The closed-form reversion o.g.f. for the family of ``params``."""
-    if params.family == FAMILY_A:
-        return family_a_reversion_ogf(params, order)
-    if params.family == FAMILY_B:
-        return family_b_reversion_ogf(params, order)
-    return family_c_reversion_ogf(params, order)
+    if params.family == FAMILY_C and params.alpha == 0:
+        raise ValueError("alpha must be nonzero")
+    *_, e, d, shift, seeds = _row(params)
+    u = list(seeds[:count])
+    for m in range(len(u), count):
+        k = m + shift
+        q, r = divmod((3 - 2 * k) * e * u[m - 1] + (3 - k) * d * u[m - 2], k)
+        if r:
+            raise ArithmeticError(f"reversion term {m} is not an integer")
+        u.append(q)
+    return u

@@ -9,6 +9,7 @@ the library's common-denominator kernel.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -142,3 +143,81 @@ def binomial_ogf_horner_ref(f: Sequence[Fraction]) -> list[Fraction]:
         result = series_product_ref(result, inner)
         result[0] += c
     return series_product_ref(result, [Fraction(1)] * (n + 1))
+
+
+# ----------------------------------------------------------------------
+# closed forms of the three families (see hankelrev.families)
+
+
+def _catalan_ref(k: int) -> int:
+    return math.comb(2 * k, k) // (k + 1)
+
+
+def family_base_term_ref(family: str, alpha: int, beta: int, n: int) -> int:
+    """Coefficient n of the base o.g.f. in closed form:
+
+    A: a_n = sum_k C(n-1-k, k) * (-alpha)^(n-1-2k) * (-beta)^k (n >= 1);
+    B: a_1 = 1 and a_n = (beta - alpha) * beta^(n-2) for n >= 2;
+    C: the polynomial x - alpha*x^2.
+    """
+    if n == 0:
+        return 0
+    if family == "A":
+        return sum(
+            math.comb(n - 1 - k, k) * (-alpha) ** (n - 1 - 2 * k) * (-beta) ** k
+            for k in range((n - 1) // 2 + 1)
+        )
+    if n == 1:
+        return 1
+    if family == "B":
+        return (beta - alpha) * beta ** (n - 2)
+    return -alpha if n == 2 else 0
+
+
+def family_reversion_term_ref(family: str, alpha: int, beta: int, n: int) -> int:
+    """Coefficient n of the reversion of the base o.g.f. as a binomial sum:
+
+    A: u_n = sum_k C(n-1, 2k) * catalan(k) * alpha^(n-2k-1) * beta^k;
+    B: u_n = sum_{k<n} C(n+k-1, 2k) * catalan(k) * alpha^k * (-beta)^(n-k-1);
+    C: u_n = catalan(n-1) * alpha^(n-1)  (beta is ignored).
+    """
+    if n == 0:
+        return 0
+    if family == "A":
+        return sum(
+            math.comb(n - 1, 2 * k) * _catalan_ref(k) * alpha ** (n - 2 * k - 1) * beta**k
+            for k in range((n - 1) // 2 + 1)
+        )
+    if family == "B":
+        return sum(
+            math.comb(n + k - 1, 2 * k) * _catalan_ref(k) * alpha**k * (-beta) ** (n - k - 1)
+            for k in range(n)
+        )
+    return _catalan_ref(n - 1) * alpha ** (n - 1)
+
+
+def family_reversion_radical_ref(family: str, alpha: int, beta: int, count: int) -> list[Fraction]:
+    """The first ``count`` coefficients of the reversion from its radical o.g.f.:
+
+    A: (1 - alpha*x - sqrt(1 - 2*alpha*x + (alpha^2 - 4*beta)*x^2)) / (2*beta*x), beta != 0;
+    B: (1 + beta*x - sqrt(1 - 2*(2*alpha - beta)*x + beta^2*x^2)) / (2*alpha), alpha != 0;
+    C: (1 - sqrt(1 - 4*alpha*x)) / (2*alpha), alpha != 0.
+
+    The square root is ``series_sqrt_ref``, so nothing here uses the library.
+    """
+    if family == "A":
+        if beta == 0:
+            raise ValueError("the family A radical form needs beta != 0")
+        head, scale, shift = [1, -alpha], 2 * beta, 1
+        radicand = [1, -2 * alpha, alpha * alpha - 4 * beta]
+    else:
+        if alpha == 0:
+            raise ValueError("the radical form needs alpha != 0")
+        b = beta if family == "B" else 0
+        head, scale, shift = [1, b], 2 * alpha, 0
+        radicand = [1, 2 * b - 4 * alpha, b * b]
+    size = count + shift
+    padded = [Fraction(c) for c in radicand] + [Fraction(0)] * size
+    root = series_sqrt_ref(padded[:size])
+    numerator = [(head[m] if m < len(head) else 0) - root[m] for m in range(size)]
+    return [c / scale for c in numerator[shift:]]

@@ -496,3 +496,20 @@ class TestUsage:
         first = invoke(capsys, *argv)
         second = invoke(capsys, *argv)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("hankel", "--family", "A", "--alpha", "1", "--beta", "1", "--depth", "-1"), "depth"),
+            (("hankel", "--gf=1/(1-x)", "--depth", "-1"), "depth"),
+            (("hankel", "--seq", "1,2,3", "--depth", "-1"), "depth"),
+            (("triple", "--family", "C", "--alpha", "2", "--depth", "-2"), "depth"),
+            (("triple", "--gf=1/(1-x)", "--depth", "-2"), "depth"),
+            (("triple", "--seq", "1,2,3", "--depth", "-1"), "depth"),
+            (("revert", "--family", "A", "--alpha", "1", "--beta", "1", "--order", "-1"), "order"),
+            (("revert", "--gf=x/(1+x)", "--order", "-1"), "order"),
+            (("expand", "--family", "B", "--alpha", "1", "--beta", "1", "--order", "-1"), "order"),
+        ],
+    )
+    def test_negative_size_names_the_option(self, capsys, argv, message):
+        assert invoke(capsys, *argv) == (2, "", f"error: {message} must be non-negative\n")

@@ -1,8 +1,9 @@
-"""Closed-form coefficients for the three parametric families.
+"""The integer term generators of the three parametric families.
 
-Every term formula is checked against a fully independent route: expand
-the base o.g.f. as a rational (or polynomial) series and revert it with
-the generic Lagrange machinery.
+``family_base_terms`` and ``family_reversion_terms`` are checked against
+independent routes: the closed forms in ``tests/oracles.py`` (binomial
+sums and radical o.g.f.s, with their own square root), the expansion of
+the base o.g.f. as a rational series, and generic series reversion.
 """
 
 import pytest
@@ -15,13 +16,15 @@ from hankelrev import (
     FAMILY_C,
     FamilyParams,
     catalan,
-    family_a_reversion_ogf,
-    family_b_reversion_ogf,
+    families,
     family_base_ogf,
     family_base_terms,
-    family_c_reversion_ogf,
-    family_reversion_ogf,
     family_reversion_terms,
+)
+from oracles import (
+    family_base_term_ref,
+    family_reversion_radical_ref,
+    family_reversion_term_ref,
 )
 
 params_a = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(
@@ -84,12 +87,8 @@ class TestFamilyA:
 
     @given(params_a.filter(lambda p: p.beta != 0))
     def test_reversion_ogf_matches_terms(self, p):
-        series = family_a_reversion_ogf(p, 10)
-        assert series.integer_coefficients() == family_reversion_terms(p, 11)
-
-    def test_reversion_ogf_needs_nonzero_beta(self):
-        with pytest.raises(ValueError, match="closed form undefined; use family C"):
-            family_a_reversion_ogf(FamilyParams(2, 0, FAMILY_A), 5)
+        radical = family_reversion_radical_ref(FAMILY_A, p.alpha, p.beta, 11)
+        assert radical == family_reversion_terms(p, 11)
 
 
 class TestFamilyB:
@@ -117,12 +116,8 @@ class TestFamilyB:
 
     @given(params_b.filter(lambda p: p.alpha != 0))
     def test_reversion_ogf_matches_terms(self, p):
-        series = family_b_reversion_ogf(p, 10)
-        assert series.integer_coefficients() == family_reversion_terms(p, 11)
-
-    def test_reversion_ogf_needs_nonzero_alpha(self):
-        with pytest.raises(ValueError, match="alpha must be nonzero"):
-            family_b_reversion_ogf(FamilyParams(0, 3, FAMILY_B), 5)
+        radical = family_reversion_radical_ref(FAMILY_B, p.alpha, p.beta, 11)
+        assert radical == family_reversion_terms(p, 11)
 
 
 class TestFamilyC:
@@ -145,8 +140,13 @@ class TestFamilyC:
 
     @given(params_c.filter(lambda p: p.alpha != 0))
     def test_reversion_ogf_matches_terms(self, p):
-        series = family_c_reversion_ogf(p, 10)
-        assert series.integer_coefficients() == family_reversion_terms(p, 11)
+        radical = family_reversion_radical_ref(FAMILY_C, p.alpha, p.beta, 11)
+        assert radical == family_reversion_terms(p, 11)
+
+    def test_reversion_ignores_beta(self):
+        with_beta = family_reversion_terms(FamilyParams(3, 7, FAMILY_C), 12)
+        assert with_beta == family_reversion_terms(FamilyParams(3, 0, FAMILY_C), 12)
+        assert with_beta == [family_reversion_term_ref(FAMILY_C, 3, 0, n) for n in range(12)]
 
 
 class TestCrossFamily:
@@ -158,13 +158,88 @@ class TestCrossFamily:
 
     @given(st.integers(-4, 4).filter(lambda a: a != 0))
     def test_dispatch_matches_direct_ogfs(self, alpha):
-        b = FamilyParams(alpha, 2, FAMILY_B)
-        c = FamilyParams(alpha, 0, FAMILY_C)
-        assert family_reversion_ogf(b, 8) == family_b_reversion_ogf(b, 8)
-        assert family_reversion_ogf(c, 8) == family_c_reversion_ogf(c, 8)
+        for family in (FAMILY_A, FAMILY_B, FAMILY_C):
+            radical = family_reversion_radical_ref(family, alpha, 2, 9)
+            assert family_reversion_terms(FamilyParams(alpha, 2, family), 9) == radical
+
+    def test_inexact_step_raises(self, monkeypatch):
+        bad_row = ((0, 1), (1, 0, 0), 1, 0, 0, (0, 1))
+        monkeypatch.setitem(families._ROWS, FAMILY_A, lambda a, b: bad_row)
+        with pytest.raises(ArithmeticError, match="reversion term 2 is not an integer"):
+            family_reversion_terms(FamilyParams(1, 1, FAMILY_A), 3)
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError, match="count must be positive"):
             family_base_terms(FamilyParams(1, 1, FAMILY_A), 0)
         with pytest.raises(ValueError, match="count must be positive"):
             family_reversion_terms(FamilyParams(1, 1, FAMILY_A), 0)
+
+
+# (family, alpha, beta) with the degenerate corners of each row: A at
+# beta = 0 (x/(1 + alpha*x), outside the radical form) and alpha = 0, B at
+# alpha = 0 (outside the radical form), beta = 0 and alpha = beta
+SMALL_POINTS = [
+    (FAMILY_A, -3, -5),
+    (FAMILY_A, 2, 0),
+    (FAMILY_A, 0, 1),
+    (FAMILY_B, 0, 3),
+    (FAMILY_B, 3, 0),
+    (FAMILY_B, 3, 3),
+    (FAMILY_B, 2, 5),
+    (FAMILY_C, 3, 7),
+]
+HUGE = 10**120
+HUGE_POINTS = [(FAMILY_A, HUGE, -7), (FAMILY_B, -HUGE, 3), (FAMILY_C, -HUGE, 0)]
+POINTS = SMALL_POINTS + HUGE_POINTS
+RADICAL_POINTS = [
+    (f, a, b) for f, a, b in POINTS if not (f == FAMILY_A and b == 0 or f == FAMILY_B and a == 0)
+]
+BASE_POINTS = [(f, a, b) for f, a, b in POINTS if not (f == FAMILY_B and b == 0)]
+
+
+def _point_id(point):
+    family, alpha, beta = point
+    alpha = {HUGE: "1e120", -HUGE: "-1e120"}.get(alpha, alpha)
+    return f"{family}({alpha},{beta})"
+
+
+class TestDifferential:
+    """``family_reversion_terms`` at 201 terms against three references; the
+    slow references run shorter at |alpha| = 10^120."""
+
+    @pytest.mark.parametrize("point", POINTS, ids=_point_id)
+    def test_binomial_sums(self, point):
+        family, alpha, beta = point
+        count = 201 if abs(alpha) < HUGE else 81
+        expected = [family_reversion_term_ref(family, alpha, beta, n) for n in range(count)]
+        assert family_reversion_terms(FamilyParams(alpha, beta, family), count) == expected
+
+    @pytest.mark.parametrize("point", RADICAL_POINTS, ids=_point_id)
+    def test_radical_ogf(self, point):
+        family, alpha, beta = point
+        count = 201 if abs(alpha) < HUGE else 41
+        expected = family_reversion_radical_ref(family, alpha, beta, count)
+        assert family_reversion_terms(FamilyParams(alpha, beta, family), count) == expected
+
+    @pytest.mark.parametrize("point", POINTS, ids=_point_id)
+    def test_generic_revert(self, point):
+        family, alpha, beta = point
+        count = 201 if abs(alpha) < HUGE else 23
+        params = FamilyParams(alpha, beta, family)
+        expected = family_base_ogf(params, count - 1).revert().integer_coefficients()
+        assert family_reversion_terms(params, count) == expected
+
+    @pytest.mark.parametrize("point", BASE_POINTS, ids=_point_id)
+    def test_base_terms(self, point):
+        family, alpha, beta = point
+        count = 201 if abs(alpha) < HUGE else 81
+        params = FamilyParams(alpha, beta, family)
+        expected = [family_base_term_ref(family, alpha, beta, n) for n in range(count)]
+        assert family_base_terms(params, count) == expected
+        assert family_base_ogf(params, count - 1).integer_coefficients() == expected
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_short_counts_are_prefixes(self, count):
+        for family, alpha, beta in SMALL_POINTS:
+            params = FamilyParams(alpha, beta, family)
+            assert family_reversion_terms(params, count) == family_reversion_terms(params, 8)[:count]

@@ -39,4 +39,5 @@ def test_run_sweeps_matches_sweep():
 def test_reproduce_tables_runs():
     done = run_script("reproduce_tables.py")
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.startswith("family A reversion, alpha=-3 beta=-5\n")
+    # the whole output, frozen: any change to it must be deliberate
+    assert done.stdout == (ROOT / "tests" / "reproduce_tables.txt").read_text()
