@@ -100,16 +100,26 @@ def _family_params(args: argparse.Namespace) -> FamilyParams:
     return FamilyParams(args.alpha, args.beta if args.beta is not None else 0, args.family)
 
 
-def _sequence_from_args(args: argparse.Namespace, depth: int, extra: int) -> list[int]:
-    """Terms 0..2*depth+extra-1 of --gf or --family (--seq is read by the caller)."""
-    if bool(args.gf) == bool(args.family):
+def _sequence_from_args(args: argparse.Namespace, extra: int) -> tuple[list[int], int]:
+    """The terms of --seq, --gf or --family and the depth to take them to.
+
+    A pass at depth d reads 2*d + extra terms.  Without --depth, --seq goes
+    as deep as its terms allow and the other two sources to DEFAULT_DEPTH.
+    """
+    if [bool(args.seq), bool(args.gf), bool(args.family)].count(True) != 1:
         raise ValueError("provide exactly one of --seq, --gf, --family")
+    terms = _parse_sequence(args.seq) if args.seq else None
+    depth = args.depth
+    if depth is None:
+        depth = DEFAULT_DEPTH if terms is None else max((len(terms) - extra) // 2, 0)
     if depth < 0:
         raise ValueError("depth must be non-negative")
+    if terms is not None:
+        return terms, depth
     count = 2 * depth + extra
     if args.gf:
-        return expand_gf(args.gf, count - 1).integer_coefficients()
-    return family_reversion_terms(_family_params(args), count)
+        return expand_gf(args.gf, count - 1).integer_coefficients(), depth
+    return family_reversion_terms(_family_params(args), count), depth
 
 
 # ----------------------------------------------------------------------
@@ -223,24 +233,14 @@ def _cmd_revert(args: argparse.Namespace) -> int:
 
 
 def _cmd_hankel(args: argparse.Namespace) -> int:
-    if args.seq:
-        terms = _parse_sequence(args.seq)
-        depth = args.depth if args.depth is not None else max((len(terms) - 1) // 2, 0)
-    else:
-        depth = args.depth if args.depth is not None else DEFAULT_DEPTH
-        terms = _sequence_from_args(args, depth, 1)
+    terms, depth = _sequence_from_args(args, 1)
     transform = hankel_transform(terms, depth)
     _emit_values([_decimal(v) for v in transform], args.format)
     return 0
 
 
 def _cmd_triple(args: argparse.Namespace) -> int:
-    if args.seq:
-        terms = _parse_sequence(args.seq)
-        depth = args.depth if args.depth is not None else max((len(terms) - 3) // 2, 0)
-    else:
-        depth = args.depth if args.depth is not None else DEFAULT_DEPTH
-        terms = _sequence_from_args(args, depth, 3)
+    terms, depth = _sequence_from_args(args, 3)
     triple = hankel_triple(terms, depth)
     if args.format == "json":
         print(triple.to_json())

@@ -5,9 +5,12 @@ recurrences of :mod:`hankelrev.families` (``family_reversion_terms`` and
 ``family_base_terms``), far enough for a depth-d Hankel triple, evaluates
 every claim in product form (no division, so zero values need no special
 casing), and returns a report whose check rows store both sides as exact
-decimal strings.  Claims that reference index n+1 of a depth-d transform
-are checked for n = 0..d-1; claims fully determined at index n run to
-n = d.
+decimal strings.  A claim is one ``(label, lhs, rhs)`` triple of functions
+of n, and one function, ``_rows``, turns claims into rows, n-major: at each
+n the claims in the order given.  Claims that reference index n+1 of a
+depth-d transform are checked for n = 0..d-1; claims fully determined at
+index n run to n = d.  All of it is integer work, prop9 included: T and
+T * T^t have int entries and det T is the product of T's diagonal.
 
 The built-in catalog:
 
@@ -37,7 +40,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from hankelrev.families import (
@@ -50,7 +52,7 @@ from hankelrev.families import (
     family_reversion_terms,
 )
 from hankelrev.hankel import binomial_transform, det_exact, hankel_transform, hankel_triple
-from hankelrev.series import _decimal, coefficient_string
+from hankelrev.series import _decimal
 
 # claim labels are stable strings: reports are regression artifacts and
 # downstream tooling matches on them
@@ -104,6 +106,16 @@ def _check(index: int, claim: str, lhs: int, rhs: int) -> Check:
     return Check(index, claim, _decimal(lhs), _decimal(rhs), lhs == rhs)
 
 
+def _rows(
+    count: int, *claims: tuple[str, Callable[[int], int], Callable[[int], int]]
+) -> list[Check]:
+    """Check rows for n = 0..count-1, n-major: at each n the claims in order.
+
+    A claim is ``(label, lhs, rhs)`` with lhs(n) == rhs(n) asserted.
+    """
+    return [_check(n, label, lhs(n), rhs(n)) for n in range(count) for label, lhs, rhs in claims]
+
+
 def _report(
     conjecture_id: str,
     params: FamilyParams | None,
@@ -139,26 +151,17 @@ def verify_conjecture4(alpha: int, beta: int, depth: int) -> ConjectureReport:
     _require_depth(depth)
     params = FamilyParams(alpha, beta, FAMILY_A)
     u = family_reversion_terms(params, 2 * depth + 3)
-    triple = hankel_triple(u, depth)
-    base = family_base_terms(params, depth + 2)
-    checks = []
-    for n in range(depth + 1):
-        checks.append(
-            _check(n, CLAIM_C4_HSTAR, triple.h_star[n], beta ** math.comb(n + 1, 2))
-        )
-    for n in range(depth):
-        sign = (-1) ** (n + 1)
-        checks.append(
-            _check(n, CLAIM_C4_H, sign * triple.h[n + 1], base[n + 1] * triple.h_star[n])
-        )
-        checks.append(
-            _check(
-                n,
-                CLAIM_C4_HSS,
-                sign * triple.h_star_star[n],
-                base[n + 2] * triple.h_star[n],
-            )
-        )
+    t = hankel_triple(u, depth)
+    a = family_base_terms(params, depth + 2)
+    checks = _rows(
+        depth + 1,
+        (CLAIM_C4_HSTAR, lambda n: t.h_star[n], lambda n: beta ** math.comb(n + 1, 2)),
+    ) + _rows(
+        depth,
+        (CLAIM_C4_H, lambda n: (-1) ** (n + 1) * t.h[n + 1], lambda n: a[n + 1] * t.h_star[n]),
+        (CLAIM_C4_HSS, lambda n: (-1) ** (n + 1) * t.h_star_star[n],
+         lambda n: a[n + 2] * t.h_star[n]),
+    )
     return _report("4", params, depth, checks, sequence=u)
 
 
@@ -171,34 +174,17 @@ def verify_conjecture6(alpha: int, beta: int, depth: int) -> ConjectureReport:
     _require_depth(depth)
     params = FamilyParams(alpha, beta, FAMILY_B)
     u = family_reversion_terms(params, 2 * depth + 3)
-    triple = hankel_triple(u, depth)
-    checks = []
-    for n in range(depth + 1):
-        checks.append(
-            _check(
-                n,
-                CLAIM_C6_HSTAR,
-                triple.h_star[n],
-                (alpha * (alpha - beta)) ** math.comb(n + 1, 2),
-            )
-        )
-    for n in range(depth):
-        checks.append(
-            _check(
-                n,
-                CLAIM_C6_H,
-                beta * triple.h[n + 1],
-                ((alpha - beta) ** (n + 1) - alpha ** (n + 1)) * triple.h_star[n],
-            )
-        )
-        checks.append(
-            _check(
-                n,
-                CLAIM_C6_HSS,
-                triple.h_star_star[n],
-                (alpha - beta) ** (n + 1) * triple.h_star[n],
-            )
-        )
+    t = hankel_triple(u, depth)
+    gap = alpha - beta
+    checks = _rows(
+        depth + 1,
+        (CLAIM_C6_HSTAR, lambda n: t.h_star[n], lambda n: (alpha * gap) ** math.comb(n + 1, 2)),
+    ) + _rows(
+        depth,
+        (CLAIM_C6_H, lambda n: beta * t.h[n + 1],
+         lambda n: (gap ** (n + 1) - alpha ** (n + 1)) * t.h_star[n]),
+        (CLAIM_C6_HSS, lambda n: t.h_star_star[n], lambda n: gap ** (n + 1) * t.h_star[n]),
+    )
     return _report("6", params, depth, checks, sequence=u)
 
 
@@ -209,36 +195,20 @@ def verify_conjecture8(alpha: int, depth: int) -> ConjectureReport:
     _require_depth(depth)
     params = FamilyParams(alpha, 0, FAMILY_C)
     u = family_reversion_terms(params, 2 * depth + 3)
-    triple = hankel_triple(u, depth)
-    checks = []
-    for n in range(depth + 1):
+    t = hankel_triple(u, depth)
+    checks = _rows(
+        depth + 1,
         # at n = 0 the monomial's exponent n^2 - 1 is negative, but the
         # factor -n kills the term; the expected value is 0
-        expected_h = 0 if n == 0 else -n * alpha ** (n * n - 1)
-        checks.append(_check(n, CLAIM_C8_H, triple.h[n], expected_h))
-        checks.append(
-            _check(n, CLAIM_C8_HSTAR, triple.h_star[n], alpha ** (n * (n + 1)))
-        )
-        checks.append(
-            _check(n, CLAIM_C8_HSS, triple.h_star_star[n], alpha ** ((n + 1) ** 2))
-        )
-    for n in range(depth):
-        checks.append(
-            _check(
-                n,
-                CLAIM_C8_H_RATIO,
-                triple.h[n + 1],
-                -(n + 1) * alpha**n * triple.h_star[n],
-            )
-        )
-        checks.append(
-            _check(
-                n,
-                CLAIM_C8_HSS_RATIO,
-                triple.h_star_star[n],
-                alpha ** (n + 1) * triple.h_star[n],
-            )
-        )
+        (CLAIM_C8_H, lambda n: t.h[n], lambda n: -n * alpha ** (n * n - 1) if n else 0),
+        (CLAIM_C8_HSTAR, lambda n: t.h_star[n], lambda n: alpha ** (n * (n + 1))),
+        (CLAIM_C8_HSS, lambda n: t.h_star_star[n], lambda n: alpha ** ((n + 1) ** 2)),
+    ) + _rows(
+        depth,
+        (CLAIM_C8_H_RATIO, lambda n: t.h[n + 1], lambda n: -(n + 1) * alpha**n * t.h_star[n]),
+        (CLAIM_C8_HSS_RATIO, lambda n: t.h_star_star[n],
+         lambda n: alpha ** (n + 1) * t.h_star[n]),
+    )
     return _report("8", params, depth, checks, sequence=u)
 
 
@@ -259,14 +229,14 @@ def verify_alpha_shift(alpha: int, beta: int, order: int) -> ConjectureReport:
     here = family_reversion_terms(params, order + 2)[1:]
     shifted = family_reversion_terms(FamilyParams(alpha + 1, beta, FAMILY_A), order + 2)[1:]
     transformed = binomial_transform(here)
-    checks = []
-    for n in range(order + 1):
-        checks.append(_check(n, CLAIM_SHIFT_COEFF, transformed[n], shifted[n]))
     depth = (order - 1) // 2
     h_here = hankel_transform(here, depth)
     h_transformed = hankel_transform(transformed, depth)
-    for n in range(depth + 1):
-        checks.append(_check(n, CLAIM_SHIFT_HANKEL, h_here[n], h_transformed[n]))
+    checks = _rows(
+        order + 1, (CLAIM_SHIFT_COEFF, lambda n: transformed[n], lambda n: shifted[n])
+    ) + _rows(
+        depth + 1, (CLAIM_SHIFT_HANKEL, lambda n: h_here[n], lambda n: h_transformed[n])
+    )
     return _report("alpha_shift", params, order, checks, sequence=here)
 
 
@@ -274,7 +244,7 @@ def verify_alpha_shift(alpha: int, beta: int, order: int) -> ConjectureReport:
 # the proved factorization
 
 
-def prop9_T_matrix(alpha: int, n: int) -> list[list[Fraction]]:
+def prop9_T_matrix(alpha: int, n: int) -> list[list[int]]:
     """Lower-triangular T with T[i][k] = C(2i, i+k) * (2k+1)/(i+k+1) * alpha^i.
 
     Every entry is an integer multiple of alpha^i; that integrality is
@@ -282,18 +252,13 @@ def prop9_T_matrix(alpha: int, n: int) -> list[list[Fraction]]:
     """
     if n < 0:
         raise ValueError("matrix index must be non-negative")
-    rows: list[list[Fraction]] = []
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n + 1):
-        row = []
-        for k in range(n + 1):
-            if k > i:
-                row.append(Fraction(0))
-                continue
-            entry = Fraction(math.comb(2 * i, i + k) * (2 * k + 1), i + k + 1)
-            if entry.denominator != 1:
+        for k in range(i + 1):
+            entry, rem = divmod(math.comb(2 * i, i + k) * (2 * k + 1), i + k + 1)
+            if rem:
                 raise ArithmeticError(f"T[{i}][{k}] is not an integer multiple of alpha^{i}")
-            row.append(entry * alpha**i)
-        rows.append(row)
+            rows[i][k] = entry * alpha**i
     return rows
 
 
@@ -313,33 +278,19 @@ def prop9_verify(alpha: int, n: int) -> ConjectureReport:
     sequence = family_reversion_terms(params, 2 * n + 2)[1:]
     H = [[sequence[i + j] for j in range(n + 1)] for i in range(n + 1)]
     T = prop9_T_matrix(alpha, n)
-    checks = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            product = sum(T[i][k] * T[j][k] for k in range(min(i, j) + 1))
-            checks.append(
-                Check(
-                    i,
-                    CLAIM_P9_PRODUCT.format(i=i, j=j),
-                    _decimal(H[i][j]),
-                    coefficient_string(product),
-                    H[i][j] == product,
-                )
-            )
-    det_h = det_exact(H)
-    checks.append(_check(n, CLAIM_P9_DET, det_h, alpha ** (n * (n + 1))))
-    det_t = Fraction(1)
-    for i in range(n + 1):
-        det_t *= T[i][i]
-    checks.append(
-        Check(
-            n,
-            CLAIM_P9_DET_T,
-            coefficient_string(det_t),
-            _decimal(alpha ** math.comb(n + 1, 2)),
-            det_t == alpha ** math.comb(n + 1, 2),
+    checks = [
+        _check(
+            i,
+            CLAIM_P9_PRODUCT.format(i=i, j=j),
+            H[i][j],
+            sum(T[i][k] * T[j][k] for k in range(min(i, j) + 1)),
         )
-    )
+        for i in range(n + 1)
+        for j in range(n + 1)
+    ]
+    checks.append(_check(n, CLAIM_P9_DET, det_exact(H), alpha ** (n * (n + 1))))
+    det_t = math.prod(T[i][i] for i in range(n + 1))
+    checks.append(_check(n, CLAIM_P9_DET_T, det_t, alpha ** math.comb(n + 1, 2)))
     return _report("prop9", params, n, checks, sequence=sequence)
 
 
@@ -383,18 +334,11 @@ def prop9_coeff_identity_2(i: int, k: int, alpha: int) -> bool:
     poly = [1, -alpha]
     for _ in range(2 * i):
         poly = _poly_mul(poly, [1, alpha])
-    lhs = Fraction(_poly_coefficient(poly, k))
+    lhs = _poly_coefficient(poly, k)
     if 2 * i - k + 1 != 0:
-        rhs = (
-            Fraction(math.comb(2 * i, k) * (2 * i - 2 * k + 1), 2 * i - k + 1)
-            * alpha**k
-        )
-    else:
-        def safe_comb(n: int, r: int) -> int:
-            return math.comb(n, r) if 0 <= r <= n else 0
-
-        rhs = Fraction(safe_comb(2 * i, k) - safe_comb(2 * i, k - 1)) * alpha**k
-    return lhs == rhs
+        # the ratio form, cross-multiplied
+        return lhs * (2 * i - k + 1) == math.comb(2 * i, k) * (2 * i - 2 * k + 1) * alpha**k
+    return lhs == (math.comb(2 * i, k) - math.comb(2 * i, k - 1)) * alpha**k
 
 
 # ----------------------------------------------------------------------
@@ -412,23 +356,24 @@ def verify_anchors(depth: int = 6) -> ConjectureReport:
     count = 2 * depth + 1
     cat = [catalan(k) for k in range(count + 1)]
     central = [math.comb(2 * k, k) for k in range(count)]
-    anchors: list[tuple[str, list[int], Callable[[int], int]]] = [
-        (CLAIM_ANCHOR_CATALAN, cat[:count], lambda n: 1),
-        (CLAIM_ANCHOR_CATALAN_SHIFT, cat[1 : count + 1], lambda n: 1),
-        (CLAIM_ANCHOR_CENTRAL, central, lambda n: 2**n),
+
+    def transform(sequence: list[int]) -> Callable[[int], int]:
+        return hankel_transform(sequence, depth).__getitem__
+
+    anchors = [
+        (CLAIM_ANCHOR_CATALAN, transform(cat[:count]), lambda n: 1),
+        (CLAIM_ANCHOR_CATALAN_SHIFT, transform(cat[1 : count + 1]), lambda n: 1),
+        (CLAIM_ANCHOR_CENTRAL, transform(central), lambda n: 2**n),
         (
             CLAIM_ANCHOR_CENTRAL_ZERO,
-            [0] + central[: count - 1],
-            lambda n: 0 if n == 0 else -n * 2 ** (n - 1),
+            transform([0] + central[: count - 1]),
+            lambda n: -n * 2 ** (n - 1) if n else 0,
         ),
-        (CLAIM_ANCHOR_CATALAN_ZERO, [0] + cat[: count - 1], lambda n: -n),
-        (CLAIM_ANCHOR_CATALAN_HEADLESS, [0] + cat[1:count], lambda n: -n),
+        (CLAIM_ANCHOR_CATALAN_ZERO, transform([0] + cat[: count - 1]), lambda n: -n),
+        (CLAIM_ANCHOR_CATALAN_HEADLESS, transform([0] + cat[1:count]), lambda n: -n),
     ]
-    checks = []
-    for claim, sequence, expected in anchors:
-        transform = hankel_transform(sequence, depth)
-        for n in range(depth + 1):
-            checks.append(_check(n, claim, transform[n], expected(n)))
+    # claim-major: all of one anchor's rows, then the next anchor's
+    checks = [row for anchor in anchors for row in _rows(depth + 1, anchor)]
     notes = (
         "the transform of the head-zeroed Catalan sequence 0, 1, 2, 5, 14, ..."
         " is commonly quoted as n; exact computation gives -n at every depth"

@@ -82,8 +82,6 @@ def family_base_terms(params: FamilyParams, count: int) -> list[int]:
     """The first ``count`` coefficients of the base o.g.f. as integers."""
     if count < 1:
         raise ValueError("count must be positive")
-    if params.family == FAMILY_B and params.beta == 0:
-        raise ValueError("family C handles beta = 0")
     num, den, *_ = _row(params)
     terms: list[int] = []
     for n in range(count):

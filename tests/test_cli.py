@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,47 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# every report command in every format; tests/reports.txt holds the output
+# of each, frozen: a change to any row, label, value or order shows here
+REPORT_COMMANDS = [
+    f"{command} --format {fmt}"
+    for command in (
+        "verify --conjecture 4 --alpha=-3 --beta=-5 --depth 3",
+        "verify --conjecture 4 --alpha 0 --beta 1 --depth 3",
+        "verify --conjecture 6 --alpha 3 --beta 3 --depth 3",
+        "verify --conjecture 6 --alpha 2 --beta 5 --depth 3",
+        "verify --conjecture 8 --alpha 7 --depth 3",
+        "verify --conjecture alpha_shift --alpha 1 --beta 2 --order 7",
+        "verify --conjecture anchors --depth 3",
+        "prop9 --alpha=-3 --n 4",
+        "sweep --conjecture 4 --alpha-range=0:1 --beta-range=0:1 --depth 2 --full",
+        "sweep --conjecture prop9 --alpha-range=0:1 --depth 2 --full",
+        "sweep --conjecture alpha_shift --alpha-range=1:1 --beta-range=0:1 --depth 2 --full",
+    )
+    for fmt in ("table", "json", "csv")
+]
+
+
+def frozen_reports():
+    """Command line -> (exit code, stdout) from tests/reports.txt.
+
+    Each block is a ``$ hankelrev ARGS`` line, the stdout, and ``[exit N]``.
+    """
+    text = (Path(__file__).parent / "reports.txt").read_text()
+    frozen = {}
+    for block in text.split("$ hankelrev ")[1:]:
+        command, rest = block.split("\n", 1)
+        stdout, code = rest.rsplit("[exit ", 1)
+        frozen[command] = (int(code.rstrip("]\n")), stdout)
+    return frozen
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_report_matches_frozen_output(capsys, command):
+    code, out, err = invoke(capsys, *shlex.split(command))
+    assert ((code, out), err) == (frozen_reports()[command], "")
 
 
 class TestExpand:
@@ -513,3 +556,15 @@ class TestUsage:
     )
     def test_negative_size_names_the_option(self, capsys, argv, message):
         assert invoke(capsys, *argv) == (2, "", f"error: {message} must be non-negative\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hankel", "--seq", "1,2,3", "--gf=x/(1-x)"),
+            ("hankel", "--seq", "1,2,3", "--family", "C", "--alpha", "2"),
+            ("triple", "--seq", "1,2,3,4,5", "--family", "A", "--alpha", "1", "--beta", "1"),
+            ("triple", "--gf=1/(1-x)", "--family", "B", "--alpha", "1", "--beta", "1"),
+        ],
+    )
+    def test_conflicting_sources_exit_2(self, capsys, argv):
+        assert invoke(capsys, *argv) == (2, "", "error: provide exactly one of --seq, --gf, --family\n")

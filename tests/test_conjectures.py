@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -194,6 +195,23 @@ class TestProp9:
             [2, 2, 0],
             [8, 12, 4],
         ]
+
+    def test_triangle_is_integer_at_huge_alpha(self):
+        alpha = 10**50
+        T = prop9_T_matrix(alpha, 6)
+        assert {type(entry) for row in T for entry in row} == {int}
+        assert T == [
+            [
+                Fraction(math.comb(2 * i, i + k) * (2 * k + 1), i + k + 1) * alpha**i if k <= i else 0
+                for k in range(7)
+            ]
+            for i in range(7)
+        ]
+
+    def test_triangle_integrality_is_checked(self, monkeypatch):
+        monkeypatch.setattr(math, "comb", lambda n, k: 1)
+        with pytest.raises(ArithmeticError, match=r"T\[1\]\[0\] is not an integer"):
+            prop9_T_matrix(2, 2)
 
     @pytest.mark.parametrize("alpha,n", [(1, 4), (2, 3), (-2, 5), (3, 2)])
     def test_factorization_holds(self, alpha, n):

@@ -101,10 +101,12 @@ class TestFamilyB:
         assert family_reversion_terms(p, 10) == [0, 1, 1, 3, 11, 45, 197, 903, 4279, 20793]
 
     def test_base_terms_defer_beta_zero_to_family_c(self):
-        with pytest.raises(ValueError, match="family C handles beta = 0"):
-            family_base_terms(FamilyParams(2, 0, FAMILY_B), 4)
+        # at beta = 0 the B row is x(1 - alpha*x), the C base
+        b = family_base_terms(FamilyParams(2, 0, FAMILY_B), 6)
+        assert b == family_base_terms(FamilyParams(2, 0, FAMILY_C), 6) == [0, 1, -2, 0, 0, 0]
+        assert b == family_base_ogf(FamilyParams(2, 0, FAMILY_B), 5).integer_coefficients()
 
-    @given(params_b.filter(lambda p: p.beta != 0))
+    @given(params_b)
     def test_terms_match_rational_expansion(self, p):
         expanded = family_base_ogf(p, 12).integer_coefficients()
         assert family_base_terms(p, 13) == expanded
@@ -194,7 +196,6 @@ POINTS = SMALL_POINTS + HUGE_POINTS
 RADICAL_POINTS = [
     (f, a, b) for f, a, b in POINTS if not (f == FAMILY_A and b == 0 or f == FAMILY_B and a == 0)
 ]
-BASE_POINTS = [(f, a, b) for f, a, b in POINTS if not (f == FAMILY_B and b == 0)]
 
 
 def _point_id(point):
@@ -229,7 +230,7 @@ class TestDifferential:
         expected = family_base_ogf(params, count - 1).revert().integer_coefficients()
         assert family_reversion_terms(params, count) == expected
 
-    @pytest.mark.parametrize("point", BASE_POINTS, ids=_point_id)
+    @pytest.mark.parametrize("point", POINTS, ids=_point_id)
     def test_base_terms(self, point):
         family, alpha, beta = point
         count = 201 if abs(alpha) < HUGE else 81
