@@ -9,6 +9,7 @@ to stderr).  All numeric output is exact decimal text at any magnitude.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -440,11 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`run`, built once per process."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

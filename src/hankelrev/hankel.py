@@ -5,16 +5,20 @@ the Bareiss fraction-free elimination: every intermediate entry is a minor
 of the input matrix, every division is exact (and checked), and no
 rationals appear.
 
-A Hankel transform needs every leading principal minor of one matrix, and
-one Bareiss pass without row swaps yields them all: the pivot of step k is
-the leading minor of order k+1.  So a transform of depth d costs one
-O(d^3) pass instead of d separate eliminations (O(d^4) in all).  The pass
-must stop at a zero pivot, because the next step divides by it; the
-minors past that point are then computed one index at a time with
-:func:`det_exact`, which swaps rows.  A zero head u_0, as in every
-reversion sequence, is handled by expanding along the (0, 0) entry, whose
-cofactor is a value of the transform of u[2:] (see :func:`_head_prefix`);
-:func:`hankel_transform` and the h of :func:`hankel_triple` both use it.
+A Hankel transform needs every leading principal minor of one matrix.
+They all follow from the Chebyshev algorithm (Gautschi, *Orthogonal
+Polynomials: Computation and Approximation*, 2004), a recurrence on two
+rows of modified moments, so a transform of depth d costs O(d^2) integer
+operations (see :func:`_leading_minors`).  Its rows are kept as integers
+over one denominator with their content divided out, so on sequences
+with small J-fraction coefficients, such as those of the families, the
+entries stay small.  The recurrence divides by the previous minor, so it
+stops at the first zero one; the minors past that point are computed one
+index at a time with :func:`det_exact`, which swaps rows.  A zero head
+u_0, as in every reversion sequence, is handled by expanding along the
+(0, 0) entry, whose cofactor is a value of the transform of u[2:] (see
+:func:`_head_prefix`); :func:`hankel_transform` and the h of
+:func:`hankel_triple` both use it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -74,34 +79,65 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
 
 def _leading_minors(terms: Sequence[int], depth: int) -> list[int]:
     """Leading principal minors of orders 1.. of the index-``depth`` Hankel
-    matrix, from one Bareiss pass without row swaps.
+    matrix, by the Chebyshev recurrence.
 
-    After step k-1 the pivot m[k][k] is the leading minor of order k+1.
-    Elimination without swaps keeps a symmetric matrix symmetric, so only
-    the upper triangle is updated and read (m[i][k] is taken as m[k][i]).
-    The list ends at the first zero pivot, which is itself an exact minor;
+    With pi_k the monic orthogonal polynomials of the moments ``terms``,
+    sigma_{k,l} = L(pi_k x^l) obeys
+
+        sigma_{k+1,l} = sigma_{k,l+1} - a_k sigma_{k,l} - b_k sigma_{k-1,l},
+
+    a_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1},
+    b_k = sigma_{k,k}/sigma_{k-1,k-1}, and the minor of order k+1 is
+    H_k = sigma_{0,0} sigma_{1,1} ... sigma_{k,k}.  Row k is kept as an
+    integer list r over one denominator D, r[i] = D sigma_{k,k+i}.  With
+    h = r[0] and p0, p1 the first two entries of the previous row (1, 0
+    before row 0), clearing the fractions of a_k and b_k gives
+
+        next[i] = h p0 r[i+2] - (r[1] p0 - h p1) r[i+1] - h^2 prev[i+2]
+
+    over D h p0.  The gcd of D and the new row is divided out of both,
+    with its sign chosen so that D stays positive, which keeps the
+    entries small when the J-fraction coefficients are.  Then
+    H_k = H_{k-1} h / D; that division is exact for integer input, and
+    a remainder raises ``ArithmeticError``.
+
+    The list ends at the first zero minor, past which a_k is undefined;
     it is complete when it has ``depth + 1`` entries.
     """
-    m = hankel_matrix(terms, depth)
-    n = depth + 1
+    if len(terms) < 2 * depth + 1:
+        raise ValueError(f"{depth + 1} leading minors need {2 * depth + 1} terms")
+    row = [operator.index(t) for t in terms[: 2 * depth + 1]]
+    prev = None  # the row before row 0 is (1, 0, 0, ...)
+    p0, p1 = 1, 0
+    minor = denom = 1
     minors = []
-    prev = 1
-    for k in range(n):
-        row_k = m[k]
-        pivot = row_k[k]
-        minors.append(pivot)
-        if pivot == 0:
-            break
-        for i in range(k + 1, n):
-            row_i = m[i]
-            factor = row_k[i]
-            for j in range(i, n):
-                quotient, remainder = divmod(pivot * row_i[j] - factor * row_k[j], prev)
-                if remainder:
-                    raise ArithmeticError("inexact Bareiss division")
-                row_i[j] = quotient
-        prev = pivot
-    return minors
+    while True:
+        h = row[0]
+        minor, remainder = divmod(minor * h, denom)
+        if remainder:
+            raise ArithmeticError("inexact Chebyshev division")
+        minors.append(minor)
+        if not h or len(minors) > depth:
+            return minors
+        c0 = h * p0
+        c1 = row[1] * p0 - h * p1
+        if prev is None:
+            nxt = [c0 * a - c1 * b for a, b in zip(row[2:], row[1:])]
+        else:
+            c2 = h * h
+            nxt = [
+                c0 * a - c1 * b - c2 * c
+                for a, b, c in zip(row[2:], row[1:], prev[2:])
+            ]
+        denom *= c0
+        g = math.gcd(denom, *nxt)
+        if denom < 0:
+            g = -g
+        if g != 1:
+            nxt = [x // g for x in nxt]
+            denom //= g
+        prev, row = row, nxt
+        p0, p1 = h, prev[1]
 
 
 def _complete(terms: Sequence[int], depth: int, values: list[int]) -> list[int]:
@@ -114,10 +150,10 @@ def _complete(terms: Sequence[int], depth: int, values: list[int]) -> list[int]:
 def hankel_transform(terms: Sequence[int], depth: int) -> list[int]:
     """Determinants of the Hankel matrices of index 0..depth.
 
-    One Bareiss pass over the largest matrix gives them all; past a zero
-    pivot the remaining indices fall back to one det_exact each.  A
+    One run of the Chebyshev recurrence gives them all; past a zero
+    minor the remaining indices fall back to one det_exact each.  A
     zero-headed sequence (a reversion, a zero-prefixed anchor) would stop
-    the pass at once, so its values come from the transform of
+    the recurrence at once, so its values come from the transform of
     ``terms[2:]`` instead, as h does in :func:`hankel_triple`.
     """
     if depth < 0:
@@ -132,10 +168,10 @@ def hankel_transform(terms: Sequence[int], depth: int) -> list[int]:
 
 
 def _exact_prefix(terms: Sequence[int], depth: int) -> list[int]:
-    """The values of the transform that one-pass eliminations give, in order.
+    """The values of the transform that the recurrence gives, in order.
 
-    A zero head stops the pass at index 0, so the values then come from
-    those of ``terms[2:]`` through the (0, 0) cofactor expansion (see
+    A zero head stops the recurrence at index 0, so the values then come
+    from those of ``terms[2:]`` through the (0, 0) cofactor expansion (see
     :func:`_head_prefix`), and so on while ``terms[2k]`` is zero.  Only
     the caller falls back to det_exact, so a run of zero heads costs no
     more determinants than one.
@@ -189,17 +225,17 @@ class HankelTriple:
 
 
 # heads tried in place of u_0 by _head_prefix; with c = 1 alone, family C
-# (scaled Catalan, alpha > 0) hits a zero pivot wherever c * alpha = n
+# (scaled Catalan, alpha > 0) hits a zero minor wherever c * alpha = n
 _HEADS = (1, -1, 2, -2)
 
 
 def hankel_triple(terms: Sequence[int], depth: int) -> HankelTriple:
     """Hankel transforms of ``terms``, ``terms[1:]`` and ``terms[2:]``.
 
-    h* and h** come from one pass each.  h is computed from h** and a
-    one-pass transform of the sequence with its head replaced (see
+    h* and h** come from one recurrence each.  h is computed from h** and
+    the transform of the sequence with its head replaced (see
     :func:`_head_prefix`), because a reversion sequence has u_0 = 0 and
-    so a zero first pivot.
+    so a zero first minor.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -232,11 +268,11 @@ def _head_prefix(
 
     The sequence itself is tried first, then each head in ``_HEADS``; the
     longest prefix wins.  A value needs its minor of u' and h**_{n-1}, so
-    a head can give at most ``len(h_star_star) + 1`` values and its pass
-    stops there; the caller completes the prefix with det_exact.
+    a head can give at most ``len(h_star_star) + 1`` values and its
+    recurrence stops there; the caller completes the prefix with det_exact.
     """
     u0 = operator.index(terms[0])
-    best = _leading_minors(terms, depth) if u0 else [0]  # a zero pivot at once
+    best = _leading_minors(terms, depth) if u0 else [0]  # a zero minor at once
     cofactors = [1, *h_star_star]
     reach = min(depth, len(h_star_star))
     for c in _HEADS:

@@ -540,6 +540,20 @@ class TestUsage:
         second = invoke(capsys, *argv)
         assert first == second
 
+    def test_parser_is_built_once_and_survives_usage_errors(self, capsys, monkeypatch):
+        builds = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            assert invoke(capsys, "frobnicate")[0] == 2
+            assert invoke(capsys, "binomial", "--seq", "1,1,1", "--format", "csv") == (
+                0, "1,2,4\n", "",
+            )
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -2,6 +2,7 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -149,7 +150,8 @@ def assert_transforms_agree(terms, depth):
 
 
 class TestOnePassDifferential:
-    """The one-pass engine against per-index Bareiss and the Fraction oracle."""
+    """The Chebyshev-recurrence engine (every leading minor from one run)
+    against per-index Bareiss and the Fraction oracle."""
 
     @given(st.lists(st.integers(-20, 20), min_size=3, max_size=17))
     def test_random_sequences(self, terms):
@@ -267,6 +269,34 @@ class TestOnePassDifferential:
     def test_family_b_alpha_equals_beta(self):
         terms = family_reversion_terms(FamilyParams(3, 3, FAMILY_B), 15)
         assert list(hankel_triple(terms, 6).h_star) == [1] + [0] * 6
+
+
+class TestChebyshevRecurrence:
+    """_leading_minors deep, on big entries, and its exactness check."""
+
+    @pytest.mark.parametrize("alpha, beta", [(-3, -5), (4, 7)])
+    def test_family_a_h_star_to_depth_100(self, alpha, beta):
+        depth = 100
+        terms = family_reversion_terms(FamilyParams(alpha, beta, FAMILY_A), 2 * depth + 2)
+        assert hankel_transform(terms[1:], depth) == [
+            beta ** (n * (n + 1) // 2) for n in range(depth + 1)
+        ]
+
+    @given(st.lists(st.integers(-(2**100), 2**100), min_size=1, max_size=15))
+    def test_big_entries_against_det_exact(self, terms):
+        depth = (len(terms) - 1) // 2
+        minors = hankel._leading_minors(terms, depth)
+        assert minors == per_index(terms, len(minors) - 1)
+        assert len(minors) == depth + 1 or minors[-1] == 0
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # a gcd that overstates the row content corrupts the rows, and the
+        # division that gives H_k must notice (also under python -O)
+        monkeypatch.setattr(
+            hankel, "math", SimpleNamespace(gcd=lambda *args: math.gcd(*args) * 2)
+        )
+        with pytest.raises(ArithmeticError, match="inexact Chebyshev division"):
+            hankel._leading_minors([4, 9, 3, 6, 8, 2, 1], 3)
 
 
 class TestBinomialTransform:
