@@ -289,6 +289,10 @@ class TestChebyshevRecurrence:
         assert minors == per_index(terms, len(minors) - 1)
         assert len(minors) == depth + 1 or minors[-1] == 0
 
+    def test_too_few_terms(self):
+        with pytest.raises(ValueError, match="3 leading minors need 5 terms"):
+            hankel._leading_minors([1, 2, 3, 4], 2)
+
     def test_inexact_division_raises(self, monkeypatch):
         # a gcd that overstates the row content corrupts the rows, and the
         # division that gives H_k must notice (also under python -O)
