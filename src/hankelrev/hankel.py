@@ -107,8 +107,7 @@ def _leading_minors(terms: Sequence[int], depth: int) -> list[int]:
     if len(terms) < 2 * depth + 1:
         raise ValueError(f"{depth + 1} leading minors need {2 * depth + 1} terms")
     row = [operator.index(t) for t in terms[: 2 * depth + 1]]
-    prev = None  # the row before row 0 is (1, 0, 0, ...)
-    p0, p1 = 1, 0
+    prev = [1] + [0] * len(row)  # the row before row 0
     minor = denom = 1
     minors = []
     while True:
@@ -119,16 +118,9 @@ def _leading_minors(terms: Sequence[int], depth: int) -> list[int]:
         minors.append(minor)
         if not h or len(minors) > depth:
             return minors
-        c0 = h * p0
-        c1 = row[1] * p0 - h * p1
-        if prev is None:
-            nxt = [c0 * a - c1 * b for a, b in zip(row[2:], row[1:])]
-        else:
-            c2 = h * h
-            nxt = [
-                c0 * a - c1 * b - c2 * c
-                for a, b, c in zip(row[2:], row[1:], prev[2:])
-            ]
+        p0 = prev[0]
+        c0, c1, c2 = h * p0, row[1] * p0 - h * prev[1], h * h
+        nxt = [c0 * a - c1 * b - c2 * c for a, b, c in zip(row[2:], row[1:], prev[2:])]
         denom *= c0
         g = math.gcd(denom, *nxt)
         if denom < 0:
@@ -137,7 +129,6 @@ def _leading_minors(terms: Sequence[int], depth: int) -> list[int]:
             nxt = [x // g for x in nxt]
             denom //= g
         prev, row = row, nxt
-        p0, p1 = h, prev[1]
 
 
 def _complete(terms: Sequence[int], depth: int, values: list[int]) -> list[int]:
