@@ -97,7 +97,7 @@ def _leading_minors(terms: Sequence[int], depth: int) -> list[int]:
 
     over D h p0.  The gcd of D and the new row is divided out of both,
     with its sign chosen so that D stays positive, which keeps the
-    entries small when the J-fraction coefficients are.  Then
+    entries small when the J-fraction coefficients are.  Row k gives
     H_k = H_{k-1} h / D; that division is exact for integer input, and
     a remainder raises ``ArithmeticError``.
 
