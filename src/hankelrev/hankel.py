@@ -1,9 +1,8 @@
 """Hankel matrices, exact integer determinants, and binomial transforms.
 
-Sequences are plain lists of arbitrary-precision ints.  Determinants use
-the Bareiss fraction-free elimination: every intermediate entry is a minor
-of the input matrix, every division is exact (and checked), and no
-rationals appear.
+Sequences are plain lists of arbitrary-precision ints.  No rationals
+appear, and every division is exact and checked: a remainder raises
+``ArithmeticError``, also under ``python -O``.
 
 A Hankel transform needs every leading principal minor of one matrix.
 They all follow from the Chebyshev algorithm (Gautschi, *Orthogonal
@@ -12,13 +11,32 @@ rows of modified moments, so a transform of depth d costs O(d^2) integer
 operations (see :func:`_leading_minors`).  Its rows are kept as integers
 over one denominator with their content divided out, so on sequences
 with small J-fraction coefficients, such as those of the families, the
-entries stay small.  The recurrence divides by the previous minor, so it
-stops at the first zero one; the minors past that point are computed one
-index at a time with :func:`det_exact`, which swaps rows.  A zero head
-u_0, as in every reversion sequence, is handled by expanding along the
-(0, 0) entry, whose cofactor is a value of the transform of u[2:] (see
-:func:`_head_prefix`); :func:`hankel_transform` and the h of
-:func:`hankel_triple` both use it.
+entries stay small.
+
+One run on m = u[1:] gives all three transforms of :func:`hankel_triple`
+(Krattenthaler, *Advanced determinant calculus*, 1999, the section on
+orthogonal polynomials).  Let L(x^j) = m_j, let pi_k be the monic
+orthogonal polynomials of L, nu_k = L(pi_k^2), and
+x pi_k = pi_{k+1} + a_k pi_k + (nu_k / nu_{k-1}) pi_{k-1}.  The minors
+of m are the products nu_0 ... nu_n.  With L_u(x^j) = u_j, so that
+L_u(x p) = L(p), H_n(u) is the Gram matrix of L_u on 1, x, ..., x^n.  On
+1, x pi_0, ..., x pi_{n-1}, a unit triangular change of basis, it is the
+Jacobi matrix of m (diagonal a_k nu_k, off-diagonal nu_{k+1}) bordered
+by the row and column (u_0, m_0, 0, ...).  H_n(u[2:]) is the Gram matrix
+of p, q -> L(x p q) on pi_0, ..., pi_n: the Jacobi matrix alone.  Both
+determinants are continuants of the same entries,
+
+    X_{k+1} = a_k nu_k X_k - nu_k^2 X_{k-1},
+
+with (X_{-1}, X_0) = (1, u_0) giving X_n = h_n, and (0, 1) giving
+X_{n+1} = h**_n.  Row k of the run gives nu_k and a_k nu_k, so h and h**
+ride on it at a few integer operations per row, and no condition such
+as h**_{n-1} != 0 is needed.  The step at row k uses only pi_0, ...,
+pi_k, so it is also taken at a row where nu_k = 0 and the run stops.
+
+Past the first zero minor, values are computed one index at a time with
+:func:`det_exact`, Bareiss fraction-free elimination with row swaps.  It
+is also the oracle that the tests compare the run against.
 """
 
 from __future__ import annotations
@@ -77,7 +95,7 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _leading_minors(terms: Sequence[int], depth: int) -> list[int]:
+def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> list[int]:
     """Leading principal minors of orders 1.. of the index-``depth`` Hankel
     matrix, by the Chebyshev recurrence.
 
@@ -93,7 +111,7 @@ def _leading_minors(terms: Sequence[int], depth: int) -> list[int]:
     h = r[0] and p0, p1 the first two entries of the previous row (1, 0
     before row 0), clearing the fractions of a_k and b_k gives
 
-        next[i] = h p0 r[i+2] - (r[1] p0 - h p1) r[i+1] - h^2 prev[i+2]
+        next[i] = h p0 r[i+2] - c1 r[i+1] - h^2 prev[i+2],  c1 = r[1] p0 - h p1,
 
     over D h p0.  The gcd of D and the new row is divided out of both,
     with its sign chosen so that D stays positive, which keeps the
@@ -103,10 +121,21 @@ def _leading_minors(terms: Sequence[int], depth: int) -> list[int]:
 
     The list ends at the first zero minor, past which a_k is undefined;
     it is complete when it has ``depth + 1`` entries.
+
+    Each rider is a list [X_{-1}, X_0] that the run extends in place with
+    the continuant X_{k+1} = a_k nu_k X_k - nu_k^2 X_{k-1} at every row it
+    takes, the last one included (see the module docstring).  Row k gives
+    nu_k = h / D and a_k nu_k = c1 / (p0 D), so the step is
+
+        X_{k+1} = (c1 D X_k - h^2 p0 X_{k-1}) / (p0 D^2),
+
+    exact for integer input and checked like H_k.  It reads r[1] of the
+    last row, so riders need ``2 * depth + 2`` terms.
     """
-    if len(terms) < 2 * depth + 1:
-        raise ValueError(f"{depth + 1} leading minors need {2 * depth + 1} terms")
-    row = [operator.index(t) for t in terms[: 2 * depth + 1]]
+    needed = 2 * depth + (2 if riders else 1)
+    if len(terms) < needed:
+        raise ValueError(f"{depth + 1} leading minors need {needed} terms")
+    row = [operator.index(t) for t in terms[:needed]]
     prev = [1] + [0] * len(row)  # the row before row 0
     minor = denom = 1
     minors = []
@@ -116,10 +145,20 @@ def _leading_minors(terms: Sequence[int], depth: int) -> list[int]:
         if remainder:
             raise ArithmeticError("inexact Chebyshev division")
         minors.append(minor)
-        if not h or len(minors) > depth:
+        last = not h or len(minors) > depth
+        if last and not riders:
             return minors
         p0 = prev[0]
         c0, c1, c2 = h * p0, row[1] * p0 - h * prev[1], h * h
+        for seq in riders:
+            step, remainder = divmod(
+                c1 * denom * seq[-1] - c2 * p0 * seq[-2], p0 * denom * denom
+            )
+            if remainder:
+                raise ArithmeticError("inexact continuant division")
+            seq.append(step)
+        if last:
+            return minors
         nxt = [c0 * a - c1 * b - c2 * c for a, b, c in zip(row[2:], row[1:], prev[2:])]
         denom *= c0
         g = math.gcd(denom, *nxt)
@@ -143,9 +182,9 @@ def hankel_transform(terms: Sequence[int], depth: int) -> list[int]:
 
     One run of the Chebyshev recurrence gives them all; past a zero
     minor the remaining indices fall back to one det_exact each.  A
-    zero-headed sequence (a reversion, a zero-prefixed anchor) would stop
-    the recurrence at once, so its values come from the transform of
-    ``terms[2:]`` instead, as h does in :func:`hankel_triple`.
+    zero head (a reversion, a zero-prefixed anchor) would stop a run on
+    ``terms`` at once, so the values then ride on a run on ``terms[1:]``,
+    as h does in :func:`hankel_triple`.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -155,25 +194,11 @@ def hankel_transform(terms: Sequence[int], depth: int) -> list[int]:
             f"hankel transform of depth {depth} needs at least {needed} terms,"
             f" got {len(terms)}"
         )
-    return _complete(terms, depth, _exact_prefix(terms, depth))
-
-
-def _exact_prefix(terms: Sequence[int], depth: int) -> list[int]:
-    """The values of the transform that the recurrence gives, in order.
-
-    A zero head stops the recurrence at index 0, so the values then come
-    from those of ``terms[2:]`` through the (0, 0) cofactor expansion (see
-    :func:`_head_prefix`), and so on while ``terms[2k]`` is zero.  Only
-    the caller falls back to det_exact, so a run of zero heads costs no
-    more determinants than one.
-    """
-    heads = 0  # terms[2k:] at depth - k is zero-headed for every k < heads
-    while heads < depth and terms[2 * heads] == 0:
-        heads += 1
-    prefix = _leading_minors(terms[2 * heads :], depth - heads)
-    for k in reversed(range(heads)):
-        prefix = _head_prefix(terms[2 * k :], depth - k, prefix)
-    return prefix
+    if operator.index(terms[0]) or not depth:
+        return _complete(terms, depth, _leading_minors(terms, depth))
+    h = [1, 0]
+    _leading_minors(terms[1:], depth - 1, h)
+    return _complete(terms, depth, h[1:])
 
 
 @dataclass(frozen=True)
@@ -215,18 +240,13 @@ class HankelTriple:
         )
 
 
-# heads tried in place of u_0 by _head_prefix; with c = 1 alone, family C
-# (scaled Catalan, alpha > 0) hits a zero minor wherever c * alpha = n
-_HEADS = (1, -1, 2, -2)
-
-
 def hankel_triple(terms: Sequence[int], depth: int) -> HankelTriple:
     """Hankel transforms of ``terms``, ``terms[1:]`` and ``terms[2:]``.
 
-    h* and h** come from one recurrence each.  h is computed from h** and
-    the transform of the sequence with its head replaced (see
-    :func:`_head_prefix`), because a reversion sequence has u_0 = 0 and
-    so a zero first minor.
+    One run of the Chebyshev recurrence on ``terms[1:]`` gives h* as its
+    minors, and h and h** as the two continuants that ride on it (see the
+    module docstring).  Each is completed with det_exact past the row
+    where the run stops on a zero minor.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -236,43 +256,14 @@ def hankel_triple(terms: Sequence[int], depth: int) -> HankelTriple:
             f"hankel triple of depth {depth} needs at least {needed} terms,"
             f" got {len(terms)}"
         )
-    h_star_star = hankel_transform(terms[2:], depth)
+    h, h_star_star = [1, operator.index(terms[0])], [0, 1]  # (X_{-1}, X_0)
+    h_star = _leading_minors(terms[1:], depth, h, h_star_star)
     return HankelTriple(
-        h=tuple(_complete(terms, depth, _head_prefix(terms, depth, h_star_star))),
-        h_star=tuple(hankel_transform(terms[1:], depth)),
-        h_star_star=tuple(h_star_star),
+        h=tuple(_complete(terms, depth, h[1 : depth + 2])),
+        h_star=tuple(_complete(terms[1:], depth, h_star)),
+        h_star_star=tuple(_complete(terms[2:], depth, h_star_star[2:])),
         depth=depth,
     )
-
-
-def _head_prefix(
-    terms: Sequence[int], depth: int, h_star_star: Sequence[int]
-) -> list[int]:
-    """Leading values of the Hankel transform of ``terms`` given leading
-    values of that of ``terms[2:]``.
-
-    A determinant is linear in its (0, 0) entry, and the cofactor of that
-    entry in H_n(u) is H_{n-1}(u[2:]).  So for u' equal to u with u_0
-    replaced by c,
-
-        det H_n(u) = det H_n(u') - (c - u_0) * h**_{n-1},   h**_{-1} = 1.
-
-    The sequence itself is tried first, then each head in ``_HEADS``; the
-    longest prefix wins.  A value needs its minor of u' and h**_{n-1}, so
-    a head can give at most ``len(h_star_star) + 1`` values and its
-    recurrence stops there; the caller completes the prefix with det_exact.
-    """
-    u0 = operator.index(terms[0])
-    best = _leading_minors(terms, depth) if u0 else [0]  # a zero minor at once
-    cofactors = [1, *h_star_star]
-    reach = min(depth, len(h_star_star))
-    for c in _HEADS:
-        if len(best) > depth:
-            break
-        minors = _leading_minors([c, *terms[1:]], reach)
-        if len(minors) > len(best):
-            best = [m - (c - u0) * cof for m, cof in zip(minors, cofactors)]
-    return best
 
 
 def binomial_transform(terms: Sequence[int]) -> list[int]:

@@ -16,6 +16,7 @@ from hankelrev import (
     HankelTriple,
     binomial_transform,
     det_exact,
+    family_base_terms,
     family_reversion_terms,
     hankel_matrix,
     hankel_transform,
@@ -132,6 +133,14 @@ class TestHankelTransform:
 def per_index(terms, depth):
     """The transform the slow way: one det_exact per index."""
     return [det_exact(hankel_matrix(terms, n)) for n in range(depth + 1)]
+
+
+def count_calls(monkeypatch, name):
+    """Record the first argument's length at each call of hankel.<name>."""
+    calls = []
+    real = getattr(hankel, name)
+    monkeypatch.setattr(hankel, name, lambda m, *rest: calls.append(len(m)) or real(m, *rest))
+    return calls
 
 
 def oracle_transform(terms, depth):
@@ -259,6 +268,8 @@ class TestOnePassDifferential:
 
     @pytest.mark.parametrize("alpha", [1, 2, 4])
     def test_family_c_head_one_is_degenerate(self, alpha):
+        # with 1 in place of its zero head, family C has a zero minor where
+        # alpha = n; h rides on the run on terms[1:], which has none
         depth = 8
         terms = family_reversion_terms(FamilyParams(alpha, 0, FAMILY_C), 2 * depth + 3)
         assert len(hankel._leading_minors([1, *terms[1:]], depth)) <= depth
@@ -269,6 +280,29 @@ class TestOnePassDifferential:
     def test_family_b_alpha_equals_beta(self):
         terms = family_reversion_terms(FamilyParams(3, 3, FAMILY_B), 15)
         assert list(hankel_triple(terms, 6).h_star) == [1] + [0] * 6
+
+    @pytest.mark.parametrize(
+        "family, alpha, beta, calls",
+        [
+            # h* = 1, 0, ...: the run stops at row 1, so det_exact takes
+            # h from index 3 and h*, h** from index 2 (6 + 7 + 7)
+            (FAMILY_B, 3, 3, 20),
+            (FAMILY_B, -2, -2, 20),
+            (FAMILY_A, 0, 1, 0),
+            (FAMILY_A, 0, -2, 0),
+            (FAMILY_C, 1, 0, 0),
+            (FAMILY_C, 2, 0, 0),
+            (FAMILY_C, 4, 0, 0),
+        ],
+    )
+    def test_triple_fallback_counts(self, monkeypatch, family, alpha, beta, calls):
+        depth = 8
+        terms = family_reversion_terms(FamilyParams(alpha, beta, family), 2 * depth + 3)
+        expected = [per_index(terms[shift:], depth) for shift in range(3)]
+        dims = count_calls(monkeypatch, "det_exact")
+        triple = hankel_triple(terms, depth)
+        assert [list(triple.h), list(triple.h_star), list(triple.h_star_star)] == expected
+        assert len(dims) == calls
 
 
 class TestChebyshevRecurrence:
@@ -301,6 +335,65 @@ class TestChebyshevRecurrence:
         )
         with pytest.raises(ArithmeticError, match="inexact Chebyshev division"):
             hankel._leading_minors([4, 9, 3, 6, 8, 2, 1], 3)
+
+
+BIG = st.one_of(st.integers(-(2**100), 2**100), st.just(0))
+
+
+class TestRidingContinuants:
+    """h and h** as the continuants that ride on the run on terms[1:]."""
+
+    @given(st.lists(BIG, min_size=3, max_size=15))
+    def test_triple_big_entries_against_det_exact(self, terms):
+        depth = (len(terms) - 3) // 2
+        triple = hankel_triple(terms, depth)
+        for shift, arm in enumerate((triple.h, triple.h_star, triple.h_star_star)):
+            assert list(arm) == per_index(terms[shift:], depth)
+
+    @given(st.lists(BIG, min_size=0, max_size=14))
+    def test_zero_headed_transform_big_entries_against_det_exact(self, tail):
+        terms = [0, *tail]
+        depth = (len(terms) - 1) // 2
+        assert hankel_transform(terms, depth) == per_index(terms, depth)
+
+    def test_inexact_riding_division_raises(self, monkeypatch):
+        # with this sequence, a gcd that overstates the row content leaves
+        # the minor divisions exact, and the continuant step must notice
+        # (also under python -O)
+        monkeypatch.setattr(
+            hankel, "math", SimpleNamespace(gcd=lambda *args: math.gcd(*args) * 2)
+        )
+        terms = [0, 9, 7, 9, 4, 5, 5]
+        with pytest.raises(ArithmeticError, match="inexact continuant division"):
+            hankel_triple(terms, 2)
+        with pytest.raises(ArithmeticError, match="inexact continuant division"):
+            hankel_transform(terms, 3)
+
+    def test_family_c_closed_forms_to_depth_100(self, monkeypatch):
+        depth, alpha = 100, 3
+        terms = family_reversion_terms(FamilyParams(alpha, 0, FAMILY_C), 2 * depth + 3)
+        dets = count_calls(monkeypatch, "det_exact")
+        runs = count_calls(monkeypatch, "_leading_minors")
+        triple = hankel_triple(terms, depth)
+        assert (dets, runs) == ([], [2 * depth + 2])
+        assert list(triple.h) == [
+            -n * alpha ** (n * n - 1) if n else 0 for n in range(depth + 1)
+        ]
+        assert list(triple.h_star) == [alpha ** (n * (n + 1)) for n in range(depth + 1)]
+        assert list(triple.h_star_star) == [alpha ** ((n + 1) ** 2) for n in range(depth + 1)]
+
+    def test_family_a_h_star_star_to_depth_100(self, monkeypatch):
+        depth, alpha, beta = 100, -3, -5
+        params = FamilyParams(alpha, beta, FAMILY_A)
+        terms = family_reversion_terms(params, 2 * depth + 3)
+        a = family_base_terms(params, depth + 3)
+        dets = count_calls(monkeypatch, "det_exact")
+        runs = count_calls(monkeypatch, "_leading_minors")
+        triple = hankel_triple(terms, depth)
+        assert (dets, runs) == ([], [2 * depth + 2])
+        assert list(triple.h_star_star) == [
+            (-1) ** (n + 1) * a[n + 2] * beta ** math.comb(n + 1, 2) for n in range(depth + 1)
+        ]
 
 
 class TestBinomialTransform:
