@@ -196,7 +196,7 @@ def hankel_transform(terms: Sequence[int], depth: int) -> list[int]:
         )
     if operator.index(terms[0]) or not depth:
         return _complete(terms, depth, _leading_minors(terms, depth))
-    h = [1, 0]
+    h = [1, 0]  # (X_{-1}, X_0) with u_0 = 0
     _leading_minors(terms[1:], depth - 1, h)
     return _complete(terms, depth, h[1:])
 
