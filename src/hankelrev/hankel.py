@@ -245,8 +245,9 @@ def hankel_triple(terms: Sequence[int], depth: int) -> HankelTriple:
 
     One run of the Chebyshev recurrence on ``terms[1:]`` gives h* as its
     minors, and h and h** as the two continuants that ride on it (see the
-    module docstring).  Each is completed with det_exact past the row
-    where the run stops on a zero minor.
+    module docstring).  If that run stops on a zero minor, u (when u_0 !=
+    0) and u[2:] also get runs of their own, and each of h and h** keeps
+    the longer prefix.  Each arm is completed with det_exact from there.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -258,10 +259,17 @@ def hankel_triple(terms: Sequence[int], depth: int) -> HankelTriple:
         )
     h, h_star_star = [1, operator.index(terms[0])], [0, 1]  # (X_{-1}, X_0)
     h_star = _leading_minors(terms[1:], depth, h, h_star_star)
+    h, h_star_star = h[1 : depth + 2], h_star_star[2:]
+    if len(h_star) <= depth:
+        # u and u[2:] may have no zero minor where u[1:] has one, and their
+        # own runs, O(d^2), then go further than the continuants did
+        if h[0]:  # u_0; a zero head stops a run on u at once
+            h = max(h, _leading_minors(terms, depth), key=len)
+        h_star_star = max(h_star_star, _leading_minors(terms[2:], depth), key=len)
     return HankelTriple(
-        h=tuple(_complete(terms, depth, h[1 : depth + 2])),
+        h=tuple(_complete(terms, depth, h)),
         h_star=tuple(_complete(terms[1:], depth, h_star)),
-        h_star_star=tuple(_complete(terms[2:], depth, h_star_star[2:])),
+        h_star_star=tuple(_complete(terms[2:], depth, h_star_star)),
         depth=depth,
     )
 

@@ -71,6 +71,26 @@ def _conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return out
 
 
+def _power_coefficient(terms: Sequence[tuple[int, int]], e: int, k: int) -> int:
+    """Y_k = B_0^k * [x^k] (B/B_0)^e, by Miller's recurrence (see
+    :meth:`PowerSeries.revert`), given ``terms`` = (j, B_j * B_0^(j-1))
+    for the nonzero B_j, j >= 1, in increasing j.  Each division is checked.
+    """
+    e1 = e + 1
+    scaled = [1]  # Y_0, Y_1, ...
+    for i in range(1, k + 1):
+        acc = 0
+        for j, w in terms:
+            if j > i:
+                break
+            acc += (e1 * j - i) * w * scaled[i - j]
+        y, r = divmod(acc, i)
+        if r:
+            raise ArithmeticError("inexact division in the power recurrence")
+        scaled.append(y)
+    return scaled[k]
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """A formal power series truncated at a fixed order.
@@ -354,23 +374,52 @@ class PowerSeries:
     def revert(self) -> "PowerSeries":
         """Compositional inverse of a series with f0 = 0 and f1 != 0.
 
-        Computed by Lagrange inversion: n * u_n = [x^(n-1)] (x/f)^n.  The
-        result u satisfies compose(f, u) = compose(u, f) = x through the
+        Computed by Lagrange inversion, m * u_m = [x^(m-1)] (x/f)^m, which
+        needs one coefficient of each power.  Write B/d for the integer
+        numerators of whichever of f/x (e = -m) or x/f (e = m) has fewer
+        nonzero coefficients (f/x on a tie), so that (x/f)^m = (B/d)^e.
+        J.C.P. Miller's recurrence for a power (Knuth, TAOCP vol. 2,
+        section 4.7), on Y_k = B_0^k * [x^k] (B/B_0)^e, reads Y_0 = 1 and
+
+            k * Y_k = sum_{j>=1, B_j != 0} ((e+1) j - k) * B_j * B_0^(j-1) * Y_{k-j}.
+
+        Y_k is an integer for either sign of e: (B/B_0)^e is a sum of
+        binom(e, i) (B/B_0 - 1)^i with integer binom(e, i), and each
+        product of i <= k ratios B_j/B_0 at x^k has denominator dividing
+        B_0^k.  So each division by k is exact, and it is checked.  Taking
+        the recurrence to k = m - 1 gives
+
+            u_m = B_0 * Y_{m-1} / (d^m * m)               for x/f,
+            u_m = d^m * Y_{m-1} / (B_0^(2m-1) * m)        for f/x,
+
+        each reduced once.  Step k costs min(k, s) terms for s nonzero
+        B_j, so order n costs about n^3/6 products for a dense B and
+        s * n^2 / 2 for a polynomial one.
+
+        The result u satisfies compose(f, u) = compose(u, f) = x through the
         truncation order; the test suite checks that postcondition with an
         independent composition routine.
         """
         if self.order < 1 or self.coeffs[0] != 0 or self.coeffs[1] == 0:
             raise ValueError("series not reversible")
         n = self.order
-        g = self.shift_down(1)  # f/x, invertible constant term
-        x_over_f = PowerSeries.one(n - 1) / g
-        h, d = _common(x_over_f.coeffs)
-        out = [Fraction(0), x_over_f.coeffs[0]]
-        power, d_power = h, d  # (x/f)^m = power / d_power
-        for m in range(2, n + 1):
-            power = _conv(power, h, n - 1)
-            d_power *= d
-            out.append(Fraction(power[m - 1], d_power * m))
+        f_over_x = self.shift_down(1)  # invertible constant term
+        x_over_f = PowerSeries.one(n - 1) / f_over_x
+        on_x_over_f = sum(map(bool, x_over_f.coeffs)) < sum(map(bool, f_over_x.coeffs))
+        b, d = _common((x_over_f if on_x_over_f else f_over_x).coeffs)
+        b0 = b[0]
+        # (j, B_j * B_0^(j-1)) for the nonzero B_j, j >= 1
+        terms = [
+            (j, bj * b0 ** (j - 1)) for j, bj in enumerate(b[1:], start=1) if bj
+        ]
+        out = [Fraction(0)]
+        for m in range(1, n + 1):
+            if on_x_over_f:
+                y = _power_coefficient(terms, m, m - 1)
+                out.append(Fraction(b0 * y, d**m * m))
+            else:
+                y = _power_coefficient(terms, -m, m - 1)
+                out.append(Fraction(d**m * y, b0 ** (2 * m - 1) * m))
         return PowerSeries(tuple(out))
 
     def binomial_ogf(self) -> "PowerSeries":

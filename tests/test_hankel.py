@@ -300,8 +300,39 @@ class TestOnePassDifferential:
         terms = family_reversion_terms(FamilyParams(alpha, beta, family), 2 * depth + 3)
         expected = [per_index(terms[shift:], depth) for shift in range(3)]
         dims = count_calls(monkeypatch, "det_exact")
+        runs = count_calls(monkeypatch, "_leading_minors")
         triple = hankel_triple(terms, depth)
         assert [list(triple.h), list(triple.h_star), list(triple.h_star_star)] == expected
+        assert len(dims) == calls
+        # past a zero minor of u[1:], u[2:] gets its own run; u, with its
+        # zero head, does not
+        assert len(runs) == (2 if calls else 1)
+
+    @pytest.mark.parametrize(
+        "terms, prefixes, calls",
+        [
+            # u[1:] has a zero minor at index 0, where u and u[2:] have
+            # none; the riders give h/h** prefixes of 2/1 entries, and the
+            # own runs of u and u[2:] give (h, h*, h**) prefixes as listed
+            ([1, 0] * 8 + [1], (3, 1, 3), 17),
+            ([1, 0, 2] * 6, (4, 1, 4), 15),
+            ([2, 0] + [v for k in range(3, 11) for v in (1, k)], (7, 1, 5), 11),
+        ],
+    )
+    def test_triple_runs_u_and_u2_past_a_zero_minor_of_u1(
+        self, monkeypatch, terms, prefixes, calls
+    ):
+        depth = 7
+        expected = [per_index(terms[shift:], depth) for shift in range(3)]
+        dims = count_calls(monkeypatch, "det_exact")
+        runs = count_calls(monkeypatch, "_leading_minors")
+        triple = hankel_triple(terms, depth)
+        assert [list(triple.h), list(triple.h_star), list(triple.h_star_star)] == expected
+        assert len(runs) == 3
+        # det_exact takes each arm on from the end of its prefix
+        assert sorted(dims) == sorted(
+            n + 1 for prefix in prefixes for n in range(prefix, depth + 1)
+        )
         assert len(dims) == calls
 
 

@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelrev import PowerSeries, coefficient_string
-from hankelrev.series import _common, _conv
+from hankelrev.series import _common, _conv, _power_coefficient
 from oracles import (
     binomial_ogf_horner_ref,
     binomial_transform_ref,
+    family_reversion_term_ref,
     revert_ref,
+    series_inverse_ref,
     series_product_ref,
     series_quotient_ref,
     series_sqrt_ref,
@@ -449,6 +451,104 @@ class TestIntegerKernel:
         assert s.coeffs[0] is kept
         assert s.coeffs == (Fraction(1, 3), 2, 1, Fraction(1, 2), Fraction(1, 4))
         assert all_fractions(s)
+
+
+def nonzero(coeffs):
+    return sum(1 for c in coeffs if c)
+
+
+def takes_x_over_f(f):
+    """Whether revert runs on x/f (it has fewer nonzero coefficients than
+    f/x) rather than on f/x."""
+    f_over_x = f.coeffs[1:]
+    return nonzero(series_inverse_ref(f_over_x)) < nonzero(f_over_x)
+
+
+@st.composite
+def sparse_reversible(draw):
+    """A reversible series of order 1..30 whose f/x, or else whose x/f, is a
+    mostly-zero list with a small nonzero head, so both branches come up."""
+    order = draw(st.integers(1, 30))
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+    tail = draw(st.dictionaries(st.integers(1, max(order - 1, 1)), small, max_size=order // 4))
+    sparse = [draw(small)] + [tail.get(j, Fraction(0)) for j in range(1, order)]
+    f_over_x = sparse if draw(st.booleans()) else series_inverse_ref(sparse)
+    return PowerSeries((Fraction(0), *f_over_x))
+
+
+class TestMillerRevert:
+    """revert by Miller's power recurrence, on the sparser of f/x and x/f."""
+
+    # (f, x/f branch): B_0 = 1 and B_0 != 1 in each branch, and a dense
+    # rational input with equal nonzero counts (a tie goes to f/x)
+    CASES = {
+        "x/(1+3x-5x^2)": (lambda n: PowerSeries.from_rational([0, 1], [1, 3, -5], n), True),
+        "2x/(3+x-4x^2)": (lambda n: PowerSeries.from_rational([0, 2], [3, 1, -4], n), True),
+        "x-x^2": (lambda n: PowerSeries.from_polynomial([0, 1, -1], n), False),
+        "x/3+x^2/7-x^3/5": (
+            lambda n: PowerSeries.from_polynomial(
+                [0, Fraction(1, 3), Fraction(1, 7), Fraction(-1, 5)], n
+            ),
+            False,
+        ),
+        "(2x/3)(1+x/2)/(1-5x/7)": (
+            lambda n: PowerSeries.from_rational(
+                [0, Fraction(2, 3), Fraction(1, 3)], [1, Fraction(-5, 7)], n
+            ),
+            False,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_differential_at_order_60(self, name):
+        build, on_x_over_f = self.CASES[name]
+        f = build(60)
+        assert takes_x_over_f(f) == on_x_over_f
+        assert list(f.revert().coeffs) == revert_ref(list(f.coeffs))
+
+    def test_dense_rational_input_is_a_tie(self):
+        f = self.CASES["(2x/3)(1+x/2)/(1-5x/7)"][0](60)
+        assert nonzero(f.coeffs[1:]) == nonzero(series_inverse_ref(f.coeffs[1:])) == 60
+
+    @pytest.mark.parametrize("alpha, beta", [(3, -5), (-2, 7)])
+    def test_family_a_base_at_order_150(self, alpha, beta):
+        # revert_ref takes about 10 s at this order; the closed form does not
+        f = PowerSeries.from_rational([0, 1], [1, alpha, beta], 150)
+        assert takes_x_over_f(f)
+        assert int_coeffs(f.revert()) == [
+            family_reversion_term_ref("A", alpha, beta, m) for m in range(151)
+        ]
+
+    @pytest.mark.parametrize("slope", [1, -1, 2, Fraction(-3, 5)])
+    def test_scaled_catalan_at_order_150(self, slope):
+        # x/c - x^2 reverts to sum catalan(m-1) c^(2m-1) x^m
+        f = PowerSeries.from_polynomial([0, 1 / Fraction(slope), -1], 150)
+        assert not takes_x_over_f(f)
+        assert list(f.revert().coeffs) == [0] + [
+            math.comb(2 * m - 2, m - 1) // m * Fraction(slope) ** (2 * m - 1)
+            for m in range(1, 151)
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_reversible())
+    def test_sparse_inputs_against_lagrange_inversion(self, f):
+        reverted = f.revert()
+        assert list(reverted.coeffs) == revert_ref(list(f.coeffs))
+        assert all_fractions(reverted)
+
+    @pytest.mark.parametrize("head, slope", [(1, 1), (1, -1), (3, 2), (-5, 7)])
+    @pytest.mark.parametrize("e", [-9, -2, -1, 0, 1, 2, 9])
+    def test_power_coefficient_of_a_binomial(self, head, slope, e):
+        # B = head + slope x: Y_k = head^k [x^k] (1 + slope x / head)^e
+        # = binom(e, k) slope^k, with binom(e, k) for either sign of e
+        for k in range(12):
+            binom = math.prod(range(e - k + 1, e + 1)) // math.factorial(k)
+            assert _power_coefficient([(1, slope)], e, k) == binom * slope**k
+
+    def test_power_coefficient_refuses_uncleared_coefficients(self):
+        # B = 1 + x/2 not cleared of its denominator: Y_1 = 1/2 for e = 1
+        with pytest.raises(ArithmeticError, match="inexact division in the power recurrence"):
+            _power_coefficient([(1, Fraction(1, 2))], 1, 1)
 
 
 class TestShapeOperations:
