@@ -479,35 +479,24 @@ def sparse_reversible(draw):
 class TestMillerRevert:
     """revert by Miller's power recurrence, on the sparser of f/x and x/f."""
 
-    # (f, x/f branch): B_0 = 1 and B_0 != 1 in each branch, and a dense
-    # rational input with equal nonzero counts (a tie goes to f/x)
-    CASES = {
-        "x/(1+3x-5x^2)": (lambda n: PowerSeries.from_rational([0, 1], [1, 3, -5], n), True),
-        "2x/(3+x-4x^2)": (lambda n: PowerSeries.from_rational([0, 2], [3, 1, -4], n), True),
-        "x-x^2": (lambda n: PowerSeries.from_polynomial([0, 1, -1], n), False),
-        "x/3+x^2/7-x^3/5": (
-            lambda n: PowerSeries.from_polynomial(
-                [0, Fraction(1, 3), Fraction(1, 7), Fraction(-1, 5)], n
-            ),
-            False,
-        ),
-        "(2x/3)(1+x/2)/(1-5x/7)": (
-            lambda n: PowerSeries.from_rational(
-                [0, Fraction(2, 3), Fraction(1, 3)], [1, Fraction(-5, 7)], n
-            ),
-            False,
-        ),
-    }
-
-    @pytest.mark.parametrize("name", CASES)
-    def test_differential_at_order_60(self, name):
-        build, on_x_over_f = self.CASES[name]
-        f = build(60)
+    @pytest.mark.parametrize(
+        "numerator, denominator, on_x_over_f",
+        [
+            ([0, 1], [1, 3, -5], True),  # B = x/f, B_0 = 1
+            ([0, 2], [3, 1, -4], True),  # B = 2 x/f, B_0 = 3
+            ([0, 1, -1], [1], False),  # B = f/x, B_0 = 1
+            ([0, Fraction(1, 3), Fraction(1, 7), Fraction(-1, 5)], [1], False),  # B_0 = 35
+            # dense f/x and x/f, a tie: B_0 = 2 * 7^59
+            ([0, Fraction(2, 3), Fraction(1, 3)], [1, Fraction(-5, 7)], False),
+        ],
+    )
+    def test_differential_at_order_60(self, numerator, denominator, on_x_over_f):
+        f = PowerSeries.from_rational(numerator, denominator, 60)
         assert takes_x_over_f(f) == on_x_over_f
         assert list(f.revert().coeffs) == revert_ref(list(f.coeffs))
 
     def test_dense_rational_input_is_a_tie(self):
-        f = self.CASES["(2x/3)(1+x/2)/(1-5x/7)"][0](60)
+        f = PowerSeries.from_rational([0, Fraction(2, 3), Fraction(1, 3)], [1, Fraction(-5, 7)], 60)
         assert nonzero(f.coeffs[1:]) == nonzero(series_inverse_ref(f.coeffs[1:])) == 60
 
     @pytest.mark.parametrize("alpha, beta", [(3, -5), (-2, 7)])
@@ -536,10 +525,10 @@ class TestMillerRevert:
         assert list(reverted.coeffs) == revert_ref(list(f.coeffs))
         assert all_fractions(reverted)
 
-    @pytest.mark.parametrize("head, slope", [(1, 1), (1, -1), (3, 2), (-5, 7)])
+    @pytest.mark.parametrize("slope", [1, -1, 2, -7])
     @pytest.mark.parametrize("e", [-9, -2, -1, 0, 1, 2, 9])
-    def test_power_coefficient_of_a_binomial(self, head, slope, e):
-        # B = head + slope x: Y_k = head^k [x^k] (1 + slope x / head)^e
+    def test_power_coefficient_of_a_binomial(self, slope, e):
+        # B = B_0 + slope x, any B_0: Y_k = B_0^k [x^k] (1 + slope x / B_0)^e
         # = binom(e, k) slope^k, with binom(e, k) for either sign of e
         for k in range(12):
             binom = math.prod(range(e - k + 1, e + 1)) // math.factorial(k)
