@@ -9,7 +9,8 @@ import argparse
 import sys
 import time
 
-from hankelrev import SWEEPABLE, report_to_json, sweep
+from hankelrev import SWEEPABLE, sweep
+from hankelrev.cli import render_report
 
 
 def main() -> int:
@@ -33,7 +34,7 @@ def main() -> int:
         )
         for report in result.counterexamples:
             failed = True
-            print(report_to_json(report))
+            print(render_report(report, "json"))
     return 1 if failed else 0
 
 

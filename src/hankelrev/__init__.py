@@ -16,12 +16,7 @@ from hankelrev.conjectures import (
     prop9_coeff_identity_1,
     prop9_coeff_identity_2,
     prop9_verify,
-    report_to_csv,
-    report_to_dict,
-    report_to_json,
     sweep,
-    sweep_to_dict,
-    sweep_to_json,
     verify_alpha_shift,
     verify_anchors,
     verify_conjecture4,
@@ -100,12 +95,7 @@ __all__ = [
     "prop9_coeff_identity_1",
     "prop9_coeff_identity_2",
     "prop9_verify",
-    "report_to_csv",
-    "report_to_dict",
-    "report_to_json",
     "sweep",
-    "sweep_to_dict",
-    "sweep_to_json",
     "verify_alpha_shift",
     "verify_anchors",
     "verify_conjecture4",

@@ -4,12 +4,20 @@ Exit codes: 0 for success (verifications: every check passed), 1 when a
 verification or sweep found a counterexample, 2 for usage errors and
 violated preconditions, 3 for an internal error (a bug: the traceback goes
 to stderr).  All numeric output is exact decimal text at any magnitude.
+
+This module is the one place where results become text.  Transforms,
+reports and sweeps arrive holding ints, and each value is rendered with
+``series._decimal`` only when it is printed (a sweep without ``--full``
+prints no passing row).  A passing check, whose two sides are equal,
+renders its value once.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import re
 import sys
@@ -18,13 +26,11 @@ import traceback
 from hankelrev.conjectures import (
     CONJECTURES,
     SWEEPABLE,
+    Check,
     ConjectureReport,
     SweepResult,
     prop9_verify,
-    report_to_csv,
-    report_to_json,
     sweep,
-    sweep_to_json,
 )
 from hankelrev.families import FamilyParams, family_base_ogf, family_reversion_terms
 from hankelrev.gf import expand_gf
@@ -138,6 +144,15 @@ def _align_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+    """CSV lines, a cell quoted only where it needs it, without the last newline."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().rstrip("\n")
+
+
 def _emit_values(values: list[str], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(values))
@@ -148,12 +163,58 @@ def _emit_values(values: list[str], fmt: str) -> None:
         print(_align_table(["n", "value"], rows))
 
 
+def _sides(check: Check) -> tuple[str, str, bool]:
+    """Both sides of a check as decimal text, and whether they are equal.
+
+    A passing check has one value, so it is rendered once for both sides.
+    """
+    lhs = _decimal(check.lhs)
+    if check.passed:
+        return lhs, lhs, True
+    return lhs, _decimal(check.rhs), False
+
+
+def _report_dict(report: ConjectureReport) -> dict:
+    """JSON-ready form; integers render as decimal strings, never floats."""
+    params = report.params
+    checks = []
+    for c in report.checks:
+        lhs, rhs, passed = _sides(c)
+        checks.append(
+            {"n": str(c.index), "claim": c.claim, "lhs": lhs, "rhs": rhs, "pass": passed}
+        )
+    return {
+        "conjecture": report.conjecture_id,
+        "alpha": None if params is None else _decimal(params.alpha),
+        "beta": None if params is None else _decimal(params.beta),
+        "depth": str(report.depth),
+        "checks": checks,
+        "all_pass": report.all_pass,
+        "notes": list(report.notes),
+    }
+
+
+def _report_csv(report: ConjectureReport) -> str:
+    params = report.params
+    alpha = "" if params is None else _decimal(params.alpha)
+    beta = "" if params is None else _decimal(params.beta)
+    rows = []
+    for c in report.checks:
+        lhs, rhs, passed = _sides(c)
+        rows.append([
+            report.conjecture_id, alpha, beta, str(report.depth), str(c.index), c.claim,
+            lhs, rhs, "true" if passed else "false",
+        ])
+    header = ["conjecture", "alpha", "beta", "depth", "n", "claim", "lhs", "rhs", "pass"]
+    return _csv_text(header, rows)
+
+
 def render_report(report: ConjectureReport, fmt: str) -> str:
     """Render a verification report in the requested format."""
     if fmt == "json":
-        return report_to_json(report)
+        return json.dumps(_report_dict(report), indent=2)
     if fmt == "csv":
-        return report_to_csv(report).rstrip("\n")
+        return _report_csv(report)
     params = report.params
     heading = f"conjecture {report.conjecture_id}"
     if params is not None:
@@ -162,10 +223,10 @@ def render_report(report: ConjectureReport, fmt: str) -> str:
     lines = [heading]
     for note in report.notes:
         lines.append(f"note: {note}")
-    rows = [
-        [str(c.index), c.claim, c.lhs, c.rhs, "ok" if c.passed else "FAIL"]
-        for c in report.checks
-    ]
+    rows = []
+    for c in report.checks:
+        lhs, rhs, passed = _sides(c)
+        rows.append([str(c.index), c.claim, lhs, rhs, "ok" if passed else "FAIL"])
     lines.append(_align_table(["n", "claim", "lhs", "rhs", "status"], rows))
     passed = sum(1 for c in report.checks if c.passed)
     verdict = "all checks passed" if report.all_pass else "CHECKS FAILED"
@@ -173,22 +234,40 @@ def render_report(report: ConjectureReport, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _sweep_dict(result: SweepResult, include_reports: bool) -> dict:
+    payload = {
+        "conjecture": result.conjecture_id,
+        "depth": str(result.depth),
+        "grid_points": str(len(result.grid)),
+        "checked": str(len(result.reports)),
+        "skipped": [
+            {"alpha": _decimal(p.alpha), "beta": _decimal(p.beta)} for p in result.skipped
+        ],
+        "counterexamples": [_report_dict(r) for r in result.counterexamples],
+        "all_pass": not result.counterexamples,
+    }
+    if include_reports:
+        payload["reports"] = [_report_dict(r) for r in result.reports]
+    return payload
+
+
 def _render_sweep(result: SweepResult, fmt: str, full: bool) -> str:
     if fmt == "json":
-        return sweep_to_json(result, include_reports=full)
+        return json.dumps(_sweep_dict(result, full), indent=2)
     if fmt == "csv":
-        lines = ["conjecture,alpha,beta,depth,status"]
         evaluated = {
             (r.params.alpha, r.params.beta): "pass" if r.all_pass else "fail"
             for r in result.reports
             if r.params is not None
         }
-        for point in result.grid:
-            state = evaluated.get((point.alpha, point.beta), "skipped")
-            lines.append(
-                f"{result.conjecture_id},{point.alpha},{point.beta},{result.depth},{state}"
-            )
-        return "\n".join(lines)
+        rows = [
+            [
+                result.conjecture_id, _decimal(point.alpha), _decimal(point.beta),
+                str(result.depth), evaluated.get((point.alpha, point.beta), "skipped"),
+            ]
+            for point in result.grid
+        ]
+        return _csv_text(["conjecture", "alpha", "beta", "depth", "status"], rows)
     lines = [
         f"conjecture {result.conjecture_id}: depth={result.depth}"
         f" grid={len(result.grid)} checked={len(result.reports)}"
@@ -244,12 +323,16 @@ def _cmd_triple(args: argparse.Namespace) -> int:
     terms, depth = _sequence_from_args(args, 3)
     triple = hankel_triple(terms, depth)
     if args.format == "json":
-        print(triple.to_json())
-    elif args.format == "csv":
-        print(triple.to_csv(), end="")
-    else:
-        rows = [[_decimal(v) for v in row] for row in triple.rows()]
-        print(_align_table(["n", "h", "h_star", "h_star_star"], rows))
+        print(json.dumps({
+            "depth": str(triple.depth),
+            "h": [_decimal(v) for v in triple.h],
+            "h_star": [_decimal(v) for v in triple.h_star],
+            "h_star_star": [_decimal(v) for v in triple.h_star_star],
+        }))
+        return 0
+    header = ["n", "h", "h_star", "h_star_star"]
+    rows = [[_decimal(v) for v in row] for row in triple.rows()]
+    print(_csv_text(header, rows) if args.format == "csv" else _align_table(header, rows))
     return 0
 
 

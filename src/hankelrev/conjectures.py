@@ -4,13 +4,16 @@ Each verifier takes the relevant family sequence from the integer
 recurrences of :mod:`hankelrev.families` (``family_reversion_terms`` and
 ``family_base_terms``), far enough for a depth-d Hankel triple, evaluates
 every claim in product form (no division, so zero values need no special
-casing), and returns a report whose check rows store both sides as exact
-decimal strings.  A claim is one ``(label, lhs, rhs)`` triple of functions
-of n, and one function, ``_rows``, turns claims into rows, n-major: at each
-n the claims in the order given.  Claims that reference index n+1 of a
-depth-d transform are checked for n = 0..d-1; claims fully determined at
-index n run to n = d.  All of it is integer work, prop9 included: T and
-T * T^t have int entries and det T is the product of T's diagonal.
+casing), and returns a report whose check rows hold both sides as exact
+ints.  A row's ``passed`` and a report's ``all_pass`` are derived from
+those ints, and only :mod:`hankelrev.cli` turns them into text, when it
+prints them.  A claim is one ``(label, lhs, rhs)`` triple of functions
+of n, and one function, ``_rows``, turns claims into rows, n-major: at
+each n the claims in the order given.  Claims that reference index n+1
+of a depth-d transform are checked for n = 0..d-1; claims fully
+determined at index n run to n = d.  All of it is integer work, prop9
+included: T and T * T^t have int entries and det T is the product of
+T's diagonal.
 
 The built-in catalog:
 
@@ -35,12 +38,9 @@ the scripts read what each set needs from it.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from hankelrev.families import (
     FAMILY_A,
@@ -52,7 +52,6 @@ from hankelrev.families import (
     family_reversion_terms,
 )
 from hankelrev.hankel import binomial_transform, det_exact, hankel_transform, hankel_triple
-from hankelrev.series import _decimal
 
 # claim labels are stable strings: reports are regression artifacts and
 # downstream tooling matches on them
@@ -82,13 +81,16 @@ CLAIM_ANCHOR_CATALAN_HEADLESS = "hankel(head_zeroed_catalan)[n] == -n"
 
 @dataclass(frozen=True)
 class Check:
-    """One verified equality; lhs and rhs are exact decimal strings."""
+    """One asserted equality lhs == rhs at index n; both sides are exact ints."""
 
     index: int
     claim: str
-    lhs: str
-    rhs: str
-    passed: bool
+    lhs: int
+    rhs: int
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
 
 @dataclass(frozen=True)
@@ -97,41 +99,22 @@ class ConjectureReport:
     params: FamilyParams | None
     depth: int
     checks: tuple[Check, ...]
-    all_pass: bool
-    sequence: tuple[int, ...] | None = None
     notes: tuple[str, ...] = ()
 
-
-def _check(index: int, claim: str, lhs: int, rhs: int) -> Check:
-    return Check(index, claim, _decimal(lhs), _decimal(rhs), lhs == rhs)
+    @property
+    def all_pass(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 def _rows(
     count: int, *claims: tuple[str, Callable[[int], int], Callable[[int], int]]
-) -> list[Check]:
+) -> tuple[Check, ...]:
     """Check rows for n = 0..count-1, n-major: at each n the claims in order.
 
     A claim is ``(label, lhs, rhs)`` with lhs(n) == rhs(n) asserted.
     """
-    return [_check(n, label, lhs(n), rhs(n)) for n in range(count) for label, lhs, rhs in claims]
-
-
-def _report(
-    conjecture_id: str,
-    params: FamilyParams | None,
-    depth: int,
-    checks: list[Check],
-    sequence: Sequence[int] | None = None,
-    notes: tuple[str, ...] = (),
-) -> ConjectureReport:
-    return ConjectureReport(
-        conjecture_id=conjecture_id,
-        params=params,
-        depth=depth,
-        checks=tuple(checks),
-        all_pass=all(c.passed for c in checks),
-        sequence=None if sequence is None else tuple(sequence),
-        notes=notes,
+    return tuple(
+        Check(n, label, lhs(n), rhs(n)) for n in range(count) for label, lhs, rhs in claims
     )
 
 
@@ -162,7 +145,7 @@ def verify_conjecture4(alpha: int, beta: int, depth: int) -> ConjectureReport:
         (CLAIM_C4_HSS, lambda n: (-1) ** (n + 1) * t.h_star_star[n],
          lambda n: a[n + 2] * t.h_star[n]),
     )
-    return _report("4", params, depth, checks, sequence=u)
+    return ConjectureReport("4", params, depth, checks)
 
 
 def verify_conjecture6(alpha: int, beta: int, depth: int) -> ConjectureReport:
@@ -185,7 +168,7 @@ def verify_conjecture6(alpha: int, beta: int, depth: int) -> ConjectureReport:
          lambda n: (gap ** (n + 1) - alpha ** (n + 1)) * t.h_star[n]),
         (CLAIM_C6_HSS, lambda n: t.h_star_star[n], lambda n: gap ** (n + 1) * t.h_star[n]),
     )
-    return _report("6", params, depth, checks, sequence=u)
+    return ConjectureReport("6", params, depth, checks)
 
 
 def verify_conjecture8(alpha: int, depth: int) -> ConjectureReport:
@@ -209,7 +192,7 @@ def verify_conjecture8(alpha: int, depth: int) -> ConjectureReport:
         (CLAIM_C8_HSS_RATIO, lambda n: t.h_star_star[n],
          lambda n: alpha ** (n + 1) * t.h_star[n]),
     )
-    return _report("8", params, depth, checks, sequence=u)
+    return ConjectureReport("8", params, depth, checks)
 
 
 def verify_alpha_shift(alpha: int, beta: int, order: int) -> ConjectureReport:
@@ -237,7 +220,7 @@ def verify_alpha_shift(alpha: int, beta: int, order: int) -> ConjectureReport:
     ) + _rows(
         depth + 1, (CLAIM_SHIFT_HANKEL, lambda n: h_here[n], lambda n: h_transformed[n])
     )
-    return _report("alpha_shift", params, order, checks, sequence=here)
+    return ConjectureReport("alpha_shift", params, order, checks)
 
 
 # ----------------------------------------------------------------------
@@ -278,8 +261,8 @@ def prop9_verify(alpha: int, n: int) -> ConjectureReport:
     sequence = family_reversion_terms(params, 2 * n + 2)[1:]
     H = [[sequence[i + j] for j in range(n + 1)] for i in range(n + 1)]
     T = prop9_T_matrix(alpha, n)
-    checks = [
-        _check(
+    products = tuple(
+        Check(
             i,
             CLAIM_P9_PRODUCT.format(i=i, j=j),
             H[i][j],
@@ -287,11 +270,13 @@ def prop9_verify(alpha: int, n: int) -> ConjectureReport:
         )
         for i in range(n + 1)
         for j in range(n + 1)
-    ]
-    checks.append(_check(n, CLAIM_P9_DET, det_exact(H), alpha ** (n * (n + 1))))
+    )
     det_t = math.prod(T[i][i] for i in range(n + 1))
-    checks.append(_check(n, CLAIM_P9_DET_T, det_t, alpha ** math.comb(n + 1, 2)))
-    return _report("prop9", params, n, checks, sequence=sequence)
+    checks = products + (
+        Check(n, CLAIM_P9_DET, det_exact(H), alpha ** (n * (n + 1))),
+        Check(n, CLAIM_P9_DET_T, det_t, alpha ** math.comb(n + 1, 2)),
+    )
+    return ConjectureReport("prop9", params, n, checks)
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
@@ -373,13 +358,13 @@ def verify_anchors(depth: int = 6) -> ConjectureReport:
         (CLAIM_ANCHOR_CATALAN_HEADLESS, transform([0] + cat[1:count]), lambda n: -n),
     ]
     # claim-major: all of one anchor's rows, then the next anchor's
-    checks = [row for anchor in anchors for row in _rows(depth + 1, anchor)]
+    checks = tuple(row for anchor in anchors for row in _rows(depth + 1, anchor))
     notes = (
         "the transform of the head-zeroed Catalan sequence 0, 1, 2, 5, 14, ..."
         " is commonly quoted as n; exact computation gives -n at every depth"
         " checked here, and -n is the value asserted.",
     )
-    return _report("anchors", None, depth, checks, notes=notes)
+    return ConjectureReport("anchors", None, depth, checks, notes)
 
 
 # ----------------------------------------------------------------------
@@ -488,78 +473,3 @@ def sweep(
         counterexamples=counterexamples,
         skipped=tuple(skipped),
     )
-
-
-# ----------------------------------------------------------------------
-# serialization
-
-def report_to_dict(report: ConjectureReport) -> dict:
-    """JSON-ready form; integers render as decimal strings, never floats."""
-    params = report.params
-    return {
-        "conjecture": report.conjecture_id,
-        "alpha": None if params is None else _decimal(params.alpha),
-        "beta": None if params is None else _decimal(params.beta),
-        "depth": str(report.depth),
-        "checks": [
-            {
-                "n": str(c.index),
-                "claim": c.claim,
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-                "pass": c.passed,
-            }
-            for c in report.checks
-        ],
-        "all_pass": report.all_pass,
-        "notes": list(report.notes),
-    }
-
-
-def report_to_json(report: ConjectureReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
-
-
-def report_to_csv(report: ConjectureReport) -> str:
-    params = report.params
-    alpha = "" if params is None else _decimal(params.alpha)
-    beta = "" if params is None else _decimal(params.beta)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["conjecture", "alpha", "beta", "depth", "n", "claim", "lhs", "rhs", "pass"])
-    for c in report.checks:
-        writer.writerow(
-            [
-                report.conjecture_id,
-                alpha,
-                beta,
-                str(report.depth),
-                str(c.index),
-                c.claim,
-                c.lhs,
-                c.rhs,
-                "true" if c.passed else "false",
-            ]
-        )
-    return buffer.getvalue()
-
-
-def sweep_to_dict(result: SweepResult, include_reports: bool = False) -> dict:
-    payload = {
-        "conjecture": result.conjecture_id,
-        "depth": str(result.depth),
-        "grid_points": str(len(result.grid)),
-        "checked": str(len(result.reports)),
-        "skipped": [
-            {"alpha": _decimal(p.alpha), "beta": _decimal(p.beta)} for p in result.skipped
-        ],
-        "counterexamples": [report_to_dict(r) for r in result.counterexamples],
-        "all_pass": not result.counterexamples,
-    }
-    if include_reports:
-        payload["reports"] = [report_to_dict(r) for r in result.reports]
-    return payload
-
-
-def sweep_to_json(result: SweepResult, include_reports: bool = False) -> str:
-    return json.dumps(sweep_to_dict(result, include_reports), indent=2)

@@ -1,6 +1,7 @@
 """Hankel matrices, exact integer determinants, and binomial transforms.
 
-Sequences are plain lists of arbitrary-precision ints.  No rationals
+Sequences are plain lists of arbitrary-precision ints, and so are the
+results: :mod:`hankelrev.cli` renders them as text.  No rationals
 appear, and every division is exact and checked: a remainder raises
 ``ArithmeticError``, also under ``python -O``.
 
@@ -41,15 +42,10 @@ is also the oracle that the tests compare the run against.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
-
-from hankelrev.series import _decimal
 
 
 def hankel_matrix(terms: Sequence[int], n: int) -> list[list[int]]:
@@ -220,24 +216,6 @@ class HankelTriple:
             (n, self.h[n], self.h_star[n], self.h_star_star[n])
             for n in range(self.depth + 1)
         ]
-
-    def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["n", "h", "h_star", "h_star_star"])
-        for row in self.rows():
-            writer.writerow([_decimal(v) for v in row])
-        return buffer.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "depth": str(self.depth),
-                "h": [_decimal(v) for v in self.h],
-                "h_star": [_decimal(v) for v in self.h_star],
-                "h_star_star": [_decimal(v) for v in self.h_star_star],
-            }
-        )
 
 
 def hankel_triple(terms: Sequence[int], depth: int) -> HankelTriple:

@@ -6,10 +6,15 @@ operations insist on equal truncation orders.  Silent extension or
 truncation is how precision bugs sneak into determinant work downstream,
 so mixing orders raises instead.
 
-Products, division, square roots, reversion and the binomial o.g.f. run on
-integer numerators over one common denominator (:func:`_common`,
-:func:`_conv`), so the inner loops multiply and add plain ints and each
-output coefficient is reduced once.
+Products, division, square roots and reversion run on integer numerators
+over one common denominator (:func:`_common`, :func:`_conv`), so the inner
+loops multiply and add plain ints and each output coefficient is reduced
+once.
+
+:func:`_decimal` and :func:`coefficient_string` are the one way a value
+becomes exact decimal text at any magnitude.  The other modules hand back
+ints (or series), and :mod:`hankelrev.cli` renders them with these two
+when it prints.
 """
 
 from __future__ import annotations
@@ -176,13 +181,6 @@ class PowerSeries:
         inner = ", ".join(coefficient_string(c) for c in self.coeffs)
         return f"PowerSeries([{inner}])"
 
-    def valuation(self) -> int | None:
-        """Index of the first nonzero coefficient, or None if all are zero."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return None
-
     def integer_coefficients(self) -> list[int]:
         """Coefficients as plain ints; raises if any denominator is not 1."""
         for c in self.coeffs:
@@ -294,11 +292,10 @@ class PowerSeries:
             raise ValueError("truncate cannot extend a series")
         return PowerSeries(self.coeffs[: order + 1])
 
-    def shift_down(self, k: int, allow_drop: bool = False) -> "PowerSeries":
+    def shift_down(self, k: int) -> "PowerSeries":
         """Divide by x^k, i.e. drop the first k coefficients.
 
-        Dropping a nonzero coefficient changes the series, so it is refused
-        unless the caller opts in with ``allow_drop=True``.
+        Dropping a nonzero coefficient changes the series, so it is refused.
         """
         if k < 0:
             raise ValueError("shift must be non-negative")
@@ -306,11 +303,8 @@ class PowerSeries:
             return self
         if k > self.order:
             raise ValueError(f"cannot shift a series of order {self.order} down by {k}")
-        if not allow_drop and any(c != 0 for c in self.coeffs[:k]):
-            raise ValueError(
-                f"shifting down by {k} drops nonzero coefficients"
-                " (pass allow_drop=True to accept)"
-            )
+        if any(c != 0 for c in self.coeffs[:k]):
+            raise ValueError(f"shifting down by {k} drops nonzero coefficients")
         return PowerSeries(self.coeffs[k:])
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
@@ -421,15 +415,3 @@ class PowerSeries:
                 y = _power_coefficient(terms, -m, m - 1)
                 out.append(Fraction(d**m * y, b0 ** (2 * m - 1) * m))
         return PowerSeries(tuple(out))
-
-    def binomial_ogf(self) -> "PowerSeries":
-        """The o.g.f.-level binomial transform (1/(1-x)) * f(x/(1-x)).
-
-        Coefficient n of the result is sum_k C(n, k) * f_k, matching the
-        sequence-level transform on integer inputs, which is applied here
-        to the common numerators.
-        """
-        from hankelrev.hankel import binomial_transform  # hankel imports series
-
-        row, den = _common(self.coeffs)
-        return PowerSeries(tuple(Fraction(c, den) for c in binomial_transform(row)))

@@ -5,13 +5,24 @@ import io
 import json
 import shlex
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from hankelrev import Check, ConjectureReport, FAMILY_C, FamilyParams, SweepResult
-from hankelrev import cli, conjectures
-from hankelrev.cli import run
+from hankelrev import (
+    Check,
+    ConjectureReport,
+    FAMILY_C,
+    FamilyParams,
+    SweepResult,
+    sweep,
+    verify_anchors,
+    verify_conjecture4,
+    verify_conjecture8,
+)
+from hankelrev import cli, conjectures, series
+from hankelrev.cli import render_report, run
 from hankelrev.conjectures import CLAIM_C8_H, CLAIM_C8_HSS, CLAIM_C8_HSTAR
 from hankelrev.series import _decimal
 
@@ -198,6 +209,17 @@ class TestTriple:
             "3,-3,1,1\n"
         )
 
+    def test_json_uses_decimal_strings(self, capsys):
+        code, out, _ = invoke(
+            capsys, "triple", "--seq", "0,1,1,2,5,14,42,132,429", "--format", "json",
+        )
+        assert code == 0
+        assert out == (
+            '{"depth": "3", "h": ["0", "-1", "-2", "-3"],'
+            ' "h_star": ["1", "1", "1", "1"],'
+            ' "h_star_star": ["1", "1", "1", "1"]}\n'
+        )
+
 
 class TestBinomial:
     def test_forward(self, capsys):
@@ -242,8 +264,7 @@ class TestVerify:
             conjecture_id="8",
             params=FamilyParams(2, 0, FAMILY_C),
             depth=1,
-            checks=(Check(0, "demo claim", "1", "2", False),),
-            all_pass=False,
+            checks=(Check(0, "demo claim", 1, 2),),
         )
         monkeypatch.setattr(conjectures, "verify_conjecture8", lambda a, d: failing)
         code, out, _ = invoke(
@@ -337,6 +358,14 @@ class TestOverLimitInput:
         )
         assert (code, err) == (0, "")
         assert out.startswith("conjecture 8: depth=1 grid=1 checked=1 skipped=0")
+
+    def test_range_bounds_in_csv(self, capsys):
+        code, out, err = invoke(
+            capsys, "sweep", "--conjecture", "8",
+            f"--alpha-range=-{self.ONES}:-{self.ONES}", "--depth", "1", "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        assert out == f"conjecture,alpha,beta,depth,status\n8,-{self.ONES},0,1,pass\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -432,8 +461,7 @@ class TestSweep:
             conjecture_id="8",
             params=point,
             depth=1,
-            checks=(Check(0, "demo claim", "1", "2", False),),
-            all_pass=False,
+            checks=(Check(0, "demo claim", 1, 2),),
         )
         result = SweepResult(
             conjecture_id="8",
@@ -464,6 +492,99 @@ class TestSweep:
         )
         assert code == 2
         assert "error: empty range '2:1'" in err
+
+
+class TestSerialization:
+    def test_report_dict_uses_decimal_strings(self):
+        payload = cli._report_dict(verify_conjecture4(-3, -5, 2))
+        assert payload["conjecture"] == "4"
+        assert payload["alpha"] == "-3"
+        assert payload["beta"] == "-5"
+        assert payload["depth"] == "2"
+        assert payload["all_pass"] is True
+        assert payload["notes"] == []
+        first = payload["checks"][0]
+        assert set(first) == {"n", "claim", "lhs", "rhs", "pass"}
+        assert isinstance(first["lhs"], str)
+
+    def test_report_json_roundtrips(self):
+        report = verify_conjecture8(2, 2)
+        assert json.loads(render_report(report, "json")) == cli._report_dict(report)
+
+    def test_anchor_report_has_null_parameters(self):
+        payload = cli._report_dict(verify_anchors(2))
+        assert payload["alpha"] is None
+        assert payload["beta"] is None
+
+    def test_report_csv_shape(self):
+        text = render_report(verify_conjecture8(2, 1), "csv")
+        lines = text.splitlines()
+        assert lines[0] == "conjecture,alpha,beta,depth,n,claim,lhs,rhs,pass"
+        assert lines[1].startswith("8,2,0,1,0,")
+        assert all(line.endswith(",true") for line in lines[1:])
+
+    def test_failing_check_serializes_false(self):
+        bad = Check(1, "demo", 5, 7)
+        report = ConjectureReport("8", FamilyParams(1, 0, FAMILY_C), 1, (bad,))
+        assert cli._report_dict(report)["checks"][0]["pass"] is False
+        assert render_report(report, "csv").splitlines()[1].endswith(",false")
+
+    def test_sweep_dict_counts(self):
+        result = sweep("4", (-1, 1), (-1, 1), 2)
+        payload = cli._sweep_dict(result, include_reports=False)
+        assert payload["grid_points"] == "9"
+        assert payload["checked"] == "6"
+        assert payload["skipped"] == [
+            {"alpha": "-1", "beta": "0"},
+            {"alpha": "0", "beta": "0"},
+            {"alpha": "1", "beta": "0"},
+        ]
+        assert payload["all_pass"] is True
+        assert "reports" not in payload
+        with_reports = cli._sweep_dict(result, include_reports=True)
+        assert len(with_reports["reports"]) == 6
+        assert json.loads(cli._render_sweep(result, "json", full=False)) == payload
+
+
+@pytest.fixture
+def rendered(monkeypatch):
+    """The ints passed to ``series._decimal``, through every module that binds it."""
+    values = []
+    real = series._decimal
+
+    def counting(value):
+        values.append(value)
+        return real(value)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hankelrev") and getattr(module, "_decimal", None) is real:
+            monkeypatch.setattr(module, "_decimal", counting)
+    return values
+
+
+class TestLazyRendering:
+    @pytest.mark.parametrize("fmt, coordinates", [("table", []), ("json", [-1, 0, 0, 0, 1, 0])])
+    def test_sweep_renders_no_check_value(self, capsys, rendered, fmt, coordinates):
+        code, _, _ = invoke(
+            capsys, "sweep", "--conjecture", "4", "--alpha-range=-1:1",
+            "--beta-range=-1:1", "--depth", "2", "--format", fmt,
+        )
+        assert code == 0
+        # only the skipped points' coordinates become text
+        assert rendered == coordinates
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_verify_renders_each_passing_value_once(self, capsys, rendered, fmt):
+        checks = verify_conjecture8(2, 3).checks
+        rendered.clear()
+        code, _, _ = invoke(
+            capsys, "verify", "--conjecture", "8", "--alpha", "2", "--depth", "3",
+            "--format", fmt,
+        )
+        assert code == 0
+        # alpha, beta, then one value per row
+        assert len(rendered) == 2 + len(checks)
+        assert Counter(rendered) == Counter([2, 0] + [c.lhs for c in checks])
 
 
 class TestProp9:

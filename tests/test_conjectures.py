@@ -1,7 +1,7 @@
 """Verifier reports, parameter sweeps, and the matrix factorization checks."""
 
 import argparse
-import json
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -25,12 +25,7 @@ from hankelrev import (
     prop9_coeff_identity_1,
     prop9_coeff_identity_2,
     prop9_verify,
-    report_to_csv,
-    report_to_dict,
-    report_to_json,
     sweep,
-    sweep_to_dict,
-    sweep_to_json,
     verify_alpha_shift,
     verify_anchors,
     verify_conjecture4,
@@ -59,7 +54,7 @@ class TestConjecture4:
         assert report.all_pass
         assert len(report.checks) == 16
         assert [c.lhs for c in checks_for(report, CLAIM_C4_HSTAR)] == [
-            "1", "-5", "-125", "15625", "9765625", "-30517578125",
+            1, -5, -125, 15625, 9765625, -30517578125,
         ]
 
     @pytest.mark.parametrize("alpha,beta", [(2, 3), (1, 1), (0, -2), (-4, 5)])
@@ -86,19 +81,18 @@ class TestConjecture4:
         a = family_base_terms(params, depth + 3)
         t = hankel_triple(u, depth)
         report = verify_conjecture4(alpha, beta, depth)
-        assert list(report.sequence) == u
         for c in checks_for(report, CLAIM_C4_HSTAR):
-            n = int(c.index if isinstance(c.index, str) else c.index)
-            assert int(c.lhs) == t.h_star[n]
-            assert int(c.rhs) == beta ** math.comb(n + 1, 2)
+            n = c.index
+            assert c.lhs == t.h_star[n]
+            assert c.rhs == beta ** math.comb(n + 1, 2)
         for c in checks_for(report, CLAIM_C4_H):
             n = c.index
-            assert int(c.lhs) == (-1) ** (n + 1) * t.h[n + 1]
-            assert int(c.rhs) == a[n + 1] * t.h_star[n]
+            assert c.lhs == (-1) ** (n + 1) * t.h[n + 1]
+            assert c.rhs == a[n + 1] * t.h_star[n]
         for c in checks_for(report, CLAIM_C4_HSS):
             n = c.index
-            assert int(c.lhs) == (-1) ** (n + 1) * t.h_star_star[n]
-            assert int(c.rhs) == a[n + 2] * t.h_star[n]
+            assert c.lhs == (-1) ** (n + 1) * t.h_star_star[n]
+            assert c.rhs == a[n + 2] * t.h_star[n]
 
 
 class TestConjecture6:
@@ -111,7 +105,7 @@ class TestConjecture6:
         report = verify_conjecture6(1, 1, 4)
         assert report.all_pass
         star = checks_for(report, "h_star[n] == (alpha*(alpha-beta))^binom(n+1,2)")
-        assert [c.lhs for c in star] == ["1", "0", "0", "0", "0"]
+        assert [c.lhs for c in star] == [1, 0, 0, 0, 0]
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="alpha must be nonzero"):
@@ -127,24 +121,21 @@ class TestConjecture8:
 
     def test_frozen_shifted_values(self):
         report = verify_conjecture8(2, 3)
-        assert [c.lhs for c in checks_for(report, CLAIM_C8_HSTAR)] == [
-            "1", "4", "64", "4096",
-        ]
+        assert [c.lhs for c in checks_for(report, CLAIM_C8_HSTAR)] == [1, 4, 64, 4096]
 
     def test_leading_direct_check_is_zero(self):
         # the -n factor annihilates the n = 0 monomial, so 0 == 0 there
         lead = checks_for(verify_conjecture8(3, 4), CLAIM_C8_H)[0]
-        assert (lead.index, lead.lhs, lead.rhs, lead.passed) == (0, "0", "0", True)
+        assert (lead.index, lead.lhs, lead.rhs, lead.passed) == (0, 0, 0, True)
 
     def test_report_values_recompute_from_raw_sequences(self):
         alpha, depth = -3, 5
         u = [0] + [catalan(n - 1) * alpha ** (n - 1) for n in range(1, 2 * depth + 3)]
         t = hankel_triple(u, depth)
         report = verify_conjecture8(alpha, depth)
-        assert list(report.sequence) == u
         for c in checks_for(report, CLAIM_C8_H):
-            assert int(c.lhs) == t.h[c.index]
-            assert int(c.rhs) == -c.index * alpha ** (c.index * c.index - 1)
+            assert c.lhs == t.h[c.index]
+            assert c.rhs == -c.index * alpha ** (c.index * c.index - 1)
 
     def test_rejects_zero_alpha(self):
         with pytest.raises(ValueError, match="alpha must be nonzero"):
@@ -335,64 +326,20 @@ class TestSweep:
         from hankelrev import conjectures
 
         def failing(alpha, depth):
-            bad = Check(0, "demo", "1", "2", False)
-            return ConjectureReport(
-                "8", FamilyParams(alpha, 0, FAMILY_C), depth, (bad,), False
-            )
+            bad = Check(0, "demo", 1, 2)
+            return ConjectureReport("8", FamilyParams(alpha, 0, FAMILY_C), depth, (bad,))
 
         monkeypatch.setattr(conjectures, "verify_conjecture8", failing)
         result = sweep("8", (1, 2), depth=2)
         assert len(result.counterexamples) == 2
-        assert not sweep_to_dict(result)["all_pass"]
+        assert not cli._sweep_dict(result, include_reports=False)["all_pass"]
 
 
-class TestSerialization:
-    def test_report_dict_uses_decimal_strings(self):
-        payload = report_to_dict(verify_conjecture4(-3, -5, 2))
-        assert payload["conjecture"] == "4"
-        assert payload["alpha"] == "-3"
-        assert payload["beta"] == "-5"
-        assert payload["depth"] == "2"
-        assert payload["all_pass"] is True
-        assert payload["notes"] == []
-        first = payload["checks"][0]
-        assert set(first) == {"n", "claim", "lhs", "rhs", "pass"}
-        assert isinstance(first["lhs"], str)
-
-    def test_report_json_roundtrips(self):
-        report = verify_conjecture8(2, 2)
-        assert json.loads(report_to_json(report)) == report_to_dict(report)
-
-    def test_anchor_report_has_null_parameters(self):
-        payload = report_to_dict(verify_anchors(2))
-        assert payload["alpha"] is None
-        assert payload["beta"] is None
-
-    def test_report_csv_shape(self):
-        text = report_to_csv(verify_conjecture8(2, 1))
-        lines = text.splitlines()
-        assert lines[0] == "conjecture,alpha,beta,depth,n,claim,lhs,rhs,pass"
-        assert lines[1].startswith("8,2,0,1,0,")
-        assert all(line.endswith(",true") for line in lines[1:])
-
-    def test_failing_check_serializes_false(self):
-        bad = Check(1, "demo", "5", "7", False)
-        report = ConjectureReport("8", FamilyParams(1, 0, FAMILY_C), 1, (bad,), False)
-        assert report_to_dict(report)["checks"][0]["pass"] is False
-        assert report_to_csv(report).splitlines()[1].endswith(",false")
-
-    def test_sweep_dict_counts(self):
-        result = sweep("4", (-1, 1), (-1, 1), 2)
-        payload = sweep_to_dict(result)
-        assert payload["grid_points"] == "9"
-        assert payload["checked"] == "6"
-        assert payload["skipped"] == [
-            {"alpha": "-1", "beta": "0"},
-            {"alpha": "0", "beta": "0"},
-            {"alpha": "1", "beta": "0"},
-        ]
-        assert payload["all_pass"] is True
-        assert "reports" not in payload
-        with_reports = sweep_to_dict(result, include_reports=True)
-        assert len(with_reports["reports"]) == 6
-        assert json.loads(sweep_to_json(result)) == payload
+class TestReportValues:
+    def test_passed_and_all_pass_are_derived_from_the_sides(self):
+        good, bad = Check(0, "demo", 3, 3), Check(1, "demo", 1, 2)
+        assert (good.passed, bad.passed) == (True, False)
+        assert ConjectureReport("8", None, 1, (good,)).all_pass
+        assert not ConjectureReport("8", None, 1, (good, bad)).all_pass
+        assert [f.name for f in dataclasses.fields(Check)] == ["index", "claim", "lhs", "rhs"]
+        assert "all_pass" not in {f.name for f in dataclasses.fields(ConjectureReport)}

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from hankelrev import PowerSeries, coefficient_string
 from hankelrev.series import _common, _conv, _power_coefficient
 from oracles import (
-    binomial_ogf_horner_ref,
-    binomial_transform_ref,
     family_reversion_term_ref,
     revert_ref,
     series_inverse_ref,
@@ -181,17 +179,6 @@ class TestRevert:
     def test_roundtrip_general_slope(self, s, slope):
         f = PowerSeries((Fraction(0), slope) + s.coeffs[2:])
         assert f.compose(f.revert()) == PowerSeries.identity(ORDER)
-
-
-class TestBinomialOgf:
-    def test_known_transform(self):
-        s = PowerSeries.from_polynomial([0, 1, 2, 3, 4], 4)
-        assert int_coeffs(s.binomial_ogf()) == [0, 1, 4, 12, 32]
-
-    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=9))
-    def test_matches_sequence_level_definition(self, terms):
-        s = PowerSeries.from_polynomial(terms, len(terms) - 1)
-        assert int_coeffs(s.binomial_ogf()) == binomial_transform_ref(terms)
 
 
 # the eight largest primes below 10**6: pairwise coprime denominators make
@@ -431,17 +418,6 @@ class TestIntegerKernel:
     def test_sqrt_at_order_zero(self):
         assert PowerSeries.one(0).sqrt() == PowerSeries.one(0)
 
-    @given(st.integers(0, 12).flatmap(lambda n: coefficient_lists(n + 1)))
-    def test_binomial_ogf_equals_the_binomial_sum_and_horner_composition(self, cs):
-        transformed = PowerSeries(tuple(cs)).binomial_ogf()
-        assert list(transformed.coeffs) == binomial_transform_ref(cs)
-        assert list(transformed.coeffs) == binomial_ogf_horner_ref(cs)
-        assert all_fractions(transformed)
-
-    def test_binomial_ogf_at_order_zero_is_the_series(self):
-        s = PowerSeries((Fraction(5, 999983),))
-        assert s.binomial_ogf() == s
-
     def test_constructor_keeps_fractions_and_converts_the_rest(self):
         class Half(Fraction):
             pass
@@ -552,13 +528,6 @@ class TestShapeOperations:
         assert int_coeffs(s.shift_down(2)) == [1, 2]
         with pytest.raises(ValueError, match="drops nonzero coefficients"):
             PowerSeries.from_polynomial([1, 2], 3).shift_down(1)
-        dropped = PowerSeries.from_polynomial([1, 2, 3], 2).shift_down(1, allow_drop=True)
-        assert int_coeffs(dropped) == [2, 3]
-
-    def test_valuation(self):
-        assert PowerSeries.from_polynomial([0, 0, 3], 4).valuation() == 2
-        assert PowerSeries.from_polynomial([7], 2).valuation() == 0
-        assert PowerSeries.zero(3).valuation() is None
 
     def test_integer_coefficients_rejects_proper_fractions(self):
         s = PowerSeries((Fraction(1, 2),))
