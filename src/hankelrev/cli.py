@@ -377,32 +377,16 @@ def _cmd_oeis(args: argparse.Namespace) -> int:
     except oeis.OeisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    rows = [[m.id, str(m.matched_prefix_length), m.name] for m in matches]
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "id": m.id,
-                        "name": m.name,
-                        "matched_prefix_length": str(m.matched_prefix_length),
-                    }
-                    for m in matches
-                ],
-                indent=2,
-            )
-        )
+        entries = [{"id": i, "name": name, "matched_prefix_length": k} for i, k, name in rows]
+        print(json.dumps(entries, indent=2))
     elif args.format == "csv":
-        lines = ["id,matched_prefix_length,name"]
-        for m in matches:
-            name = '"' + m.name.replace('"', '""') + '"'
-            lines.append(f"{m.id},{m.matched_prefix_length},{name}")
-        print("\n".join(lines))
+        print(_csv_text(["id", "matched_prefix_length", "name"], rows))
+    elif not matches:
+        print("no matches")
     else:
-        if not matches:
-            print("no matches")
-        else:
-            rows = [[m.id, str(m.matched_prefix_length), m.name] for m in matches]
-            print(_align_table(["id", "matched", "name"], rows))
+        print(_align_table(["id", "matched", "name"], rows))
     return 0
 
 

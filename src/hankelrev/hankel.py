@@ -6,13 +6,16 @@ appear, and every division is exact and checked: a remainder raises
 ``ArithmeticError``, also under ``python -O``.
 
 A Hankel transform needs every leading principal minor of one matrix.
-They all follow from the Chebyshev algorithm (Gautschi, *Orthogonal
-Polynomials: Computation and Approximation*, 2004), a recurrence on two
-rows of modified moments, so a transform of depth d costs O(d^2) integer
-operations (see :func:`_leading_minors`).  Its rows are kept as integers
-over one denominator with their content divided out, so on sequences
-with small J-fraction coefficients, such as those of the families, the
-entries stay small.
+One run of Han's Hankel continued fraction (G.-N. Han, *Hankel continued
+fraction and its applications*, Adv. Math. 303, 2016, Thm 2.1) gives
+them all for any sequence, at O(d^2) integer operations for depth d (see
+:func:`_leading_minors`).  A block of zero minors, a zero head included,
+costs the run one step.  Where no minor is zero, each step is the
+Chebyshev algorithm's (Gautschi, *Orthogonal Polynomials: Computation
+and Approximation*, 2004), a recurrence on two rows of modified moments.
+The rows are kept as integers over one denominator with their content
+divided out, so on sequences with small J-fraction coefficients, such as
+those of the families, the entries stay small.
 
 One run on m = u[1:] gives all three transforms of :func:`hankel_triple`
 (Krattenthaler, *Advanced determinant calculus*, 1999, the section on
@@ -32,12 +35,13 @@ determinants are continuants of the same entries,
 with (X_{-1}, X_0) = (1, u_0) giving X_n = h_n, and (0, 1) giving
 X_{n+1} = h**_n.  Row k of the run gives nu_k and a_k nu_k, so h and h**
 ride on it at a few integer operations per row, and no condition such
-as h**_{n-1} != 0 is needed.  The step at row k uses only pi_0, ...,
-pi_k, so it is also taken at a row where nu_k = 0 and the run stops.
+as h**_{n-1} != 0 is needed.  They need every nu_k up to the depth to be
+nonzero, that is no zero minor of m; past one, u and u[2:] get runs of
+their own.
 
-Past the first zero minor, values are computed one index at a time with
-:func:`det_exact`, Bareiss fraction-free elimination with row swaps.  It
-is also the oracle that the tests compare the run against.
+:func:`det_exact`, Bareiss fraction-free elimination with row swaps, is
+not on the transform path.  It is prop9's independent determinant and
+the oracle that the tests compare the run against.
 """
 
 from __future__ import annotations
@@ -92,71 +96,101 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> list[int]:
-    """Leading principal minors of orders 1.. of the index-``depth`` Hankel
-    matrix, by the Chebyshev recurrence.
+    """Leading principal minors of orders 1 to ``depth + 1`` of the
+    index-``depth`` Hankel matrix of ``terms``, by Han's H-fraction.
 
-    With pi_k the monic orthogonal polynomials of the moments ``terms``,
-    sigma_{k,l} = L(pi_k x^l) obeys
+    Row j of the run is the series E_j of the H-fraction of the o.g.f. F
+    of ``terms`` (Han 2016, Thm 2.1).  E_{-1} = 1 and E_0 = F / x^{k_0};
+    with v_j = E_j(0) / E_{j-1}(0) and q_j = v_j E_{j-1} / E_j mod
+    x^{k_j + 2}, the series R = q_j E_j - v_j E_{j-1} vanishes to order
+    k_j + 2, and E_{j+1} = R / x^{val R} with k_{j+1} = val R - k_j - 2.
+    The k_j zeros stripped from the head of row j are a block of k_j zero
+    minors, and the minor after them is
 
-        sigma_{k+1,l} = sigma_{k,l+1} - a_k sigma_{k,l} - b_k sigma_{k-1,l},
+        H = (-1)^{k_j (k_j + 1) / 2} H_prev E_j(0)^{k_j + 1}.
 
-    a_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1},
-    b_k = sigma_{k,k}/sigma_{k-1,k-1}, and the minor of order k+1 is
-    H_k = sigma_{0,0} sigma_{1,1} ... sigma_{k,k}.  Row k is kept as an
-    integer list r over one denominator D, r[i] = D sigma_{k,k+i}.  With
-    h = r[0] and p0, p1 the first two entries of the previous row (1, 0
-    before row 0), clearing the fractions of a_k and b_k gives
+    Row j is kept as an integer list r over one denominator D, r = D E_j.
+    With h = r[0], p the previous row and k = k_j, clearing the fractions
+    gives the next row as (Q r - h^{k+2} p) / x^{k+2} over D p[0] h^{k+1},
+    where Q = h^{k+2} p / r mod x^{k+2} is the integer polynomial that
+    clears the k + 2 leading terms.  The gcd of D and the new row is
+    divided out of both, with its sign chosen so that D stays positive,
+    which keeps the entries small when the J-fraction coefficients are.
+    Each minor is H_prev (h / D)^{k+1} up to sign; that division is exact
+    for integer input, and a remainder raises ``ArithmeticError``.  A row
+    that is zero as far as ``terms`` reach makes every later minor zero.
 
-        next[i] = h p0 r[i+2] - c1 r[i+1] - h^2 prev[i+2],  c1 = r[1] p0 - h p1,
+    Where k = 0, a 1x1 block, Q = h p0 - c1 x with c1 = r[1] p0 - h p1,
+    and the step is the Chebyshev algorithm's,
 
-    over D h p0.  The gcd of D and the new row is divided out of both,
-    with its sign chosen so that D stays positive, which keeps the
-    entries small when the J-fraction coefficients are.  Row k gives
-    H_k = H_{k-1} h / D; that division is exact for integer input, and
-    a remainder raises ``ArithmeticError``.
+        next[i] = h p0 r[i+2] - c1 r[i+1] - h^2 p[i+2]  over D h p0,
 
-    The list ends at the first zero minor, past which a_k is undefined;
-    it is complete when it has ``depth + 1`` entries.
+    with r[i] = D sigma_{j,j+i}, where sigma_{k,l} = L(pi_k x^l) for the
+    monic orthogonal polynomials pi_k of the moments ``terms``.
 
     Each rider is a list [X_{-1}, X_0] that the run extends in place with
-    the continuant X_{k+1} = a_k nu_k X_k - nu_k^2 X_{k-1} at every row it
-    takes, the last one included (see the module docstring).  Row k gives
-    nu_k = h / D and a_k nu_k = c1 / (p0 D), so the step is
+    the continuant X_{j+1} = a_j nu_j X_j - nu_j^2 X_{j-1} at every row,
+    the last one included (see the module docstring).  Row j gives
+    nu_j = h / D and a_j nu_j = c1 / (p0 D), so the step is
 
-        X_{k+1} = (c1 D X_k - h^2 p0 X_{k-1}) / (p0 D^2),
+        X_{j+1} = (c1 D X_j - h^2 p0 X_{j-1}) / (p0 D^2),
 
-    exact for integer input and checked like H_k.  It reads r[1] of the
-    last row, so riders need ``2 * depth + 2`` terms.
+    exact for integer input and checked like the minors.  It reads r[1]
+    of the last row, so riders need ``2 * depth + 2`` terms.  The riders
+    stop at the first block of zero minors, short of ``depth + 3``
+    entries.
     """
-    needed = 2 * depth + (2 if riders else 1)
-    if len(terms) < needed:
-        raise ValueError(f"{depth + 1} leading minors need {needed} terms")
-    row = [operator.index(t) for t in terms[:needed]]
-    prev = [1] + [0] * len(row)  # the row before row 0
+    row = [operator.index(t) for t in terms[: 2 * depth + (2 if riders else 1)]]
+    prev = [1] + [0] * len(row)  # E_{-1}
     minor = denom = 1
     minors = []
     while True:
         h = row[0]
-        minor, remainder = divmod(minor * h, denom)
-        if remainder:
-            raise ArithmeticError("inexact Chebyshev division")
-        minors.append(minor)
-        last = not h or len(minors) > depth
-        if last and not riders:
-            return minors
-        p0 = prev[0]
-        c0, c1, c2 = h * p0, row[1] * p0 - h * prev[1], h * h
-        for seq in riders:
-            step, remainder = divmod(
-                c1 * denom * seq[-1] - c2 * p0 * seq[-2], p0 * denom * denom
-            )
+        if h:
+            minor, remainder = divmod(minor * h, denom)
             if remainder:
-                raise ArithmeticError("inexact continuant division")
-            seq.append(step)
-        if last:
-            return minors
-        nxt = [c0 * a - c1 * b - c2 * c for a, b, c in zip(row[2:], row[1:], prev[2:])]
-        denom *= c0
+                raise ArithmeticError("inexact Chebyshev division")
+            minors.append(minor)
+            last = len(minors) > depth
+            if last and not riders:
+                return minors
+            p0 = prev[0]
+            c0, c1, c2 = h * p0, row[1] * p0 - h * prev[1], h * h
+            for seq in riders:
+                step, remainder = divmod(
+                    c1 * denom * seq[-1] - c2 * p0 * seq[-2], p0 * denom * denom
+                )
+                if remainder:
+                    raise ArithmeticError("inexact continuant division")
+                seq.append(step)
+            if last:
+                return minors
+            nxt = [c0 * a - c1 * b - c2 * c for a, b, c in zip(row[2:], row[1:], prev[2:])]
+            denom *= c0
+        else:
+            k = next((i for i, x in enumerate(row) if x), len(row))
+            minors += [0] * k
+            if len(minors) > depth:  # always so when the row is all zeros
+                return minors[: depth + 1]
+            riders = ()
+            row = row[k:]
+            h = row[0]
+            power = h ** (k + 1)
+            minor, remainder = divmod(minor * power, denom ** (k + 1))
+            if remainder:
+                raise ArithmeticError("inexact look-ahead division")
+            if k % 4 in (1, 2):
+                minor = -minor
+            minors.append(minor)
+            if len(minors) > depth:
+                return minors
+            # the next row negated, h^{k+2} p - Q r over -D p[0] h^{k+1}, by
+            # k + 2 steps that each clear the head of p
+            nxt = prev[: len(row)]
+            for _ in range(k + 2):
+                c = nxt[0]
+                nxt = [h * a - c * b for a, b in zip(nxt[1:], row[1:])]
+            denom *= -prev[0] * power
         g = math.gcd(denom, *nxt)
         if denom < 0:
             g = -g
@@ -166,21 +200,11 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
         prev, row = row, nxt
 
 
-def _complete(terms: Sequence[int], depth: int, values: list[int]) -> list[int]:
-    """Extend a prefix of the transform to ``depth``, one det_exact per index."""
-    return values + [
-        det_exact(hankel_matrix(terms, n)) for n in range(len(values), depth + 1)
-    ]
-
-
 def hankel_transform(terms: Sequence[int], depth: int) -> list[int]:
     """Determinants of the Hankel matrices of index 0..depth.
 
-    One run of the Chebyshev recurrence gives them all; past a zero
-    minor the remaining indices fall back to one det_exact each.  A
-    zero head (a reversion, a zero-prefixed anchor) would stop a run on
-    ``terms`` at once, so the values then ride on a run on ``terms[1:]``,
-    as h does in :func:`hankel_triple`.
+    One look-ahead run gives them all, zero minors and a zero head
+    included (see :func:`_leading_minors`).
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -190,11 +214,7 @@ def hankel_transform(terms: Sequence[int], depth: int) -> list[int]:
             f"hankel transform of depth {depth} needs at least {needed} terms,"
             f" got {len(terms)}"
         )
-    if operator.index(terms[0]) or not depth:
-        return _complete(terms, depth, _leading_minors(terms, depth))
-    h = [1, 0]  # (X_{-1}, X_0) with u_0 = 0
-    _leading_minors(terms[1:], depth - 1, h)
-    return _complete(terms, depth, h[1:])
+    return _leading_minors(terms, depth)
 
 
 @dataclass(frozen=True)
@@ -221,11 +241,10 @@ class HankelTriple:
 def hankel_triple(terms: Sequence[int], depth: int) -> HankelTriple:
     """Hankel transforms of ``terms``, ``terms[1:]`` and ``terms[2:]``.
 
-    One run of the Chebyshev recurrence on ``terms[1:]`` gives h* as its
-    minors, and h and h** as the two continuants that ride on it (see the
-    module docstring).  If that run stops on a zero minor, u (when u_0 !=
-    0) and u[2:] also get runs of their own, and each of h and h** keeps
-    the longer prefix.  Each arm is completed with det_exact from there.
+    One run on ``terms[1:]`` gives h* as its minors, and h and h** as the
+    two continuants that ride on it (see the module docstring).  Past a
+    zero minor of ``terms[1:]`` within the depth the riders stop, and
+    ``terms`` and ``terms[2:]`` get runs of their own.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -237,18 +256,12 @@ def hankel_triple(terms: Sequence[int], depth: int) -> HankelTriple:
         )
     h, h_star_star = [1, operator.index(terms[0])], [0, 1]  # (X_{-1}, X_0)
     h_star = _leading_minors(terms[1:], depth, h, h_star_star)
-    h, h_star_star = h[1 : depth + 2], h_star_star[2:]
-    if len(h_star) <= depth:
-        # u and u[2:] may have no zero minor where u[1:] has one, and their
-        # own runs, O(d^2), then go further than the continuants did
-        if h[0]:  # u_0; a zero head stops a run on u at once
-            h = max(h, _leading_minors(terms, depth), key=len)
-        h_star_star = max(h_star_star, _leading_minors(terms[2:], depth), key=len)
+    if len(h_star_star) > depth + 2:
+        h, h_star_star = h[1 : depth + 2], h_star_star[2:]
+    else:
+        h, h_star_star = _leading_minors(terms, depth), _leading_minors(terms[2:], depth)
     return HankelTriple(
-        h=tuple(_complete(terms, depth, h)),
-        h_star=tuple(_complete(terms[1:], depth, h_star)),
-        h_star_star=tuple(_complete(terms[2:], depth, h_star_star)),
-        depth=depth,
+        h=tuple(h), h_star=tuple(h_star), h_star_star=tuple(h_star_star), depth=depth
     )
 
 

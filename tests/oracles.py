@@ -4,7 +4,8 @@ Everything here trades speed for obviousness: cofactor expansion is
 exponential and the Gaussian variant works over Fraction, so neither is
 suitable outside tests.  The series routines work on plain lists of
 Fraction coefficients, one Fraction operation per pair of terms, without
-the library's common-denominator kernel.
+the library's common-denominator kernel.  :func:`h_fractions` draws
+sequences whose Hankel minors are known in closed form.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
+
+from hypothesis import strategies as st
+
+from hankelrev.series import PowerSeries
 
 
 def det_cofactor(matrix: Sequence[Sequence[int]]) -> int:
@@ -143,6 +148,49 @@ def binomial_ogf_horner_ref(f: Sequence[Fraction]) -> list[Fraction]:
         result = series_product_ref(result, inner)
         result[0] += c
     return series_product_ref(result, [Fraction(1)] * (n + 1))
+
+
+@st.composite
+def h_fractions(draw) -> tuple[list[int], list[int]]:
+    """A sequence with zero-minor blocks anywhere, and its leading minors.
+
+    The sequence is the expansion, by ``PowerSeries``, of a random finite
+    H-fraction (G.-N. Han, *Hankel continued fraction and its
+    applications*, Adv. Math. 303, 2016, Thm 2.1)
+
+        F = v_0 x^{k_0} / (1 + x u_1 - v_1 x^{k_0+k_1+2} / (1 + x u_2 - ...)),
+
+    J = 1..4 levels deep, with k_j in 0..3, small nonzero v_j and small
+    integer polynomials u_j of degree at most k_{j-1}.  Its nonzero minors
+    are exactly H_{s_j} = (-1)^{eps_j} prod_{i<j} v_i^{s_j - s_i} for
+    j = 1..J, with s_j = k_0 + ... + k_{j-1} + j and eps_j the sum of
+    k_i (k_i + 1) / 2 over i < j, so a k_j >= 1 is a block of k_j zero
+    minors.  The minors returned are those of orders 1..depth+1, depth
+    up to two past s_J; the sequence has 2 * depth + 3 terms.
+    """
+    levels = draw(st.integers(1, 4))
+    ks = draw(st.lists(st.integers(0, 3), min_size=levels, max_size=levels))
+    vs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=levels, max_size=levels))
+    # u_1..u_J; u_j has degree at most k_{j-1}
+    us = [draw(st.lists(st.integers(-2, 2), min_size=k + 1, max_size=k + 1)) for k in ks]
+    s = [0]
+    for k in ks:
+        s.append(s[-1] + k + 1)
+    depth = s[-1] - 1 + draw(st.integers(0, 2))
+    order = 2 * depth + 2
+
+    def poly(coeffs):
+        return PowerSeries.from_polynomial(coeffs, order)
+
+    tail = poly([1, *us[-1]])
+    for j in range(levels - 1, 0, -1):
+        tail = poly([1, *us[j - 1]]) - poly([0] * (ks[j - 1] + ks[j] + 2) + [vs[j]]) / tail
+    terms = (poly([0] * ks[0] + [vs[0]]) / tail).integer_coefficients()
+    minors = [0] * (depth + 1)
+    for j in range(1, levels + 1):
+        sign = (-1) ** sum(k * (k + 1) // 2 for k in ks[:j])
+        minors[s[j] - 1] = sign * math.prod(vs[i] ** (s[j] - s[i]) for i in range(j))
+    return terms, minors
 
 
 # ----------------------------------------------------------------------

@@ -628,6 +628,29 @@ class TestOeis:
         assert code == 0
         assert json.loads(out)[0]["id"] == "A000045"
 
+    def test_csv_reads_back(self, capsys):
+        from hankelrev import oeis
+
+        # a fixture name holds commas; a cached name holds double quotes too
+        code, out, _ = invoke(
+            capsys, "oeis", "--seq", "1,1,2,5,14", "--offline", "--format", "csv",
+        )
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["id", "matched_prefix_length", "name"],
+            ["A000108", "5", "Catalan numbers: C(n) = binomial(2n,n)/(n+1)."],
+        ]
+        quoted = 'The "lucky" numbers, sieved'
+        oeis.cache_put(oeis.query_key([1, 3, 7, 9]), [oeis.OeisMatch("A000959", quoted, 4)])
+        code, out, _ = invoke(
+            capsys, "oeis", "--seq", "1,3,7,9", "--offline", "--format", "csv",
+        )
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["id", "matched_prefix_length", "name"],
+            ["A000959", "4", quoted],
+        ]
+
     def test_too_few_terms_exits_2(self, capsys):
         code, _, err = invoke(capsys, "oeis", "--seq", "1,2,3", "--offline")
         assert code == 2

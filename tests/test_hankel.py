@@ -29,6 +29,7 @@ from oracles import (
     binomial_transform_ref,
     det_cofactor,
     det_gauss,
+    h_fractions,
     inverse_binomial_transform_ref,
 )
 
@@ -144,24 +145,30 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def no_det_exact(matrix):
+    raise AssertionError("det_exact is not on the transform path")
+
+
 def oracle_transform(terms, depth):
     return [det_gauss(hankel_matrix(terms, n)) for n in range(depth + 1)]
 
 
 def assert_transforms_agree(terms, depth):
-    """hankel_transform and every arm of hankel_triple against both oracles."""
-    triple = hankel_triple(terms, depth)
-    for shift, arm in enumerate((triple.h, triple.h_star, triple.h_star_star)):
-        shifted = terms[shift:]
-        expected = per_index(shifted, depth)
-        assert expected == oracle_transform(shifted, depth)
-        assert list(arm) == expected
-        assert hankel_transform(shifted, depth) == expected
+    """hankel_transform and every arm of hankel_triple against both oracles,
+    with hankel.det_exact made to raise."""
+    expected = [per_index(terms[shift:], depth) for shift in range(3)]
+    for shift, values in enumerate(expected):
+        assert values == oracle_transform(terms[shift:], depth)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hankel, "det_exact", no_det_exact)
+        triple = hankel_triple(terms, depth)
+        assert [list(triple.h), list(triple.h_star), list(triple.h_star_star)] == expected
+        assert [hankel_transform(terms[shift:], depth) for shift in range(3)] == expected
 
 
 class TestOnePassDifferential:
-    """The Chebyshev-recurrence engine (every leading minor from one run)
-    against per-index Bareiss and the Fraction oracle."""
+    """The look-ahead run (every leading minor from one run) against
+    per-index Bareiss and the Fraction oracle."""
 
     @given(st.lists(st.integers(-20, 20), min_size=3, max_size=17))
     def test_random_sequences(self, terms):
@@ -170,6 +177,15 @@ class TestOnePassDifferential:
     @given(st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2]), min_size=3, max_size=15))
     def test_zero_heavy_sequences(self, terms):
         assert_transforms_agree(terms, (len(terms) - 3) // 2)
+
+    @given(h_fractions())
+    def test_h_fraction_blocks(self, case):
+        # blocks of zero minors of any size, deep in the sequence: Han's
+        # closed form gives each minor, and det_exact agrees with it
+        terms, minors = case
+        depth = len(minors) - 1
+        assert per_index(terms, depth) == minors
+        assert_transforms_agree(terms, depth)
 
     @given(
         st.lists(st.integers(-3, 3), min_size=1, max_size=4),
@@ -185,13 +201,13 @@ class TestOnePassDifferential:
         assert_transforms_agree(terms, (len(terms) - 3) // 2)
 
     def test_nonzero_head_with_a_later_zero_pivot(self):
-        # H_1 of 1, 1, 1, ... is singular, so the pass stops at index 1
+        # H_1 of 1, 1, 1, ... is singular, and so is every later matrix
         ones = [1] * 15
-        assert hankel._leading_minors(ones, 6) == [1, 0]
+        assert hankel_transform(ones, 6) == [1] + [0] * 6
         assert_transforms_agree(ones, 6)
         # the Catalan numbers with one entry changed: pivots 1, 1, 0, ...
         bent = CATALAN[:4] + [CATALAN[4] - 1] + CATALAN[5:]
-        assert hankel._leading_minors(bent, 5)[-1] == 0
+        assert hankel_transform(bent, 5)[2] == 0
         assert_transforms_agree(bent, 5)
 
     @given(st.lists(st.integers(-50, 50), min_size=3, max_size=3))
@@ -200,14 +216,12 @@ class TestOnePassDifferential:
         assert hankel_transform(terms, 0) == [terms[0]]
 
     def test_one_pass_needs_no_determinants(self, monkeypatch):
-        calls = []
-        real = hankel.det_exact
-        monkeypatch.setattr(hankel, "det_exact", lambda m: calls.append(len(m)) or real(m))
+        monkeypatch.setattr(hankel, "det_exact", no_det_exact)
+        runs = count_calls(monkeypatch, "_leading_minors")
         assert hankel_transform(CATALAN, 6) == [1] * 7
-        assert calls == []
-        # a zero pivot at index 1 leaves indices 2..6 to det_exact
+        # a zero pivot at index 1 starts a block of zero minors to the end
         assert hankel_transform([1] * 13, 6) == [1] + [0] * 6
-        assert calls == [3, 4, 5, 6, 7]
+        assert runs == [13, 13]
 
     @pytest.mark.parametrize(
         "name, terms",
@@ -224,24 +238,20 @@ class TestOnePassDifferential:
         depth = 30
         assert terms[0] == 0 and len(terms) == 2 * depth + 1
         expected = per_index(terms, depth)
-        calls = []
-        real = hankel.det_exact
-        monkeypatch.setattr(hankel, "det_exact", lambda m: calls.append(len(m)) or real(m))
+        monkeypatch.setattr(hankel, "det_exact", no_det_exact)
+        runs = count_calls(monkeypatch, "_leading_minors")
         assert hankel_transform(terms, depth) == expected
-        assert calls == []
+        assert runs == [2 * depth + 1]
 
-    def test_nested_zero_heads_fall_back_once_per_index(self, monkeypatch):
-        calls = []
-        real = hankel.det_exact
-        monkeypatch.setattr(hankel, "det_exact", lambda m: calls.append(len(m)) or real(m))
-        # every shift by two is zero-headed again; the passes give indices
-        # 0 and 1, and det_exact each later index once, not once per shift
-        assert hankel_transform([0] * 13, 6) == [0] * 7
-        assert calls == [3, 4, 5, 6, 7]
-        calls.clear()
+    def test_nested_zero_heads_take_one_run(self, monkeypatch):
         alternating = [k % 2 for k in range(13)]
-        assert hankel_transform(alternating, 6) == per_index(alternating, 6)
-        assert calls == [5, 6, 7]
+        expected = per_index(alternating, 6)
+        monkeypatch.setattr(hankel, "det_exact", no_det_exact)
+        runs = count_calls(monkeypatch, "_leading_minors")
+        # every shift by two is zero-headed again; one run skips each block
+        assert hankel_transform([0] * 13, 6) == [0] * 7
+        assert hankel_transform(alternating, 6) == expected
+        assert runs == [13, 13]
 
     @pytest.mark.parametrize(
         "family, alpha, beta",
@@ -268,77 +278,68 @@ class TestOnePassDifferential:
         assert_transforms_agree(terms, depth)
 
     @pytest.mark.parametrize("alpha", [1, 2, 4])
-    def test_family_c_head_one_is_degenerate(self, alpha):
+    def test_family_c_head_one_is_degenerate(self, monkeypatch, alpha):
         # with 1 in place of its zero head, family C has a zero minor where
         # alpha = n; h rides on the run on terms[1:], which has none
         depth = 8
         terms = family_reversion_terms(FamilyParams(alpha, 0, FAMILY_C), 2 * depth + 3)
-        assert len(hankel._leading_minors([1, *terms[1:]], depth)) <= depth
+        assert 0 in hankel_transform([1, *terms[1:]], depth)
+        monkeypatch.setattr(hankel, "det_exact", no_det_exact)
+        runs = count_calls(monkeypatch, "_leading_minors")
         assert list(hankel_triple(terms, depth).h) == [
             0 if n == 0 else -n * alpha ** (n * n - 1) for n in range(depth + 1)
         ]
+        assert len(runs) == 1
 
     def test_family_b_alpha_equals_beta(self):
         terms = family_reversion_terms(FamilyParams(3, 3, FAMILY_B), 15)
         assert list(hankel_triple(terms, 6).h_star) == [1] + [0] * 6
 
     @pytest.mark.parametrize(
-        "family, alpha, beta, calls",
+        "family, alpha, beta, runs",
         [
-            # h* = 1, 0, ...: the run stops at row 1, so det_exact takes
-            # h from index 3 and h*, h** from index 2 (6 + 7 + 7)
-            (FAMILY_B, 3, 3, 20),
-            (FAMILY_B, -2, -2, 20),
-            (FAMILY_A, 0, 1, 0),
-            (FAMILY_A, 0, -2, 0),
-            (FAMILY_C, 1, 0, 0),
-            (FAMILY_C, 2, 0, 0),
-            (FAMILY_C, 4, 0, 0),
+            # h* = 1, 0, ...: the zero minor of u[1:] at index 1 stops the
+            # riders, and u and u[2:] get runs of their own
+            (FAMILY_B, 3, 3, 3),
+            (FAMILY_B, -2, -2, 3),
+            (FAMILY_A, 0, 1, 1),
+            (FAMILY_A, 0, -2, 1),
+            (FAMILY_C, 1, 0, 1),
+            (FAMILY_C, 2, 0, 1),
+            (FAMILY_C, 4, 0, 1),
         ],
     )
-    def test_triple_fallback_counts(self, monkeypatch, family, alpha, beta, calls):
+    def test_triple_run_counts(self, monkeypatch, family, alpha, beta, runs):
         depth = 8
         terms = family_reversion_terms(FamilyParams(alpha, beta, family), 2 * depth + 3)
         expected = [per_index(terms[shift:], depth) for shift in range(3)]
-        dims = count_calls(monkeypatch, "det_exact")
-        runs = count_calls(monkeypatch, "_leading_minors")
+        monkeypatch.setattr(hankel, "det_exact", no_det_exact)
+        calls = count_calls(monkeypatch, "_leading_minors")
         triple = hankel_triple(terms, depth)
         assert [list(triple.h), list(triple.h_star), list(triple.h_star_star)] == expected
-        assert len(dims) == calls
-        # past a zero minor of u[1:], u[2:] gets its own run; u, with its
-        # zero head, does not
-        assert len(runs) == (2 if calls else 1)
+        assert len(calls) == runs
 
     @pytest.mark.parametrize(
-        "terms, prefixes, calls",
+        "terms",
         [
-            # u[1:] has a zero minor at index 0, where u and u[2:] have
-            # none; the riders give h/h** prefixes of 2/1 entries, and the
-            # own runs of u and u[2:] give (h, h*, h**) prefixes as listed
-            ([1, 0] * 8 + [1], (3, 1, 3), 17),
-            ([1, 0, 2] * 6, (4, 1, 4), 15),
-            ([2, 0] + [v for k in range(3, 11) for v in (1, k)], (7, 1, 5), 11),
+            # u[1:] has a zero minor at index 0, where u and u[2:] have none
+            [1, 0] * 8 + [1],
+            [1, 0, 2] * 6,
+            [2, 0] + [v for k in range(3, 11) for v in (1, k)],
         ],
     )
-    def test_triple_runs_u_and_u2_past_a_zero_minor_of_u1(
-        self, monkeypatch, terms, prefixes, calls
-    ):
+    def test_triple_runs_u_and_u2_past_a_zero_minor_of_u1(self, monkeypatch, terms):
         depth = 7
         expected = [per_index(terms[shift:], depth) for shift in range(3)]
-        dims = count_calls(monkeypatch, "det_exact")
+        monkeypatch.setattr(hankel, "det_exact", no_det_exact)
         runs = count_calls(monkeypatch, "_leading_minors")
         triple = hankel_triple(terms, depth)
         assert [list(triple.h), list(triple.h_star), list(triple.h_star_star)] == expected
         assert len(runs) == 3
-        # det_exact takes each arm on from the end of its prefix
-        assert sorted(dims) == sorted(
-            n + 1 for prefix in prefixes for n in range(prefix, depth + 1)
-        )
-        assert len(dims) == calls
 
 
 class TestChebyshevRecurrence:
-    """_leading_minors deep, on big entries, and its exactness check."""
+    """The run deep, on big entries, and its exactness checks."""
 
     @pytest.mark.parametrize("alpha, beta", [(-3, -5), (4, 7)])
     def test_family_a_h_star_to_depth_100(self, alpha, beta):
@@ -351,22 +352,27 @@ class TestChebyshevRecurrence:
     @given(st.lists(st.integers(-(2**100), 2**100), min_size=1, max_size=15))
     def test_big_entries_against_det_exact(self, terms):
         depth = (len(terms) - 1) // 2
-        minors = hankel._leading_minors(terms, depth)
-        assert minors == per_index(terms, len(minors) - 1)
-        assert len(minors) == depth + 1 or minors[-1] == 0
+        assert hankel_transform(terms, depth) == per_index(terms, depth)
 
-    def test_too_few_terms(self):
-        with pytest.raises(ValueError, match="3 leading minors need 5 terms"):
-            hankel._leading_minors([1, 2, 3, 4], 2)
-
-    def test_inexact_division_raises(self, monkeypatch):
-        # a gcd that overstates the row content corrupts the rows, and the
-        # division that gives H_k must notice (also under python -O)
+    @pytest.mark.parametrize(
+        "transform, terms, depth, message",
+        [
+            # the minor of a 1x1 block
+            (hankel_transform, [4, 9, 3, 6, 8, 2, 1], 3, "inexact Chebyshev division"),
+            # the minor after a block: H_2 of 0, 7, 0, 1, 0, 4, 0 is zero
+            (hankel_transform, [0, 7, 0, 1, 0, 4, 0], 3, "inexact look-ahead division"),
+            # a continuant step: the minor divisions stay exact here
+            (hankel_triple, [0, 9, 7, 9, 4, 5, 5], 2, "inexact continuant division"),
+        ],
+    )
+    def test_inexact_division_raises(self, monkeypatch, transform, terms, depth, message):
+        # a gcd that overstates the row content corrupts the rows, and each
+        # checked division must notice (also under python -O)
         monkeypatch.setattr(
             hankel, "math", SimpleNamespace(gcd=lambda *args: math.gcd(*args) * 2)
         )
-        with pytest.raises(ArithmeticError, match="inexact Chebyshev division"):
-            hankel._leading_minors([4, 9, 3, 6, 8, 2, 1], 3)
+        with pytest.raises(ArithmeticError, match=message):
+            transform(terms, depth)
 
 
 BIG = st.one_of(st.integers(-(2**100), 2**100), st.just(0))
@@ -388,26 +394,13 @@ class TestRidingContinuants:
         depth = (len(terms) - 1) // 2
         assert hankel_transform(terms, depth) == per_index(terms, depth)
 
-    def test_inexact_riding_division_raises(self, monkeypatch):
-        # with this sequence, a gcd that overstates the row content leaves
-        # the minor divisions exact, and the continuant step must notice
-        # (also under python -O)
-        monkeypatch.setattr(
-            hankel, "math", SimpleNamespace(gcd=lambda *args: math.gcd(*args) * 2)
-        )
-        terms = [0, 9, 7, 9, 4, 5, 5]
-        with pytest.raises(ArithmeticError, match="inexact continuant division"):
-            hankel_triple(terms, 2)
-        with pytest.raises(ArithmeticError, match="inexact continuant division"):
-            hankel_transform(terms, 3)
-
     def test_family_c_closed_forms_to_depth_100(self, monkeypatch):
         depth, alpha = 100, 3
         terms = family_reversion_terms(FamilyParams(alpha, 0, FAMILY_C), 2 * depth + 3)
-        dets = count_calls(monkeypatch, "det_exact")
+        monkeypatch.setattr(hankel, "det_exact", no_det_exact)
         runs = count_calls(monkeypatch, "_leading_minors")
         triple = hankel_triple(terms, depth)
-        assert (dets, runs) == ([], [2 * depth + 2])
+        assert runs == [2 * depth + 2]
         assert list(triple.h) == [
             -n * alpha ** (n * n - 1) if n else 0 for n in range(depth + 1)
         ]
@@ -419,10 +412,10 @@ class TestRidingContinuants:
         params = FamilyParams(alpha, beta, FAMILY_A)
         terms = family_reversion_terms(params, 2 * depth + 3)
         a = family_base_terms(params, depth + 3)
-        dets = count_calls(monkeypatch, "det_exact")
+        monkeypatch.setattr(hankel, "det_exact", no_det_exact)
         runs = count_calls(monkeypatch, "_leading_minors")
         triple = hankel_triple(terms, depth)
-        assert (dets, runs) == ([], [2 * depth + 2])
+        assert runs == [2 * depth + 2]
         assert list(triple.h_star_star) == [
             (-1) ** (n + 1) * a[n + 2] * beta ** math.comb(n + 1, 2) for n in range(depth + 1)
         ]
