@@ -3,13 +3,16 @@
 Exit codes: 0 for success (verifications: every check passed), 1 when a
 verification or sweep found a counterexample, 2 for usage errors and
 violated preconditions, 3 for an internal error (a bug: the traceback goes
-to stderr).  All numeric output is exact decimal text at any magnitude.
+to stderr), and 141, with nothing on stderr, when the reader closes stdout
+early (``hankelrev ... | head -1``), as a death by SIGPIPE would give.  All
+numeric output is exact decimal text at any magnitude.
 
 This module is the one place where results become text.  Transforms,
 reports and sweeps arrive holding ints, and each value is rendered with
 ``series._decimal`` only when it is printed (a sweep without ``--full``
-prints no passing row).  A passing check, whose two sides are equal,
-renders its value once.
+prints no passing row).  Within one report each distinct value is
+rendered once.  Report and sweep JSON is written straight from the check
+rows, byte for byte as ``json.dumps(..., indent=2)`` would print it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import os
 import re
 import sys
 import traceback
@@ -44,6 +48,8 @@ from hankelrev.series import _decimal
 
 DEFAULT_DEPTH = 6
 DEFAULT_SHIFT_ORDER = 10
+
+_json_string = json.encoder.encode_basestring_ascii
 
 
 # ----------------------------------------------------------------------
@@ -163,44 +169,81 @@ def _emit_values(values: list[str], fmt: str) -> None:
         print(_align_table(["n", "value"], rows))
 
 
-def _sides(check: Check) -> tuple[str, str, bool]:
-    """Both sides of a check as decimal text, and whether they are equal.
+class _Decimals(dict):
+    """Decimal text of ints, each distinct value rendered once.
 
-    A passing check has one value, so it is rendered once for both sides.
+    One is made per rendered report: rows repeat values (prop9 at n has
+    (n+1)^2 product rows over 2n+1 distinct H entries, and conjecture 8's
+    ratio rows repeat h and h**).
     """
-    lhs = _decimal(check.lhs)
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = _decimal(value)
+        return text
+
+
+def _sides(check: Check, text: _Decimals) -> tuple[str, str, bool]:
+    """Both sides of a check as decimal text, and whether they are equal."""
+    lhs = text[check.lhs]
     if check.passed:
         return lhs, lhs, True
-    return lhs, _decimal(check.rhs), False
+    return lhs, text[check.rhs], False
 
 
-def _report_dict(report: ConjectureReport) -> dict:
-    """JSON-ready form; integers render as decimal strings, never floats."""
-    params = report.params
-    checks = []
+# JSON is written here as ``json.dumps(..., indent=2)`` writes it, byte for
+# byte: with an indent, CPython skips its C encoder for a generator-based
+# Python one that took a third of a sweep's time.  Every value is a string
+# (escaped by json's own C routine), a decimal in quotes, true, false or null.
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON array of rendered items whose opening bracket sits at indent pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _json_object(fields: dict[str, str], pad: str) -> str:
+    """A JSON object of rendered values under plain ASCII keys, opened at indent pad."""
+    inner = "\n" + pad + "  "
+    body = ("," + inner).join(f'"{key}": {value}' for key, value in fields.items())
+    return "{" + inner + body + "\n" + pad + "}"
+
+
+def _report_json(report: ConjectureReport, pad: str) -> str:
+    """The report as JSON opened at indent pad; integers are decimal strings."""
+    text = _Decimals()
+    lead = "\n" + pad + "      "  # a row's fields: report, checks list, row
+    sep = "," + lead
+    close = "\n" + pad + "    }"
+    rows = []
     for c in report.checks:
-        lhs, rhs, passed = _sides(c)
-        checks.append(
-            {"n": str(c.index), "claim": c.claim, "lhs": lhs, "rhs": rhs, "pass": passed}
+        lhs, rhs, passed = _sides(c, text)
+        rows.append(
+            f'{{{lead}"n": "{c.index}"{sep}"claim": {_json_string(c.claim)}{sep}"lhs": "{lhs}"'
+            f'{sep}"rhs": "{rhs}"{sep}"pass": {"true" if passed else "false"}{close}'
         )
-    return {
-        "conjecture": report.conjecture_id,
-        "alpha": None if params is None else _decimal(params.alpha),
-        "beta": None if params is None else _decimal(params.beta),
-        "depth": str(report.depth),
-        "checks": checks,
-        "all_pass": report.all_pass,
-        "notes": list(report.notes),
-    }
+    params = report.params
+    return _json_object({
+        "conjecture": _json_string(report.conjecture_id),
+        "alpha": "null" if params is None else f'"{_decimal(params.alpha)}"',
+        "beta": "null" if params is None else f'"{_decimal(params.beta)}"',
+        "depth": f'"{report.depth}"',
+        "checks": _json_list(rows, pad + "  "),
+        "all_pass": "true" if report.all_pass else "false",
+        "notes": _json_list([_json_string(note) for note in report.notes], pad + "  "),
+    }, pad)
 
 
 def _report_csv(report: ConjectureReport) -> str:
     params = report.params
     alpha = "" if params is None else _decimal(params.alpha)
     beta = "" if params is None else _decimal(params.beta)
+    text = _Decimals()
     rows = []
     for c in report.checks:
-        lhs, rhs, passed = _sides(c)
+        lhs, rhs, passed = _sides(c, text)
         rows.append([
             report.conjecture_id, alpha, beta, str(report.depth), str(c.index), c.claim,
             lhs, rhs, "true" if passed else "false",
@@ -212,7 +255,7 @@ def _report_csv(report: ConjectureReport) -> str:
 def render_report(report: ConjectureReport, fmt: str) -> str:
     """Render a verification report in the requested format."""
     if fmt == "json":
-        return json.dumps(_report_dict(report), indent=2)
+        return _report_json(report, "")
     if fmt == "csv":
         return _report_csv(report)
     params = report.params
@@ -223,9 +266,10 @@ def render_report(report: ConjectureReport, fmt: str) -> str:
     lines = [heading]
     for note in report.notes:
         lines.append(f"note: {note}")
+    text = _Decimals()
     rows = []
     for c in report.checks:
-        lhs, rhs, passed = _sides(c)
+        lhs, rhs, passed = _sides(c, text)
         rows.append([str(c.index), c.claim, lhs, rhs, "ok" if passed else "FAIL"])
     lines.append(_align_table(["n", "claim", "lhs", "rhs", "status"], rows))
     passed = sum(1 for c in report.checks if c.passed)
@@ -234,26 +278,32 @@ def render_report(report: ConjectureReport, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _sweep_dict(result: SweepResult, include_reports: bool) -> dict:
-    payload = {
-        "conjecture": result.conjecture_id,
-        "depth": str(result.depth),
-        "grid_points": str(len(result.grid)),
-        "checked": str(len(result.reports)),
-        "skipped": [
-            {"alpha": _decimal(p.alpha), "beta": _decimal(p.beta)} for p in result.skipped
-        ],
-        "counterexamples": [_report_dict(r) for r in result.counterexamples],
-        "all_pass": not result.counterexamples,
+def _sweep_json(result: SweepResult, full: bool) -> str:
+    """The sweep as JSON; with full, every report, not just the counterexamples."""
+    pad = "    "  # a report or skipped point is an item of a list under the sweep
+    skipped = [
+        _json_object({"alpha": f'"{_decimal(p.alpha)}"', "beta": f'"{_decimal(p.beta)}"'}, pad)
+        for p in result.skipped
+    ]
+    fields = {
+        "conjecture": _json_string(result.conjecture_id),
+        "depth": f'"{result.depth}"',
+        "grid_points": f'"{len(result.grid)}"',
+        "checked": f'"{len(result.reports)}"',
+        "skipped": _json_list(skipped, "  "),
+        "counterexamples": _json_list(
+            [_report_json(r, pad) for r in result.counterexamples], "  "
+        ),
+        "all_pass": "false" if result.counterexamples else "true",
     }
-    if include_reports:
-        payload["reports"] = [_report_dict(r) for r in result.reports]
-    return payload
+    if full:
+        fields["reports"] = _json_list([_report_json(r, pad) for r in result.reports], "  ")
+    return _json_object(fields, "")
 
 
 def _render_sweep(result: SweepResult, fmt: str, full: bool) -> str:
     if fmt == "json":
-        return json.dumps(_sweep_dict(result, full), indent=2)
+        return _sweep_json(result, full)
     if fmt == "csv":
         evaluated = {
             (r.params.alpha, r.params.beta): "pass" if r.all_pass else "fail"
@@ -525,6 +575,8 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise  # the reader closed stdout: not a fault of the program, see main
     except Exception:
         traceback.print_exc()
         print("error: internal error (see the traceback above)", file=sys.stderr)
@@ -532,7 +584,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head``).  What is still buffered goes
+        # to the null device, so the interpreter's final flush does not raise
+        # again; 141 = 128 + SIGPIPE, what a shell reports for that death.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

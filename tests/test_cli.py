@@ -3,19 +3,26 @@
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hankelrev import (
     Check,
     ConjectureReport,
+    FAMILY_A,
+    FAMILY_B,
     FAMILY_C,
     FamilyParams,
     SweepResult,
+    prop9_verify,
     sweep,
     verify_anchors,
     verify_conjecture4,
@@ -25,6 +32,8 @@ from hankelrev import cli, conjectures, series
 from hankelrev.cli import render_report, run
 from hankelrev.conjectures import CLAIM_C8_H, CLAIM_C8_HSS, CLAIM_C8_HSTAR
 from hankelrev.series import _decimal
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 WORKED_TABLE = (
     "n,h,h_star,h_star_star\n"
@@ -418,6 +427,39 @@ class TestInternalErrors:
         assert err.rstrip().endswith("error: internal error (see the traceback above)")
 
 
+class TestClosedStdout:
+    def test_run_lets_a_broken_pipe_through(self, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            run(["expand", "--gf", "1/(1-x)", "--order", "3"])
+
+    def test_reader_that_stops_early_gets_exit_141_and_no_stderr(self):
+        # 20001 rows are far more than a pipe buffer holds, so the writer is
+        # still writing when the reader closes its end
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = ["expand", "--gf", "1/(1-x)", "--order", "20000"]
+        process = subprocess.Popen(
+            [sys.executable, "-c", "from hankelrev.cli import main; main()", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            first = process.stdout.readline()
+            process.stdout.close()
+            err = process.stderr.read()
+            code = process.wait(timeout=60)
+        finally:
+            process.kill()
+        assert (code, err) == (141, b"")
+        assert first == b"n      value\n"
+
+
 class TestSweep:
     def test_csv(self, capsys):
         code, out, _ = invoke(
@@ -494,9 +536,91 @@ class TestSweep:
         assert "error: empty range '2:1'" in err
 
 
+def report_payload(report):
+    """What a report's JSON must parse to: every integer as its decimal text."""
+    params = report.params
+    return {
+        "conjecture": report.conjecture_id,
+        "alpha": None if params is None else _decimal(params.alpha),
+        "beta": None if params is None else _decimal(params.beta),
+        "depth": str(report.depth),
+        "checks": [
+            {
+                "n": str(c.index),
+                "claim": c.claim,
+                "lhs": _decimal(c.lhs),
+                "rhs": _decimal(c.rhs),
+                "pass": c.lhs == c.rhs,
+            }
+            for c in report.checks
+        ],
+        "all_pass": all(c.lhs == c.rhs for c in report.checks),
+        "notes": list(report.notes),
+    }
+
+
+def sweep_payload(result, full):
+    """What a sweep's JSON must parse to."""
+    payload = {
+        "conjecture": result.conjecture_id,
+        "depth": str(result.depth),
+        "grid_points": str(len(result.grid)),
+        "checked": str(len(result.reports)),
+        "skipped": [{"alpha": _decimal(p.alpha), "beta": _decimal(p.beta)} for p in result.skipped],
+        "counterexamples": [report_payload(r) for r in result.counterexamples],
+        "all_pass": not result.counterexamples,
+    }
+    if full:
+        payload["reports"] = [report_payload(r) for r in result.reports]
+    return payload
+
+
+# text with JSON's escapes (quotes, backslashes, control characters) and
+# non-ASCII characters, which are written as \u escapes
+_TEXT = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600') | st.characters(),
+    max_size=8,
+)
+# small values, and values past CPython's 4300-digit int->str limit
+_VALUES = st.one_of(
+    st.integers(),
+    st.builds(
+        lambda sign, digits, low: sign * (10**digits + low),
+        st.sampled_from([1, -1]), st.integers(4300, 4400), st.integers(0, 10**30),
+    ),
+)
+_PARAMS = st.builds(FamilyParams, _VALUES, _VALUES, st.sampled_from([FAMILY_A, FAMILY_B, FAMILY_C]))
+
+
+@st.composite
+def _checks(draw):
+    lhs = draw(_VALUES)
+    rhs = draw(st.one_of(st.just(lhs), _VALUES))
+    return Check(draw(st.integers(0, 10**6)), draw(_TEXT), lhs, rhs)
+
+
+_REPORTS = st.builds(
+    ConjectureReport,
+    _TEXT,
+    st.none() | _PARAMS,
+    st.integers(0, 10**6),
+    st.lists(_checks(), max_size=4).map(tuple),
+    st.lists(_TEXT, max_size=3).map(tuple),
+)
+
+
+@st.composite
+def _sweeps(draw):
+    reports = tuple(draw(st.lists(_REPORTS, max_size=3)))
+    skipped = tuple(draw(st.lists(_PARAMS, max_size=3)))
+    grid = skipped + tuple(r.params for r in reports if r.params is not None)
+    counterexamples = tuple(r for r in reports if not r.all_pass)
+    return SweepResult(draw(_TEXT), draw(st.integers(0, 10**6)), grid, reports, counterexamples, skipped)
+
+
 class TestSerialization:
-    def test_report_dict_uses_decimal_strings(self):
-        payload = cli._report_dict(verify_conjecture4(-3, -5, 2))
+    def test_report_json_uses_decimal_strings(self):
+        payload = json.loads(render_report(verify_conjecture4(-3, -5, 2), "json"))
         assert payload["conjecture"] == "4"
         assert payload["alpha"] == "-3"
         assert payload["beta"] == "-5"
@@ -509,10 +633,12 @@ class TestSerialization:
 
     def test_report_json_roundtrips(self):
         report = verify_conjecture8(2, 2)
-        assert json.loads(render_report(report, "json")) == cli._report_dict(report)
+        text = render_report(report, "json")
+        assert json.loads(text) == report_payload(report)
+        assert text == json.dumps(report_payload(report), indent=2)
 
     def test_anchor_report_has_null_parameters(self):
-        payload = cli._report_dict(verify_anchors(2))
+        payload = json.loads(render_report(verify_anchors(2), "json"))
         assert payload["alpha"] is None
         assert payload["beta"] is None
 
@@ -526,12 +652,12 @@ class TestSerialization:
     def test_failing_check_serializes_false(self):
         bad = Check(1, "demo", 5, 7)
         report = ConjectureReport("8", FamilyParams(1, 0, FAMILY_C), 1, (bad,))
-        assert cli._report_dict(report)["checks"][0]["pass"] is False
+        assert json.loads(render_report(report, "json"))["checks"][0]["pass"] is False
         assert render_report(report, "csv").splitlines()[1].endswith(",false")
 
-    def test_sweep_dict_counts(self):
+    def test_sweep_json_counts(self):
         result = sweep("4", (-1, 1), (-1, 1), 2)
-        payload = cli._sweep_dict(result, include_reports=False)
+        payload = json.loads(cli._render_sweep(result, "json", full=False))
         assert payload["grid_points"] == "9"
         assert payload["checked"] == "6"
         assert payload["skipped"] == [
@@ -541,9 +667,21 @@ class TestSerialization:
         ]
         assert payload["all_pass"] is True
         assert "reports" not in payload
-        with_reports = cli._sweep_dict(result, include_reports=True)
-        assert len(with_reports["reports"]) == 6
-        assert json.loads(cli._render_sweep(result, "json", full=False)) == payload
+        with_reports = json.loads(cli._render_sweep(result, "json", full=True))
+        assert len(with_reports.pop("reports")) == 6
+        assert with_reports == payload
+
+    @given(_REPORTS)
+    def test_report_json_is_indented_json_of_its_values(self, report):
+        text = render_report(report, "json")
+        assert text == json.dumps(json.loads(text), indent=2)
+        assert json.loads(text) == report_payload(report)
+
+    @given(_sweeps(), st.booleans())
+    def test_sweep_json_is_indented_json_of_its_values(self, result, full):
+        text = cli._render_sweep(result, "json", full)
+        assert text == json.dumps(json.loads(text), indent=2)
+        assert json.loads(text) == sweep_payload(result, full)
 
 
 @pytest.fixture
@@ -574,17 +712,22 @@ class TestLazyRendering:
         assert rendered == coordinates
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-    def test_verify_renders_each_passing_value_once(self, capsys, rendered, fmt):
-        checks = verify_conjecture8(2, 3).checks
+    @pytest.mark.parametrize(
+        "command, report",
+        [
+            ("verify --conjecture 8 --alpha 2 --depth 3", lambda: verify_conjecture8(2, 3)),
+            ("prop9 --alpha 2 --n 3", lambda: prop9_verify(2, 3)),
+        ],
+    )
+    def test_report_renders_each_distinct_value_once(self, capsys, rendered, fmt, command, report):
+        checks = report().checks
         rendered.clear()
-        code, _, _ = invoke(
-            capsys, "verify", "--conjecture", "8", "--alpha", "2", "--depth", "3",
-            "--format", fmt,
-        )
+        code, _, _ = invoke(capsys, *command.split(), "--format", fmt)
         assert code == 0
-        # alpha, beta, then one value per row
-        assert len(rendered) == 2 + len(checks)
-        assert Counter(rendered) == Counter([2, 0] + [c.lhs for c in checks])
+        # alpha, beta, then each distinct value of the rows once
+        values = {c.lhs for c in checks}
+        assert len(values) < len(checks)
+        assert Counter(rendered) == Counter([2, 0, *values])
 
 
 class TestProp9:

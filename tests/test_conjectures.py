@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -332,7 +333,7 @@ class TestSweep:
         monkeypatch.setattr(conjectures, "verify_conjecture8", failing)
         result = sweep("8", (1, 2), depth=2)
         assert len(result.counterexamples) == 2
-        assert not cli._sweep_dict(result, include_reports=False)["all_pass"]
+        assert not json.loads(cli._render_sweep(result, "json", full=False))["all_pass"]
 
 
 class TestReportValues:
