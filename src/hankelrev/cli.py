@@ -13,6 +13,11 @@ reports and sweeps arrive holding ints, and each value is rendered with
 prints no passing row).  Within one report each distinct value is
 rendered once.  Report and sweep JSON is written straight from the check
 rows, byte for byte as ``json.dumps(..., indent=2)`` would print it.
+
+Each job has one handler: ``prop9`` is ``verify --conjecture prop9`` under
+its own name, with ``--n`` for the depth, and one check refuses a command
+that does not give exactly one of the sources (--seq, --gf, --family) its
+subcommand takes.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from hankelrev.conjectures import (
     Check,
     ConjectureReport,
     SweepResult,
-    prop9_verify,
     sweep,
 )
 from hankelrev.families import FamilyParams, family_base_ogf, family_reversion_terms
@@ -113,14 +117,21 @@ def _family_params(args: argparse.Namespace) -> FamilyParams:
     return FamilyParams(args.alpha, args.beta if args.beta is not None else 0, args.family)
 
 
+def _require_one_source(args: argparse.Namespace) -> None:
+    """Refuse unless exactly one of the sources the subcommand has is given:
+    --seq, --gf and --family, or --gf and --family."""
+    sources = [name for name in ("seq", "gf", "family") if hasattr(args, name)]
+    if sum(bool(getattr(args, name)) for name in sources) != 1:
+        raise ValueError("provide exactly one of " + ", ".join(f"--{n}" for n in sources))
+
+
 def _sequence_from_args(args: argparse.Namespace, extra: int) -> tuple[list[int], int]:
     """The terms of --seq, --gf or --family and the depth to take them to.
 
     A pass at depth d reads 2*d + extra terms.  Without --depth, --seq goes
     as deep as its terms allow and the other two sources to DEFAULT_DEPTH.
     """
-    if [bool(args.seq), bool(args.gf), bool(args.family)].count(True) != 1:
-        raise ValueError("provide exactly one of --seq, --gf, --family")
+    _require_one_source(args)
     terms = _parse_sequence(args.seq) if args.seq else None
     depth = args.depth
     if depth is None:
@@ -268,12 +279,13 @@ def render_report(report: ConjectureReport, fmt: str) -> str:
         lines.append(f"note: {note}")
     text = _Decimals()
     rows = []
+    passed = 0
     for c in report.checks:
-        lhs, rhs, passed = _sides(c, text)
-        rows.append([str(c.index), c.claim, lhs, rhs, "ok" if passed else "FAIL"])
+        lhs, rhs, ok = _sides(c, text)
+        passed += ok
+        rows.append([str(c.index), c.claim, lhs, rhs, "ok" if ok else "FAIL"])
     lines.append(_align_table(["n", "claim", "lhs", "rhs", "status"], rows))
-    passed = sum(1 for c in report.checks if c.passed)
-    verdict = "all checks passed" if report.all_pass else "CHECKS FAILED"
+    verdict = "all checks passed" if passed == len(report.checks) else "CHECKS FAILED"
     lines.append(f"{verdict} ({passed}/{len(report.checks)})")
     return "\n".join(lines)
 
@@ -337,8 +349,7 @@ def _render_sweep(result: SweepResult, fmt: str, full: bool) -> str:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    if bool(args.gf) == bool(args.family):
-        raise ValueError("provide exactly one of --gf, --family")
+    _require_one_source(args)
     if args.gf:
         series = expand_gf(args.gf, args.order)
     else:
@@ -348,8 +359,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_revert(args: argparse.Namespace) -> int:
-    if bool(args.gf) == bool(args.family):
-        raise ValueError("provide exactly one of --gf, --family")
+    _require_one_source(args)
     if args.gf:
         values = expand_gf(args.gf, args.order).revert().coefficient_strings()
     else:
@@ -411,12 +421,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if not result.counterexamples else 1
 
 
-def _cmd_prop9(args: argparse.Namespace) -> int:
-    report = prop9_verify(args.alpha, args.n)
-    print(render_report(report, args.format))
-    return 0 if report.all_pass else 1
-
-
 def _cmd_oeis(args: argparse.Namespace) -> int:
     from hankelrev import oeis
 
@@ -467,37 +471,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", help="expand a generating function to a series")
-    p.add_argument("--gf", help="generating-function expression")
-    _add_family_options(p)
-    p.add_argument("--order", type=int, required=True, help="truncation order")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_expand)
+    for name, summary, handler in (
+        ("expand", "expand a generating function to a series", _cmd_expand),
+        ("revert", "compositional inverse of a series", _cmd_revert),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--gf", help="generating-function expression")
+        _add_family_options(p)
+        p.add_argument("--order", type=int, required=True, help="truncation order")
+        _add_format(p)
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("revert", help="compositional inverse of a series")
-    p.add_argument("--gf", help="generating-function expression")
-    _add_family_options(p)
-    p.add_argument("--order", type=int, required=True, help="truncation order")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_revert)
-
-    p = sub.add_parser("hankel", help="Hankel transform of a sequence")
-    p.add_argument("--seq", help="comma-separated integers, or - for stdin")
-    p.add_argument("--gf", help="derive the sequence from an expression")
-    _add_family_options(p)
-    p.add_argument("--depth", type=int, help="transform depth (default: deepest available)")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_hankel)
-
-    p = sub.add_parser(
-        "triple", help="Hankel transforms of a sequence and its two shifts"
-    )
-    p.add_argument("--seq", help="comma-separated integers, or - for stdin")
-    p.add_argument("--gf", help="derive the sequence from an expression")
-    _add_family_options(p)
-    p.add_argument("--depth", type=int, help="transform depth (default: deepest available)")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_triple)
+    for name, summary, handler in (
+        ("hankel", "Hankel transform of a sequence", _cmd_hankel),
+        ("triple", "Hankel transforms of a sequence and its two shifts", _cmd_triple),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--seq", help="comma-separated integers, or - for stdin")
+        p.add_argument("--gf", help="derive the sequence from an expression")
+        _add_family_options(p)
+        p.add_argument("--depth", type=int, help="transform depth (default: deepest available)")
+        _add_format(p)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("binomial", help="binomial transform of a sequence")
     p.add_argument("--seq", required=True, help="comma-separated integers, or - for stdin")
@@ -541,9 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prop9", help="verify the scaled-Catalan factorization H = T*T^t")
     p.add_argument("--alpha", type=_parse_int, required=True, help="scale parameter")
-    p.add_argument("--n", type=int, default=DEFAULT_DEPTH, help="matrix index")
+    p.add_argument(
+        "--n", type=int, default=DEFAULT_DEPTH, dest="depth", metavar="N", help="matrix index"
+    )
     _add_format(p)
-    p.set_defaults(handler=_cmd_prop9)
+    # verify under its own name: no --beta, and --n for the depth
+    p.set_defaults(handler=_cmd_verify, conjecture="prop9", beta=None, order=None)
 
     p = sub.add_parser("oeis", help="identify a sequence prefix")
     p.add_argument("--seq", required=True, help="comma-separated integers, or - for stdin")

@@ -33,11 +33,16 @@ The built-in catalog:
            fixed regression bed.
 
 ``CONJECTURES`` holds the catalog as one table; the CLI, :func:`sweep` and
-the scripts read what each set needs from it.
+the scripts read what each set needs from it.  A row's ``family`` and
+``nonzero`` (the parameters that must not be 0) are the set's side
+conditions: the verifiers build their :class:`FamilyParams` and raise on
+a zero parameter from them, and a sweep skips the points that
+``admissible`` derives from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -51,7 +56,14 @@ from hankelrev.families import (
     family_base_terms,
     family_reversion_terms,
 )
-from hankelrev.hankel import binomial_transform, det_exact, hankel_transform, hankel_triple
+from hankelrev.hankel import (
+    HankelTriple,
+    binomial_transform,
+    det_exact,
+    hankel_matrix,
+    hankel_transform,
+    hankel_triple,
+)
 
 # claim labels are stable strings: reports are regression artifacts and
 # downstream tooling matches on them
@@ -101,8 +113,9 @@ class ConjectureReport:
     checks: tuple[Check, ...]
     notes: tuple[str, ...] = ()
 
-    @property
+    @functools.cached_property
     def all_pass(self) -> bool:
+        """Whether every check passed, worked out on the first read only."""
         return all(c.passed for c in self.checks)
 
 
@@ -123,18 +136,32 @@ def _require_depth(depth: int) -> None:
         raise ValueError("depth must be at least 1")
 
 
+def _params(cid: str, alpha: int, beta: int = 0) -> FamilyParams:
+    """The point (alpha, beta) of set cid's family; refuses a point that
+    its row does not admit, naming alpha first if both are at fault."""
+    row = CONJECTURES[cid]
+    if not row.admissible(alpha, beta):
+        name = "alpha" if alpha == 0 and "alpha" in row.nonzero else "beta"
+        raise ValueError(f"{name} must be nonzero")
+    return FamilyParams(alpha, beta, row.family)
+
+
+def _reversion_triple(
+    cid: str, alpha: int, beta: int, depth: int
+) -> tuple[FamilyParams, HankelTriple]:
+    """The point of set cid and the depth-d Hankel triple of its family reversion."""
+    params = _params(cid, alpha, beta)
+    _require_depth(depth)
+    return params, hankel_triple(family_reversion_terms(params, 2 * depth + 3), depth)
+
+
 # ----------------------------------------------------------------------
 # conjecture verifiers
 
 
 def verify_conjecture4(alpha: int, beta: int, depth: int) -> ConjectureReport:
     """Check the family A reversion claims to the given depth."""
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
-    _require_depth(depth)
-    params = FamilyParams(alpha, beta, FAMILY_A)
-    u = family_reversion_terms(params, 2 * depth + 3)
-    t = hankel_triple(u, depth)
+    params, t = _reversion_triple("4", alpha, beta, depth)
     a = family_base_terms(params, depth + 2)
     checks = _rows(
         depth + 1,
@@ -150,14 +177,7 @@ def verify_conjecture4(alpha: int, beta: int, depth: int) -> ConjectureReport:
 
 def verify_conjecture6(alpha: int, beta: int, depth: int) -> ConjectureReport:
     """Check the family B reversion claims to the given depth."""
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
-    _require_depth(depth)
-    params = FamilyParams(alpha, beta, FAMILY_B)
-    u = family_reversion_terms(params, 2 * depth + 3)
-    t = hankel_triple(u, depth)
+    params, t = _reversion_triple("6", alpha, beta, depth)
     gap = alpha - beta
     checks = _rows(
         depth + 1,
@@ -173,12 +193,7 @@ def verify_conjecture6(alpha: int, beta: int, depth: int) -> ConjectureReport:
 
 def verify_conjecture8(alpha: int, depth: int) -> ConjectureReport:
     """Check the scaled-Catalan claims (family C) to the given depth."""
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    _require_depth(depth)
-    params = FamilyParams(alpha, 0, FAMILY_C)
-    u = family_reversion_terms(params, 2 * depth + 3)
-    t = hankel_triple(u, depth)
+    params, t = _reversion_triple("8", alpha, 0, depth)
     checks = _rows(
         depth + 1,
         # at n = 0 the monomial's exponent n^2 - 1 is negative, but the
@@ -204,11 +219,9 @@ def verify_alpha_shift(alpha: int, beta: int, order: int) -> ConjectureReport:
     as a corollary both sequences must share their Hankel transform,
     which is re-derived here to depth (order - 1) // 2.
     """
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
+    params = _params("alpha_shift", alpha, beta)
     if order < 1:
         raise ValueError("order must be at least 1")
-    params = FamilyParams(alpha, beta, FAMILY_A)
     here = family_reversion_terms(params, order + 2)[1:]
     shifted = family_reversion_terms(FamilyParams(alpha + 1, beta, FAMILY_A), order + 2)[1:]
     transformed = binomial_transform(here)
@@ -253,14 +266,9 @@ def prop9_verify(alpha: int, n: int) -> ConjectureReport:
     triangular determinant force the Hankel determinant) but each is
     still evaluated independently against det_exact.
     """
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    if n < 0:
-        raise ValueError("matrix index must be non-negative")
-    params = FamilyParams(alpha, 0, FAMILY_C)
-    sequence = family_reversion_terms(params, 2 * n + 2)[1:]
-    H = [[sequence[i + j] for j in range(n + 1)] for i in range(n + 1)]
-    T = prop9_T_matrix(alpha, n)
+    params = _params("prop9", alpha)
+    T = prop9_T_matrix(alpha, n)  # refuses a negative n
+    H = hankel_matrix(family_reversion_terms(params, 2 * n + 2)[1:], n)
     products = tuple(
         Check(
             i,
@@ -372,8 +380,8 @@ def verify_anchors(depth: int = 6) -> ConjectureReport:
 
 
 class Conjecture(NamedTuple):
-    """One identity set: its family, the parameters it needs, the points
-    its verifier accepts, and how to call that verifier.
+    """One identity set: its family, the parameters it needs, those of them
+    that must be nonzero, and how to call its verifier.
 
     ``verify(alpha, beta, depth, order)`` passes on the values the verifier
     takes and looks it up by module name at call time, so a patched module
@@ -383,22 +391,28 @@ class Conjecture(NamedTuple):
     id: str
     family: str | None
     parameters: tuple[str, ...]
-    admissible: Callable[[int, int], bool]
+    nonzero: tuple[str, ...]
     verify: Callable[[int, int, int, int], ConjectureReport]
+
+    def admissible(self, alpha: int, beta: int) -> bool:
+        """Whether the verifier accepts the point: no ``nonzero`` parameter is 0."""
+        return (alpha != 0 or "alpha" not in self.nonzero) and (
+            beta != 0 or "beta" not in self.nonzero
+        )
 
 
 CONJECTURES: dict[str, Conjecture] = {c.id: c for c in (
-    Conjecture("4", FAMILY_A, ("alpha", "beta"), lambda a, b: b != 0,
+    Conjecture("4", FAMILY_A, ("alpha", "beta"), ("beta",),
                lambda a, b, depth, order: verify_conjecture4(a, b, depth)),
-    Conjecture("6", FAMILY_B, ("alpha", "beta"), lambda a, b: a != 0 and b != 0,
+    Conjecture("6", FAMILY_B, ("alpha", "beta"), ("alpha", "beta"),
                lambda a, b, depth, order: verify_conjecture6(a, b, depth)),
-    Conjecture("8", FAMILY_C, ("alpha",), lambda a, b: a != 0,
+    Conjecture("8", FAMILY_C, ("alpha",), ("alpha",),
                lambda a, b, depth, order: verify_conjecture8(a, depth)),
-    Conjecture("prop9", FAMILY_C, ("alpha",), lambda a, b: a != 0,
+    Conjecture("prop9", FAMILY_C, ("alpha",), ("alpha",),
                lambda a, b, depth, order: prop9_verify(a, depth)),
-    Conjecture("alpha_shift", FAMILY_A, ("alpha", "beta"), lambda a, b: b != 0,
+    Conjecture("alpha_shift", FAMILY_A, ("alpha", "beta"), ("beta",),
                lambda a, b, depth, order: verify_alpha_shift(a, b, order)),
-    Conjecture("anchors", None, (), lambda a, b: True,
+    Conjecture("anchors", None, (), (),
                lambda a, b, depth, order: verify_anchors(depth)),
 )}
 

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from hankelrev.series import _decimal
+
 OEIS_SEARCH_URL = "https://oeis.org/search"
 CACHE_DIR_ENV = "HANKELREV_CACHE_DIR"
 MIN_QUERY_TERMS = 4
@@ -104,7 +106,8 @@ def cache_dir() -> Path:
 
 
 def query_key(terms: Sequence[int]) -> str:
-    return ",".join(str(int(t)) for t in terms)
+    """The terms as comma-separated exact decimals, at any magnitude."""
+    return ",".join(_decimal(int(t)) for t in terms)
 
 
 def _cache_path(key: str) -> Path:

@@ -9,7 +9,9 @@ so mixing orders raises instead.
 Products, division, square roots and reversion run on integer numerators
 over one common denominator (:func:`_common`, :func:`_conv`), so the inner
 loops multiply and add plain ints and each output coefficient is reduced
-once.
+once.  Square roots and reversion share one recurrence, J.C.P. Miller's
+for a power of a series (:func:`_power_coefficients`): sqrt takes the
+power 1/2 and reversion the powers +-m of Lagrange inversion.
 
 :func:`_decimal` and :func:`coefficient_string` are the one way a value
 becomes exact decimal text at any magnitude.  The other modules hand back
@@ -76,24 +78,33 @@ def _conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def _power_coefficient(terms: Sequence[tuple[int, int]], e: int, k: int) -> int:
-    """Y_k = B_0^k * [x^k] (B/B_0)^e, by Miller's recurrence (see
-    :meth:`PowerSeries.revert`), given ``terms`` = (j, B_j * B_0^(j-1))
-    for the nonzero B_j, j >= 1, in increasing j.  Each division is checked.
+def _power_terms(b: Sequence[int]) -> list[tuple[int, int]]:
+    """(j, B_j * B_0^(j-1)) for the nonzero B_j, j >= 1, of integer coefficients B."""
+    b0 = b[0]
+    return [(j, bj * b0 ** (j - 1)) for j, bj in enumerate(b[1:], start=1) if bj]
+
+
+def _power_coefficients(
+    terms: Sequence[tuple[int, int]], p: int, q: int, k: int
+) -> list[int]:
+    """Y_0..Y_k, for Y_i = B_0^i * [x^i] (B/B_0)^(p/q), by Miller's
+    recurrence (see :meth:`PowerSeries.revert`), given ``terms`` =
+    :func:`_power_terms` of B.  Each division is checked.
     """
-    e1 = e + 1
+    pq = p + q
     scaled = [1]  # Y_0, Y_1, ...
     for i in range(1, k + 1):
         acc = 0
+        qi = q * i
         for j, w in terms:
             if j > i:
                 break
-            acc += (e1 * j - i) * w * scaled[i - j]
-        y, r = divmod(acc, i)
+            acc += (pq * j - qi) * w * scaled[i - j]
+        y, r = divmod(acc, qi)
         if r:
             raise ArithmeticError("inexact division in the power recurrence")
         scaled.append(y)
-    return scaled[k]
+    return scaled
 
 
 @dataclass(frozen=True)
@@ -256,12 +267,7 @@ class PowerSeries:
             b, db = _common(other.coeffs)
             g = math.gcd(*b)
             b0 = b[0] // g
-            # (k, B_k * B_0^(k-1)) for the nonzero B_k, k >= 1
-            terms = [
-                (k, bk // g * b0 ** (k - 1))
-                for k, bk in enumerate(b[1:], start=1)
-                if bk
-            ]
+            terms = _power_terms([bk // g for bk in b])
             rs: list[int] = []  # R_0, R_1, ...
             out = []
             scale = da * g  # da * g * B_0^m, before the step for m
@@ -325,44 +331,27 @@ class PowerSeries:
     def sqrt(self) -> "PowerSeries":
         """Square root of a series with constant term exactly 1.
 
-        y = sqrt(f) solves the linear equation 2 f y' = f' y, whose
-        coefficient m - 1 reads
+        This is the power (B/B_0)^(1/2) of :meth:`revert`'s recurrence,
+        with B the integer numerators N of f = N/d (N_0 = d), and with
+        weight j scaled by 4^j.  Then Y_m = y_m * (4d)^m, and coefficient
+        m reads
 
-            2m * y_m = sum_{i=1..m, f_i != 0} (3i - 2m) * f_i * y_{m-i},
+            2m * Y_m = sum_{i=1..m, N_i != 0} (3i - 2m) * N_i * 4^i * d^(i-1) * Y_{m-i},
 
         so a polynomial f of degree k costs O(k) operations per coefficient.
-        With f = N/d (N_0 = d) the recurrence runs on integers
-        Y_m = y_m * (4d)^m:
-
-            2m * Y_m = sum (3i - 2m) * N_i * 4^i * d^(i-1) * Y_{m-i}.
-
         Y_m is an integer because binom(1/2, j) * 4^j = +-2 * Catalan(j-1)
         for j >= 1, so each division by 2m is exact, and checked.
         """
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires unit constant term")
         nums, d = _common(self.coeffs)
-        # (i, N_i * 4^i * d^(i-1)) for the nonzero N_i, i >= 1
-        terms = [
-            (i, ni * 4**i * d ** (i - 1))
-            for i, ni in enumerate(nums[1:], start=1)
-            if ni
-        ]
-        scaled = [1]  # Y_0
-        out = [Fraction(1)]
+        # B = 4N: B_0 = 4d and B_i * B_0^(i-1) = N_i * 4^i * d^(i-1)
+        terms = _power_terms([4 * ni for ni in nums])
+        out = []
         scale = 1  # (4d)^m
-        for m in range(1, self.order + 1):
-            acc = 0
-            for i, w in terms:
-                if i > m:
-                    break
-                acc += (3 * i - 2 * m) * w * scaled[m - i]
-            y, r = divmod(acc, 2 * m)
-            if r:
-                raise ArithmeticError("inexact division in the sqrt recurrence")
-            scaled.append(y)
-            scale *= 4 * d
+        for y in _power_coefficients(terms, 1, 2, self.order):
             out.append(Fraction(y, scale))
+            scale *= 4 * d
         return PowerSeries(tuple(out))
 
     def revert(self) -> "PowerSeries":
@@ -402,16 +391,13 @@ class PowerSeries:
         on_x_over_f = sum(map(bool, x_over_f.coeffs)) < sum(map(bool, f_over_x.coeffs))
         b, d = _common((x_over_f if on_x_over_f else f_over_x).coeffs)
         b0 = b[0]
-        # (j, B_j * B_0^(j-1)) for the nonzero B_j, j >= 1
-        terms = [
-            (j, bj * b0 ** (j - 1)) for j, bj in enumerate(b[1:], start=1) if bj
-        ]
+        terms = _power_terms(b)
         out = [Fraction(0)]
         for m in range(1, n + 1):
             if on_x_over_f:
-                y = _power_coefficient(terms, m, m - 1)
+                y = _power_coefficients(terms, m, 1, m - 1)[-1]
                 out.append(Fraction(b0 * y, d**m * m))
             else:
-                y = _power_coefficient(terms, -m, m - 1)
+                y = _power_coefficients(terms, -m, 1, m - 1)[-1]
                 out.append(Fraction(d**m * y, b0 ** (2 * m - 1) * m))
         return PowerSeries(tuple(out))

@@ -93,6 +93,21 @@ def test_report_matches_frozen_output(capsys, command):
     assert ((code, out), err) == (frozen_reports()[command], "")
 
 
+def test_help_matches_frozen_output(capsys, monkeypatch):
+    # tests/help.txt holds `hankelrev --help` and the help of each
+    # subcommand at 80 columns, each after a `$ hankelrev ARGS` line
+    monkeypatch.setenv("COLUMNS", "80")
+    blocks = []
+    for command in (
+        "", "expand", "revert", "hankel", "triple", "binomial", "verify", "sweep", "prop9", "oeis",
+    ):
+        argv = f"{command} --help".split()
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        blocks.append(f"$ hankelrev {' '.join(argv)}\n{out}")
+    assert "".join(blocks) == (Path(__file__).parent / "help.txt").read_text()
+
+
 class TestExpand:
     def test_gf_csv(self, capsys):
         code, out, _ = invoke(
@@ -793,6 +808,15 @@ class TestOeis:
             ["id", "matched_prefix_length", "name"],
             ["A000959", "4", quoted],
         ]
+
+    def test_term_past_the_digit_limit(self, capsys):
+        from hankelrev import oeis
+
+        # 5000 digits: past CPython's int->str limit, which the key must not hit
+        digits = "1" + "0" * 4998 + "1"
+        seq = f"{digits},1,2,5,14"
+        assert invoke(capsys, "oeis", "--seq", seq, "--offline") == (0, "no matches\n", "")
+        assert oeis.query_key([10**4999 + 1, 1, 2, 5, 14]) == seq
 
     def test_too_few_terms_exits_2(self, capsys):
         code, _, err = invoke(capsys, "oeis", "--seq", "1,2,3", "--offline")

@@ -344,3 +344,12 @@ class TestReportValues:
         assert not ConjectureReport("8", None, 1, (good, bad)).all_pass
         assert [f.name for f in dataclasses.fields(Check)] == ["index", "claim", "lhs", "rhs"]
         assert "all_pass" not in {f.name for f in dataclasses.fields(ConjectureReport)}
+
+    def test_all_pass_is_worked_out_once_and_leaves_equality_alone(self):
+        report = ConjectureReport("8", None, 1, (Check(0, "demo", 1, 2),))
+        twin = ConjectureReport("8", None, 1, (Check(0, "demo", 1, 2),))
+        assert not report.all_pass
+        # the cached value sits in the instance, outside the dataclass fields
+        assert vars(report)["all_pass"] is False
+        assert "all_pass" not in vars(twin)
+        assert report == twin and hash(report) == hash(twin) and repr(report) == repr(twin)

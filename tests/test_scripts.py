@@ -98,3 +98,43 @@ def test_bench_pairs_refuses_unpaired_runs(tmp_path):
     assert done.returncode == 2
     assert "deep_verify: seeds differ: parent [1], change [2]" in done.stderr
     assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_code_lines_counts_lines_with_a_code_token(tmp_path):
+    (tmp_path / "b.py").write_text(
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment line\n"
+        "import os  # code with a trailing comment\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Method\n'
+        '        docstring."""\n'
+        '        text = """a string\n'
+        '        over two lines"""\n'
+        '        "a bare string after the first statement"\n'
+        "        return (text,\n"
+        "                os.sep)\n"
+    )
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    done = run_script("code_lines.py", str(tmp_path))
+    assert (done.returncode, done.stderr) == (0, "")
+    # b.py: import, class, def, the two-line string, the bare string, the
+    # two-line return
+    assert done.stdout == "    1  a.py\n    8  b.py\n    9  total\n"
+
+
+def test_code_lines_defaults_to_the_package():
+    done = run_script("code_lines.py")
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    names = sorted(path.name for path in (ROOT / "src" / "hankelrev").glob("*.py"))
+    assert [line.split()[1] for line in lines] == names + ["total"]
+    counts = [int(line.split()[0]) for line in lines]
+    assert sum(counts[:-1]) == counts[-1] > 0

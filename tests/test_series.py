@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelrev import PowerSeries, coefficient_string
-from hankelrev.series import _common, _conv, _power_coefficient
+from hankelrev.series import _common, _conv, _power_coefficients
 from oracles import (
     family_reversion_term_ref,
     revert_ref,
@@ -502,18 +502,25 @@ class TestMillerRevert:
         assert all_fractions(reverted)
 
     @pytest.mark.parametrize("slope", [1, -1, 2, -7])
-    @pytest.mark.parametrize("e", [-9, -2, -1, 0, 1, 2, 9])
+    @pytest.mark.parametrize(
+        "e", [-9, -2, -1, 0, 1, 2, 9, pytest.param(Fraction(1, 2), id="1/2")]
+    )
     def test_power_coefficient_of_a_binomial(self, slope, e):
         # B = B_0 + slope x, any B_0: Y_k = B_0^k [x^k] (1 + slope x / B_0)^e
-        # = binom(e, k) slope^k, with binom(e, k) for either sign of e
-        for k in range(12):
-            binom = math.prod(range(e - k + 1, e + 1)) // math.factorial(k)
-            assert _power_coefficient([(1, slope)], e, k) == binom * slope**k
+        # = binom(e, k) slope^k, with binom(e, k) for either sign of e; for
+        # e = 1/2 the weight is taken times 4, and Y_k times 4^k
+        e = Fraction(e)
+        scale = 4 if e.denominator == 2 else 1
+        ys = _power_coefficients([(1, scale * slope)], e.numerator, e.denominator, 11)
+        assert len(ys) == 12
+        for k, y in enumerate(ys):
+            binom = Fraction(math.prod(e - i for i in range(k)), math.factorial(k))
+            assert y == scale**k * binom * slope**k
 
     def test_power_coefficient_refuses_uncleared_coefficients(self):
         # B = 1 + x/2 not cleared of its denominator: Y_1 = 1/2 for e = 1
         with pytest.raises(ArithmeticError, match="inexact division in the power recurrence"):
-            _power_coefficient([(1, Fraction(1, 2))], 1, 1)
+            _power_coefficients([(1, Fraction(1, 2))], 1, 1, 1)
 
 
 class TestShapeOperations:
