@@ -12,7 +12,9 @@ reports and sweeps arrive holding ints, and each value is rendered with
 ``series._decimal`` only when it is printed (a sweep without ``--full``
 prints no passing row).  Within one report each distinct value is
 rendered once.  Report and sweep JSON is written straight from the check
-rows, byte for byte as ``json.dumps(..., indent=2)`` would print it.
+rows, byte for byte as ``json.dumps(..., indent=2)`` would print it, and a
+CSV line is its cells joined by commas, byte for byte as ``csv.writer``
+would write it.
 
 Each job has one handler: ``prop9`` is ``verify --conjecture prop9`` under
 its own name, with ``--n`` for the depth, and one check refuses a command
@@ -28,7 +30,6 @@ import functools
 import io
 import json
 import os
-import re
 import sys
 import traceback
 
@@ -48,7 +49,7 @@ from hankelrev.hankel import (
     hankel_triple,
     inverse_binomial_transform,
 )
-from hankelrev.series import _decimal
+from hankelrev.series import _decimal, _parse_int
 
 DEFAULT_DEPTH = 6
 DEFAULT_SHIFT_ORDER = 10
@@ -58,27 +59,6 @@ _json_string = json.encoder.encode_basestring_ascii
 
 # ----------------------------------------------------------------------
 # input plumbing
-
-
-def _parse_int(text: str) -> int:
-    """``int(text)`` for decimal text of any length.
-
-    CPython caps str->int conversion as it caps int->str.  Well-formed text
-    past the cap is split in two and each part converted on its own (the
-    inverse of ``series._decimal``), so the process-wide limit is never
-    touched.  Malformed text raises int()'s own error.
-    """
-    try:
-        return int(text)
-    except ValueError:
-        match = re.fullmatch(r"\s*([+-]?)(\d+(?:_\d+)*)\s*", text)
-        if match is None:
-            raise
-    sign, digits = match.groups()
-    digits = digits.replace("_", "")
-    high, low = digits[: len(digits) // 2], digits[len(digits) // 2 :]
-    value = _parse_int(high) * 10 ** len(low) + _parse_int(low)
-    return -value if sign == "-" else value
 
 
 # argparse names the type in its "invalid int value" message
@@ -162,12 +142,35 @@ def _align_table(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    """CSV lines, a cell quoted only where it needs it, without the last newline."""
+    """CSV lines, a cell quoted only where it needs it, without the last newline.
+
+    The text is ``csv.writer``'s, but a line is its cells joined by commas.
+    Only a cell with a comma, a quote, CR, LF or NUL, or the lone empty cell
+    of a one-cell row, goes through the writer, whose rules for CR and NUL
+    differ between Python versions.  Decimal cells never do.
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
+
+    def quoted(cells: list[str]) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(cells)
+        return buffer.getvalue()[:-1]
+
+    # five ``in`` scans of a cell run at memchr speed, four times faster
+    # than one regular-expression search on thousand-digit cells
+    lines = [
+        quoted(row) if row == [""]
+        else ",".join([
+            quoted([cell])
+            if "," in cell or '"' in cell or "\r" in cell or "\n" in cell or "\0" in cell
+            else cell
+            for cell in row
+        ])
+        for row in [header, *rows]
+    ]
+    return "\n".join(lines).rstrip("\n")
 
 
 def _emit_values(values: list[str], fmt: str) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from hankelrev.series import PowerSeries
+from hankelrev.series import PowerSeries, _decimal, _parse_int
 
 
 class GfParseError(ValueError):
@@ -196,14 +196,14 @@ class _Parser:
                     "exponent must be a non-negative integer literal", tok.offset
                 )
             self.advance()
-            node = Pow(node, int(tok.text))
+            node = Pow(node, _parse_int(tok.text))
         return node
 
     def parse_base(self) -> GfExpression:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            return Lit(int(tok.text))
+            return Lit(_parse_int(tok.text))
         if tok.kind == "IDENT" and tok.text == "x":
             self.advance()
             return Var()
@@ -247,13 +247,13 @@ def format_gf(expression: GfExpression) -> str:
 
 def _format(e: GfExpression, min_prec: int) -> str:
     if isinstance(e, Lit):
-        return str(e.value)
+        return _decimal(e.value)
     if isinstance(e, Var):
         return "x"
     if isinstance(e, Sqrt):
         return f"sqrt({_format(e.arg, 0)})"
     if isinstance(e, Pow):
-        text = f"{_format(e.base, _ATOM_PREC)}^{e.exponent}"
+        text = f"{_format(e.base, _ATOM_PREC)}^{_decimal(e.exponent)}"
         return f"({text})" if _POW_PREC < min_prec else text
     prec = _BINOP_PREC[e.op]
     # the right operand needs strictly higher precedence to survive

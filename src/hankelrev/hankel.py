@@ -15,7 +15,11 @@ Chebyshev algorithm's (Gautschi, *Orthogonal Polynomials: Computation
 and Approximation*, 2004), a recurrence on two rows of modified moments.
 The rows are kept as integers over one denominator with their content
 divided out, so on sequences with small J-fraction coefficients, such as
-those of the families, the entries stay small.
+those of the families, the entries stay small.  Each step's three
+multipliers are divided by their gcd before they touch a row.  Where the
+J-fraction coefficients a_k and b_k are integers, as in the families,
+that leaves the step r[i+2] - a_k r[i+1] - b_k p[i+2] on rows r and p
+over denominator 1, and the row's content is 1.
 
 One run on m = u[1:] gives all three transforms of :func:`hankel_triple`
 (Krattenthaler, *Advanced determinant calculus*, 1999, the section on
@@ -121,12 +125,20 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
     that is zero as far as ``terms`` reach makes every later minor zero.
 
     Where k = 0, a 1x1 block, Q = h p0 - c1 x with c1 = r[1] p0 - h p1,
-    and the step is the Chebyshev algorithm's,
+    and the step is the Chebyshev algorithm's.  Its three multipliers
+    (c0, c1, c2) = (h p0, c1, h^2) are first divided by their gcd g:
 
-        next[i] = h p0 r[i+2] - c1 r[i+1] - h^2 p[i+2]  over D h p0,
+        next[i] = (c0 r[i+2] - c1 r[i+1] - c2 p[i+2]) / g  over D c0 / g,
 
     with r[i] = D sigma_{j,j+i}, where sigma_{k,l} = L(pi_k x^l) for the
-    monic orthogonal polynomials pi_k of the moments ``terms``.
+    monic orthogonal polynomials pi_k of the moments ``terms``.  Here
+    c1 / c0 = a_j and c2 / c0 = b_j D / D_p, with D_p the denominator of
+    p.  So where every a_j and b_j is an integer, D stays 1, the reduced
+    multipliers are +-(1, a_j, b_j), the step is
+
+        next[i] = r[i+2] - a_j r[i+1] - b_j p[i+2]
+
+    up to the sign that the sign rule takes off, and the row gcd is 1.
 
     Each rider is a list [X_{-1}, X_0] that the run extends in place with
     the continuant X_{j+1} = a_j nu_j X_j - nu_j^2 X_{j-1} at every row,
@@ -135,10 +147,10 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
 
         X_{j+1} = (c1 D X_j - h^2 p0 X_{j-1}) / (p0 D^2),
 
-    exact for integer input and checked like the minors.  It reads r[1]
-    of the last row, so riders need ``2 * depth + 2`` terms.  The riders
-    stop at the first block of zero minors, short of ``depth + 3``
-    entries.
+    with its three weights divided by their gcd first.  It is exact for
+    integer input and checked like the minors.  It reads r[1] of the last
+    row, so riders need ``2 * depth + 2`` terms.  The riders stop at the
+    first block of zero minors, short of ``depth + 3`` entries.
     """
     row = [operator.index(t) for t in terms[: 2 * depth + (2 if riders else 1)]]
     prev = [1] + [0] * len(row)  # E_{-1}
@@ -156,15 +168,23 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
                 return minors
             p0 = prev[0]
             c0, c1, c2 = h * p0, row[1] * p0 - h * prev[1], h * h
-            for seq in riders:
-                step, remainder = divmod(
-                    c1 * denom * seq[-1] - c2 * p0 * seq[-2], p0 * denom * denom
-                )
-                if remainder:
+            if riders:
+                w1, w2, w3 = c1 * denom, c2 * p0, p0 * denom * denom
+                g = math.gcd(w1, w2, w3)
+                (w1, r1), (w2, r2), (w3, r3) = divmod(w1, g), divmod(w2, g), divmod(w3, g)
+                if r1 or r2 or r3:
                     raise ArithmeticError("inexact continuant division")
-                seq.append(step)
+                for seq in riders:
+                    step, remainder = divmod(w1 * seq[-1] - w2 * seq[-2], w3)
+                    if remainder:
+                        raise ArithmeticError("inexact continuant division")
+                    seq.append(step)
             if last:
                 return minors
+            g = math.gcd(c0, c1, c2)
+            (c0, r0), (c1, r1), (c2, r2) = divmod(c0, g), divmod(c1, g), divmod(c2, g)
+            if r0 or r1 or r2:
+                raise ArithmeticError("inexact Chebyshev division")
             nxt = [c0 * a - c1 * b - c2 * c for a, b, c in zip(row[2:], row[1:], prev[2:])]
             denom *= c0
         else:

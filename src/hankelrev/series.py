@@ -14,14 +14,17 @@ for a power of a series (:func:`_power_coefficients`): sqrt takes the
 power 1/2 and reversion the powers +-m of Lagrange inversion.
 
 :func:`_decimal` and :func:`coefficient_string` are the one way a value
-becomes exact decimal text at any magnitude.  The other modules hand back
-ints (or series), and :mod:`hankelrev.cli` renders them with these two
-when it prints.
+becomes exact decimal text at any magnitude, and :func:`_parse_int` the
+one way decimal text becomes an int.  The other modules hand back ints
+(or series), and :mod:`hankelrev.cli` renders them with the first two
+when it prints.  The command line and the gf parser read integers with
+the third.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -53,6 +56,27 @@ def _decimal(value: int) -> str:
     half = value.bit_length() * 3 // 20  # about half the decimal digits
     high, low = divmod(value, 10**half)
     return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _parse_int(text: str) -> int:
+    """``int(text)`` for decimal text of any length; inverts :func:`_decimal`.
+
+    CPython caps str->int conversion as it caps int->str.  Well-formed text
+    past the cap is split in two and each part converted on its own, so
+    the process-wide limit is never touched.  Malformed text raises int()'s
+    own error.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        match = re.fullmatch(r"\s*([+-]?)(\d+(?:_\d+)*)\s*", text)
+        if match is None:
+            raise
+    sign, digits = match.groups()
+    digits = digits.replace("_", "")
+    high, low = digits[: len(digits) // 2], digits[len(digits) // 2 :]
+    value = _parse_int(high) * 10 ** len(low) + _parse_int(low)
+    return -value if sign == "-" else value
 
 
 def _common(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:

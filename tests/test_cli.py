@@ -383,6 +383,13 @@ class TestOverLimitInput:
         assert (code, err) == (0, "")
         assert out.startswith("conjecture 8: depth=1 grid=1 checked=1 skipped=0")
 
+    def test_gf_literal(self, capsys):
+        literal = "1" + "0" * 4999
+        code, out, err = invoke(
+            capsys, "expand", "--gf", f"{literal}*x", "--order", "2", "--format", "csv",
+        )
+        assert (code, out, err) == (0, f"0,{literal},0\n", "")
+
     def test_range_bounds_in_csv(self, capsys):
         code, out, err = invoke(
             capsys, "sweep", "--conjecture", "8",
@@ -604,6 +611,7 @@ _VALUES = st.one_of(
         st.sampled_from([1, -1]), st.integers(4300, 4400), st.integers(0, 10**30),
     ),
 )
+_CSV_CELLS = st.text(st.sampled_from(',"\r\n\x00 1-') | st.characters(), max_size=6)
 _PARAMS = st.builds(FamilyParams, _VALUES, _VALUES, st.sampled_from([FAMILY_A, FAMILY_B, FAMILY_C]))
 
 
@@ -685,6 +693,22 @@ class TestSerialization:
         with_reports = json.loads(cli._render_sweep(result, "json", full=True))
         assert len(with_reports.pop("reports")) == 6
         assert with_reports == payload
+
+    @given(
+        st.lists(_CSV_CELLS, max_size=4),
+        st.lists(st.lists(_CSV_CELLS, max_size=4), max_size=4),
+    )
+    def test_csv_text_is_what_csv_writer_writes(self, header, rows):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        try:
+            writer.writerow(header)
+            writer.writerows(rows)
+        except csv.Error:  # Python 3.10 refuses a NUL without an escapechar
+            with pytest.raises(csv.Error):
+                cli._csv_text(header, rows)
+            return
+        assert cli._csv_text(header, rows) == buffer.getvalue().rstrip("\n")
 
     @given(_REPORTS)
     def test_report_json_is_indented_json_of_its_values(self, report):

@@ -1,5 +1,6 @@
 """Generating-function expression parsing, formatting, and expansion."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,28 @@ class TestRoundtrip:
     @given(gf_expressions())
     def test_parse_inverts_format(self, expression):
         assert parse_gf(format_gf(expression)) == expression
+
+    def test_literals_past_the_digit_limit(self):
+        # CPython converts at most 4300 digits between int and str by default
+        big = 10**5000 + 12345
+        expression = BinOp("*", Lit(big), Pow(BinOp("-", Lit(1), Var()), 10**4999))
+        text = format_gf(expression)
+        assert text == f"{'1' + '0' * 4995 + '12345'}*(1-x)^1{'0' * 4999}"
+        assert parse_gf(text) == expression
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit"
+    )
+    def test_literals_keep_a_lowered_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            text = "3" * 2000 + "*x"
+            assert parse_gf(text) == BinOp("*", Lit((10**2000 - 1) // 3), Var())
+            assert format_gf(parse_gf(text)) == text
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(before)
 
 
 class TestExpand:

@@ -421,6 +421,90 @@ class TestRidingContinuants:
         ]
 
 
+
+class TestHugeParameters:
+    """Closed forms at |alpha|, |beta| around 10^30 and 10^100, where the step
+    multipliers have thousands of bits before their gcd is divided out."""
+
+    @pytest.mark.parametrize("alpha", [10**100 + 1, -(10**100) + 7], ids=["1e100+1", "-1e100+7"])
+    def test_family_c_to_depth_24(self, monkeypatch, alpha):
+        depth = 24
+        terms = family_reversion_terms(FamilyParams(alpha, 0, FAMILY_C), 2 * depth + 3)
+        monkeypatch.setattr(hankel, "det_exact", no_det_exact)
+        runs = count_calls(monkeypatch, "_leading_minors")
+        triple = hankel_triple(terms, depth)
+        assert runs == [2 * depth + 2]
+        assert list(triple.h) == [
+            -n * alpha ** (n * n - 1) if n else 0 for n in range(depth + 1)
+        ]
+        assert list(triple.h_star) == [alpha ** (n * (n + 1)) for n in range(depth + 1)]
+        assert list(triple.h_star_star) == [alpha ** ((n + 1) ** 2) for n in range(depth + 1)]
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(10**30 + 7, -(10**30) + 3), (-(10**30) - 1, 10**30 + 9)],
+        ids=["1e30+7,-1e30+3", "-1e30-1,1e30+9"],
+    )
+    def test_family_a_conjecture_4_forms(self, monkeypatch, alpha, beta):
+        depth = 16
+        params = FamilyParams(alpha, beta, FAMILY_A)
+        terms = family_reversion_terms(params, 2 * depth + 3)
+        a = family_base_terms(params, depth + 3)
+        monkeypatch.setattr(hankel, "det_exact", no_det_exact)
+        triple = hankel_triple(terms, depth)
+        h_star = [beta ** math.comb(n + 1, 2) for n in range(depth + 1)]
+        assert list(triple.h_star) == h_star
+        assert list(triple.h) == [0] + [
+            (-1) ** (n + 1) * a[n + 1] * h_star[n] for n in range(depth)
+        ]
+        assert list(triple.h_star_star) == [
+            (-1) ** (n + 1) * a[n + 2] * h_star[n] for n in range(depth + 1)
+        ]
+        assert hankel_transform(terms[1:], depth) == h_star
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(10**30 + 7, -(10**30) - 11), (-(10**30) + 1, 3 * 10**29 + 2)],
+        ids=["1e30+7,-1e30-11", "-1e30+1,3e29+2"],
+    )
+    def test_family_b_conjecture_6_forms(self, monkeypatch, alpha, beta):
+        depth = 16
+        terms = family_reversion_terms(FamilyParams(alpha, beta, FAMILY_B), 2 * depth + 3)
+        monkeypatch.setattr(hankel, "det_exact", no_det_exact)
+        triple = hankel_triple(terms, depth)
+        gap = alpha - beta
+        h_star = [(alpha * gap) ** math.comb(n + 1, 2) for n in range(depth + 1)]
+        assert list(triple.h_star) == h_star
+        assert triple.h[0] == 0
+        assert [beta * triple.h[n + 1] for n in range(depth)] == [
+            (gap ** (n + 1) - alpha ** (n + 1)) * h_star[n] for n in range(depth)
+        ]
+        assert list(triple.h_star_star) == [gap ** (n + 1) * h_star[n] for n in range(depth + 1)]
+        assert hankel_transform(terms[1:], depth) == h_star
+
+    @given(
+        st.lists(st.integers(-(10**6), 10**6), min_size=3, max_size=17),
+        st.integers(-(10**12), 10**12),
+    )
+    def test_scaled_moments(self, terms, c):
+        # H_n of c^k s_k is D H_n(s) D with D = diag(1, c, ..., c^n); the
+        # shifted arms carry c or c^2 in every entry besides
+        scaled = [c**k * s for k, s in enumerate(terms)]
+        depth = (len(terms) - 1) // 2
+        assert hankel_transform(scaled, depth) == [
+            c ** (n * (n + 1)) * v for n, v in enumerate(hankel_transform(terms, depth))
+        ]
+        depth = (len(terms) - 3) // 2
+        triple, plain = hankel_triple(scaled, depth), hankel_triple(terms, depth)
+        for shift, (arm, base) in enumerate(zip(
+            (triple.h, triple.h_star, triple.h_star_star),
+            (plain.h, plain.h_star, plain.h_star_star),
+        )):
+            assert list(arm) == [
+                c ** (n * (n + 1) + shift * (n + 1)) * v for n, v in enumerate(base)
+            ]
+
+
 class TestBinomialTransform:
     def test_all_ones_gives_powers_of_two(self):
         assert binomial_transform([1] * 6) == [1, 2, 4, 8, 16, 32]
