@@ -250,11 +250,12 @@ def prop9_T_matrix(alpha: int, n: int) -> list[list[int]]:
         raise ValueError("matrix index must be non-negative")
     rows = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n + 1):
+        power = alpha**i
         for k in range(i + 1):
             entry, rem = divmod(math.comb(2 * i, i + k) * (2 * k + 1), i + k + 1)
             if rem:
                 raise ArithmeticError(f"T[{i}][{k}] is not an integer multiple of alpha^{i}")
-            rows[i][k] = entry * alpha**i
+            rows[i][k] = entry * power
     return rows
 
 

@@ -45,7 +45,10 @@ their own.
 
 :func:`det_exact`, Bareiss fraction-free elimination with row swaps, is
 not on the transform path.  It is prop9's independent determinant and
-the oracle that the tests compare the run against.
+the oracle that the tests compare the run against.  It first divides
+each row, then each column, by the gcd of its entries, so that Bareiss
+runs on small entries where rows and columns share large factors: prop9's
+H, with entries c_{i+j} alpha^{i+j}, reduces to Catalan-sized integers.
 """
 
 from __future__ import annotations
@@ -72,6 +75,15 @@ def hankel_matrix(terms: Sequence[int], n: int) -> list[list[int]]:
 def det_exact(matrix: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix, by Bareiss elimination.
 
+    Each row is first divided by the gcd of its entries, then each column
+    by the gcd of its entries, and the determinant is the product of those
+    gcds times that of the reduced matrix.  A zero gcd is a zero row or
+    column, so the determinant is zero.  Bareiss's intermediate entries are
+    minors of the matrix it runs on, so the content step keeps them small
+    where rows and columns share large factors: entry (i, j) of prop9's H
+    is c_{i+j} alpha^{i+j}, and the reduced matrix has Catalan-sized
+    entries whatever alpha is.
+
     Row swaps (with sign tracking) handle zero pivots; a pivot column that
     is zero from the pivot row down means the determinant is zero.
     """
@@ -79,6 +91,22 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and non-empty")
     m = [[operator.index(x) for x in row] for row in matrix]
+    content = 1
+    for i, row in enumerate(m):
+        g = math.gcd(*row)
+        if not g:
+            return 0
+        if g != 1:
+            m[i] = [x // g for x in row]
+            content *= g
+    for j in range(n):
+        g = math.gcd(*(row[j] for row in m))
+        if not g:
+            return 0
+        if g != 1:
+            for row in m:
+                row[j] //= g
+            content *= g
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -96,7 +124,7 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
                 m[i][j] = quotient
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * content * m[n - 1][n - 1]
 
 
 def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> list[int]:
@@ -126,7 +154,8 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
 
     Where k = 0, a 1x1 block, Q = h p0 - c1 x with c1 = r[1] p0 - h p1,
     and the step is the Chebyshev algorithm's.  Its three multipliers
-    (c0, c1, c2) = (h p0, c1, h^2) are first divided by their gcd g:
+    (c0, c1, c2) = (h p0, c1, h^2) are first divided by their gcd g,
+    taken with the sign of c0 so that D stays positive:
 
         next[i] = (c0 r[i+2] - c1 r[i+1] - c2 p[i+2]) / g  over D c0 / g,
 
@@ -134,11 +163,11 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
     monic orthogonal polynomials pi_k of the moments ``terms``.  Here
     c1 / c0 = a_j and c2 / c0 = b_j D / D_p, with D_p the denominator of
     p.  So where every a_j and b_j is an integer, D stays 1, the reduced
-    multipliers are +-(1, a_j, b_j), the step is
+    multipliers are (1, a_j, b_j), the step is
 
-        next[i] = r[i+2] - a_j r[i+1] - b_j p[i+2]
+        next[i] = r[i+2] - a_j r[i+1] - b_j p[i+2],
 
-    up to the sign that the sign rule takes off, and the row gcd is 1.
+    and the row gcd is 1, so the row is not rebuilt.
 
     Each rider is a list [X_{-1}, X_0] that the run extends in place with
     the continuant X_{j+1} = a_j nu_j X_j - nu_j^2 X_{j-1} at every row,
@@ -182,6 +211,8 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
             if last:
                 return minors
             g = math.gcd(c0, c1, c2)
+            if c0 < 0:
+                g = -g
             (c0, r0), (c1, r1), (c2, r2) = divmod(c0, g), divmod(c1, g), divmod(c2, g)
             if r0 or r1 or r2:
                 raise ArithmeticError("inexact Chebyshev division")

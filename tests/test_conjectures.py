@@ -217,6 +217,13 @@ class TestProp9:
         assert CLAIM_P9_DET in claims
         assert CLAIM_P9_DET_T in claims
 
+    def test_huge_alpha(self):
+        alpha = 10**100 + 7
+        report = prop9_verify(alpha, 12)
+        assert report.all_pass
+        (det_h,) = [c for c in report.checks if c.claim == CLAIM_P9_DET]
+        assert det_h.lhs == alpha**156
+
     def test_preconditions(self):
         with pytest.raises(ValueError, match="alpha must be nonzero"):
             prop9_verify(0, 3)

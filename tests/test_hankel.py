@@ -103,6 +103,41 @@ class TestDeterminant:
         swapped[i], swapped[j] = swapped[j], swapped[i]
         assert det_exact(swapped) == -det_exact(m)
 
+    @given(square_matrices(), st.data())
+    def test_row_and_column_content(self, m, data):
+        # diag(r) * M * diag(c): the content step divides most of r and c
+        # back out before Bareiss runs
+        factors = st.lists(
+            st.one_of(st.integers(-9, 9), st.integers(-(10**40), 10**40)).filter(bool),
+            min_size=len(m),
+            max_size=len(m),
+        )
+        r, c = data.draw(factors), data.draw(factors)
+        scaled = [[r[i] * x * c[j] for j, x in enumerate(row)] for i, row in enumerate(m)]
+        assert det_exact(scaled) == det_gauss(scaled)
+
+    def test_zero_row(self):
+        assert det_exact([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0
+
+    def test_zero_column_after_the_rows_are_divided(self):
+        # every row is nonzero, with contents 6, 10 and 15, so only the
+        # column pass finds the zero column
+        assert det_exact([[0, 6, 12], [0, 10, -20], [0, 15, 45]]) == 0
+
+    def test_negative_1x1(self):
+        assert det_exact([[-6]]) == -6
+        assert det_exact([[-1]]) == -1
+        assert det_exact([[-(10**50)]]) == -(10**50)
+
+    def test_content_one_divides_nothing(self):
+        # every row and column gcd is 1; the second needs a row swap
+        assert det_exact([[2, 3], [3, 5]]) == 1
+        assert det_exact([[0, 2, 3], [3, 5, 1], [2, 0, 5]]) == -56
+
+    def test_content_with_row_swap(self):
+        # rows [0, 4] and [6, 0] reduce to a permutation matrix
+        assert det_exact([[0, 4], [6, 0]]) == -24
+
     def test_large_hankel_stays_exact(self):
         terms = [math.comb(2 * n, n) for n in range(17)]
         assert det_exact(hankel_matrix(terms, 8)) == 2 ** 8
