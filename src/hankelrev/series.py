@@ -9,9 +9,24 @@ so mixing orders raises instead.
 Products, division, square roots and reversion run on integer numerators
 over one common denominator (:func:`_common`, :func:`_conv`), so the inner
 loops multiply and add plain ints and each output coefficient is reduced
-once.  Square roots and reversion share one recurrence, J.C.P. Miller's
-for a power of a series (:func:`_power_coefficients`): sqrt takes the
-power 1/2 and reversion the powers +-m of Lagrange inversion.
+once.  Square roots and reversion share one recurrence for a power
+Y = (P/P_0)^e * (Q/Q_0)^(-e) of a ratio of integer series
+(:func:`_power_coefficients`).  With R = PQ and S = P'Q - PQ', Y solves
+R * Y' = e * S * Y, so Z_k = R_0^k * Y_k obeys
+
+    k * Z_k = sum_{i>=1} (e * S_(i-1) + i * R_i - k * R_i) * R_0^(i-1) * Z_(k-i),
+
+with one term per nonzero R_i or S_(i-1).  At Q = 1 this is J.C.P.
+Miller's recurrence for a power of a series (Knuth, TAOCP vol. 2,
+section 4.7).  sqrt takes e = 1/2 and Q = 1.  Reversion takes the powers
+e = -m of Lagrange inversion on the form P/Q of f/x with the fewest
+terms: f/x itself, 1/(x/f), or, when f/x is rational, short P and Q found
+by Berlekamp-Massey (:func:`_berlekamp_massey`).  A form of length L has
+at most 2L - 1 terms, so that search stops once 2L - 1 reaches the term
+count of the sparser of f/x and x/f.  Reverting a rational f to order n
+then costs O(n^2 * deg PQ) products, not the n^3/6 of a dense f/x and
+x/f.  Other inputs keep their recurrence and add only the abandoned
+search.
 
 :func:`_decimal` and :func:`coefficient_string` are the one way a value
 becomes exact decimal text at any magnitude, and :func:`_parse_int` the
@@ -102,33 +117,116 @@ def _conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def _power_terms(b: Sequence[int]) -> list[tuple[int, int]]:
-    """(j, B_j * B_0^(j-1)) for the nonzero B_j, j >= 1, of integer coefficients B."""
-    b0 = b[0]
-    return [(j, bj * b0 ** (j - 1)) for j, bj in enumerate(b[1:], start=1) if bj]
+def _ratio_terms(
+    p: Sequence[int], q: Sequence[int], k: int
+) -> list[tuple[int, int, int]]:
+    """(i, S_(i-1) * R_0^(i-1), R_i * R_0^(i-1)) for i = 1..k where either
+    is nonzero, with R = P*Q and S = P'Q - PQ' of integer lists P and Q.
+
+    Both are summed over the nonzero pairs P_i * Q_j alone, since
+    P'Q - PQ' = sum (i - j) * P_i * Q_j * x^(i+j-1), so the zeros of a
+    polynomial padded to the order cost one scan and no products.
+    """
+    p = [(i, c) for i, c in enumerate(p) if c]
+    q = [(j, c) for j, c in enumerate(q) if c]
+    k = min(k, p[-1][0] + q[-1][0])  # deg R, and deg S < deg R
+    r, s = [0] * (k + 1), [0] * (k + 1)
+    for i, a in p:
+        for j, b in q:
+            if i + j > k:
+                break
+            r[i + j] += a * b
+            if i != j:
+                s[i + j - 1] += (i - j) * a * b
+    terms, scale = [], 1  # R_0^(i-1)
+    for i in range(1, k + 1):
+        if s[i - 1] or r[i]:
+            terms.append((i, s[i - 1] * scale, r[i] * scale))
+        scale *= r[0]
+    return terms
 
 
 def _power_coefficients(
-    terms: Sequence[tuple[int, int]], p: int, q: int, k: int
+    terms: Sequence[tuple[int, int, int]], p: int, q: int, k: int
 ) -> list[int]:
-    """Y_0..Y_k, for Y_i = B_0^i * [x^i] (B/B_0)^(p/q), by Miller's
-    recurrence (see :meth:`PowerSeries.revert`), given ``terms`` =
-    :func:`_power_terms` of B.  Each division is checked.
+    """Z_0..Z_k, for Z_j = R_0^j * [x^j] (P/P_0)^e * (Q/Q_0)^(-e) with
+    e = p/q, by the recurrence in the module docstring, given ``terms`` =
+    :func:`_ratio_terms` of P and Q.  Times q, term i at step j weighs
+    a_i - j * b_i with a_i = p * S_(i-1) + q * i * R_i and b_i = q * R_i
+    (each times R_0^(i-1)), so a_i and b_i are formed once per call.  Each
+    division is checked.
     """
-    pq = p + q
-    scaled = [1]  # Y_0, Y_1, ...
-    for i in range(1, k + 1):
+    weights = [(i, p * s + q * i * r, q * r) for i, s, r in terms]
+    scaled = [1]  # Z_0, Z_1, ...
+    for j in range(1, k + 1):
         acc = 0
-        qi = q * i
-        for j, w in terms:
-            if j > i:
+        for i, a, b in weights:
+            if i > j:
                 break
-            acc += (pq * j - qi) * w * scaled[i - j]
-        y, r = divmod(acc, qi)
-        if r:
+            acc += (a - j * b) * scaled[j - i]
+        z, rem = divmod(acc, q * j)
+        if rem:
             raise ArithmeticError("inexact division in the power recurrence")
-        scaled.append(y)
+        scaled.append(z)
     return scaled
+
+
+def _berlekamp_massey(s: Sequence[int], limit: int) -> tuple[list[int], int] | None:
+    """A primitive Q with Q_0 > 0, and its length L, such that Q*S mod x^n
+    has degree below L, for the integer list S = s_0..s_(n-1).
+
+    This is Massey's shift-register synthesis (IEEE Trans. Inf. Theory 15,
+    1969), kept in integers: an update takes b*C - d*x^g*B in place of
+    C - (d/b)*x^g*B and then divides by the content, so the coefficients
+    stay primitive.  A form P/Q of length L has at most 2L - 1 terms in
+    :func:`_ratio_terms`, so the search gives up, returning None, as soon
+    as 2L - 1 reaches ``limit``.
+    """
+    conn, prev = [1], [1]  # C, and B: C before its last length change
+    length, gap, prev_disc = 0, 1, 1
+    for k in range(len(s)):
+        disc = sum(c * s[k - i] for i, c in enumerate(conn))
+        if not disc:
+            gap += 1
+            continue
+        new = [prev_disc * c for c in conn]
+        new += [0] * (gap + len(prev) - len(new))
+        for i, c in enumerate(prev, start=gap):
+            new[i] -= disc * c
+        while not new[-1]:
+            new.pop()
+        g = math.gcd(*new) if new[0] > 0 else -math.gcd(*new)
+        new = [c // g for c in new]
+        if 2 * length <= k:
+            prev, prev_disc, length, gap = conn, disc, k + 1 - length, 1
+            if 2 * length - 1 >= limit:
+                return None
+        else:
+            gap += 1
+        conn = new
+    return conn, length
+
+
+def _rational_form(s: Sequence[int], limit: int) -> tuple[list[int], list[int]] | None:
+    """(P, Q) with Q*S = P mod x^n from :func:`_berlekamp_massey`, or None.
+
+    The identity is checked with one product, and Q_0 != 0 with it; a
+    failure raises ArithmeticError.
+    """
+    found = _berlekamp_massey(s, limit)
+    if found is None:
+        return None
+    q, length = found
+    product = _conv(q, s, len(s) - 1)
+    if not q[0] or any(product[length:]):
+        raise ArithmeticError("Berlekamp-Massey form does not match the series")
+    return product[:length], q
+
+
+def _primitive(a: Sequence[int]) -> tuple[list[int], int]:
+    """An integer list with a nonzero entry, divided by its content g; and g."""
+    g = math.gcd(*a)
+    return [x // g for x in a], g
 
 
 @dataclass(frozen=True)
@@ -289,16 +387,17 @@ class PowerSeries:
                 raise ValueError("non-invertible series")
             a, da = _common(self.coeffs)
             b, db = _common(other.coeffs)
-            g = math.gcd(*b)
-            b0 = b[0] // g
-            terms = _power_terms([bk // g for bk in b])
+            b, g = _primitive(b)
+            b0 = b[0]
+            # at Q = 1 the third field of term k is B_k * B_0^(k-1)
+            terms = _ratio_terms(b, [1], len(b) - 1)
             rs: list[int] = []  # R_0, R_1, ...
             out = []
             scale = da * g  # da * g * B_0^m, before the step for m
             b0_power = 1  # B_0^m
             for m, am in enumerate(a):
                 r = am * b0_power
-                for k, w in terms:
+                for k, _, w in terms:
                     if k > m:
                         break
                     r -= w * rs[m - k]
@@ -355,26 +454,24 @@ class PowerSeries:
     def sqrt(self) -> "PowerSeries":
         """Square root of a series with constant term exactly 1.
 
-        This is the power (B/B_0)^(1/2) of :meth:`revert`'s recurrence,
-        with B the integer numerators N of f = N/d (N_0 = d), and with
-        weight j scaled by 4^j.  Then Y_m = y_m * (4d)^m, and coefficient
-        m reads
+        This is the power (P/P_0)^(1/2) of :func:`_power_coefficients`, with
+        Q = 1 and P = 4N for the integer numerators N of f = N/d (N_0 = d).
+        Then R = P, S = P', Z_m = y_m * (4d)^m, and coefficient m reads
 
-            2m * Y_m = sum_{i=1..m, N_i != 0} (3i - 2m) * N_i * 4^i * d^(i-1) * Y_{m-i},
+            2m * Z_m = sum_{i=1..m, N_i != 0} (3i - 2m) * N_i * 4^i * d^(i-1) * Z_{m-i},
 
         so a polynomial f of degree k costs O(k) operations per coefficient.
-        Y_m is an integer because binom(1/2, j) * 4^j = +-2 * Catalan(j-1)
+        Z_m is an integer because binom(1/2, j) * 4^j = +-2 * Catalan(j-1)
         for j >= 1, so each division by 2m is exact, and checked.
         """
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires unit constant term")
         nums, d = _common(self.coeffs)
-        # B = 4N: B_0 = 4d and B_i * B_0^(i-1) = N_i * 4^i * d^(i-1)
-        terms = _power_terms([4 * ni for ni in nums])
+        terms = _ratio_terms([4 * ni for ni in nums], [1], self.order)
         out = []
         scale = 1  # (4d)^m
-        for y in _power_coefficients(terms, 1, 2, self.order):
-            out.append(Fraction(y, scale))
+        for z in _power_coefficients(terms, 1, 2, self.order):
+            out.append(Fraction(z, scale))
             scale *= 4 * d
         return PowerSeries(tuple(out))
 
@@ -383,25 +480,33 @@ class PowerSeries:
 
         Computed by Lagrange inversion, m * u_m = [x^(m-1)] (x/f)^m, which
         needs one coefficient of each power.  Write B/d for the integer
-        numerators of whichever of f/x (e = -m) or x/f (e = m) has fewer
-        nonzero coefficients (f/x on a tie), so that (x/f)^m = (B/d)^e.
-        J.C.P. Miller's recurrence for a power (Knuth, TAOCP vol. 2,
-        section 4.7), on Y_k = B_0^k * [x^k] (B/B_0)^e, reads Y_0 = 1 and
+        numerators of whichever of f/x or x/f has fewer nonzero
+        coefficients (f/x on a tie), and B = P/Q mod x^n for a form of it:
+        the one :func:`_rational_form` finds by Berlekamp-Massey, if it
+        finds one, else (B, 1).  That makes three candidate forms of f/x:
+        f/x itself, 1/(x/f), and a short P/Q when f/x is rational.  Each
+        gives x/f = w * N/D for integer lists N and D divided by their
+        content and a rational w, with (N, D) = (Q, P) for f/x and (P, Q)
+        for x/f.  The recurrence in the module docstring, with D and N in
+        place of P and Q and at e = -m, gives
+        [x^(m-1)] (N/D)^m = N_0 * Z_(m-1) / D_0^(2m-1), so
 
-            k * Y_k = sum_{j>=1, B_j != 0} ((e+1) j - k) * B_j * B_0^(j-1) * Y_{k-j}.
+            u_m = w^m * N_0 * Z_(m-1) / (m * D_0^(2m-1)),
 
-        Y_k is an integer for either sign of e: (B/B_0)^e is a sum of
-        binom(e, i) (B/B_0 - 1)^i with integer binom(e, i), and each
-        product of i <= k ratios B_j/B_0 at x^k has denominator dividing
-        B_0^k.  So each division by k is exact, and it is checked.  Taking
-        the recurrence to k = m - 1 gives
+        reduced once.  Z_k is an integer: (D/D_0)^(-m) is a sum of
+        binom(-m, i) (D/D_0 - 1)^i, whose coefficient at x^k has a
+        denominator dividing D_0^k, and likewise (N/N_0)^m.  So each
+        division by k is exact, and it is checked.
 
-            u_m = B_0 * Y_{m-1} / (d^m * m)               for x/f,
-            u_m = d^m * Y_{m-1} / (B_0^(2m-1) * m)        for f/x,
-
-        each reduced once.  Step k costs min(k, s) terms for s nonzero
-        B_j, so order n costs about n^3/6 products for a dense B and
-        s * n^2 / 2 for a polynomial one.
+        The form with the fewest terms wins.  (B, 1) has one term per
+        nonzero B_i, i >= 1, and its weights are Miller's,
+        ((e+1) i - k) * B_i * B_0^(i-1) with e = -m for f/x and e = m for
+        x/f.  A Berlekamp-Massey form of length L has at most 2L - 1 terms,
+        so the search stops once 2L - 1 reaches the term count of (B, 1),
+        and if it finishes, it wins.  A form with s terms costs about
+        s * n^2 / 2 products to order n: O(n^2 * deg PQ) for a rational f,
+        against n^3/6 for a dense f/x and x/f, which is still the cost of
+        a dense f that is not rational.
 
         The result u satisfies compose(f, u) = compose(u, f) = x through the
         truncation order; the test suite checks that postcondition with an
@@ -414,14 +519,14 @@ class PowerSeries:
         x_over_f = PowerSeries.one(n - 1) / f_over_x
         on_x_over_f = sum(map(bool, x_over_f.coeffs)) < sum(map(bool, f_over_x.coeffs))
         b, d = _common((x_over_f if on_x_over_f else f_over_x).coeffs)
-        b0 = b[0]
-        terms = _power_terms(b)
+        form = _rational_form(b, sum(map(bool, b[1:]))) or (b, [1])  # B = P/Q
+        # x/f = w * num/den: B/d itself, or its reciprocal
+        (num, gn), (den, gd) = map(_primitive, form if on_x_over_f else form[::-1])
+        w = Fraction(gn, gd * d) if on_x_over_f else Fraction(gn * d, gd)
+        wn, wd = w.numerator, w.denominator
+        terms = _ratio_terms(den, num, n - 1)
         out = [Fraction(0)]
         for m in range(1, n + 1):
-            if on_x_over_f:
-                y = _power_coefficients(terms, m, 1, m - 1)[-1]
-                out.append(Fraction(b0 * y, d**m * m))
-            else:
-                y = _power_coefficients(terms, -m, 1, m - 1)[-1]
-                out.append(Fraction(d**m * y, b0 ** (2 * m - 1) * m))
+            z = _power_coefficients(terms, -m, 1, m - 1)[-1]
+            out.append(Fraction(wn**m * num[0] * z, wd**m * m * den[0] ** (2 * m - 1)))
         return PowerSeries(tuple(out))

@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelrev import PowerSeries, coefficient_string
-from hankelrev.series import _common, _conv, _power_coefficients
+from hankelrev import series
+from hankelrev.series import (
+    _berlekamp_massey,
+    _common,
+    _conv,
+    _power_coefficients,
+    _ratio_terms,
+    _rational_form,
+)
 from oracles import (
     family_reversion_term_ref,
     revert_ref,
@@ -511,7 +519,9 @@ class TestMillerRevert:
         # e = 1/2 the weight is taken times 4, and Y_k times 4^k
         e = Fraction(e)
         scale = 4 if e.denominator == 2 else 1
-        ys = _power_coefficients([(1, scale * slope)], e.numerator, e.denominator, 11)
+        ys = _power_coefficients(
+            [(1, scale * slope, scale * slope)], e.numerator, e.denominator, 11
+        )
         assert len(ys) == 12
         for k, y in enumerate(ys):
             binom = Fraction(math.prod(e - i for i in range(k)), math.factorial(k))
@@ -520,7 +530,109 @@ class TestMillerRevert:
     def test_power_coefficient_refuses_uncleared_coefficients(self):
         # B = 1 + x/2 not cleared of its denominator: Y_1 = 1/2 for e = 1
         with pytest.raises(ArithmeticError, match="inexact division in the power recurrence"):
-            _power_coefficients([(1, Fraction(1, 2))], 1, 1, 1)
+            _power_coefficients([(1, Fraction(1, 2), Fraction(1, 2))], 1, 1, 1)
+
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+small_heads = small_fractions.filter(bool)
+
+
+@st.composite
+def rational_reversible(draw):
+    """f = x * N/D of order 1..40, with deg N and deg D in 0..3, fraction
+    coefficients and nonzero heads, most of them not 1."""
+    order = draw(st.integers(1, 40))
+    numerator = [draw(small_heads)] + draw(st.lists(small_fractions, max_size=3))
+    denominator = [draw(small_heads)] + draw(st.lists(small_fractions, max_size=3))
+    return PowerSeries.from_rational([0, *numerator], denominator, order)
+
+
+def binomial(e, k):
+    """binom(e, k) for a Fraction e."""
+    return Fraction(math.prod(e - i for i in range(k)), math.factorial(k))
+
+
+class TestRationalRevert:
+    """revert on a form P/Q of f/x: Berlekamp-Massey's when f/x is rational
+    and shorter, else the sparser of f/x and x/f."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rational_reversible())
+    def test_rational_inputs_against_lagrange_inversion(self, f):
+        reverted = f.revert()
+        assert list(reverted.coeffs) == revert_ref(list(f.coeffs))
+        assert all_fractions(reverted)
+
+    @pytest.mark.parametrize(
+        "family, alpha, beta", [("B", 3, -4), ("B", -2, 5), ("C", 3, 0), ("C", -7, 0)]
+    )
+    def test_family_base_at_order_150(self, family, alpha, beta):
+        # B: x(1 - a x)/(1 - b x), C: x(1 - a x); TestMillerRevert has A
+        denominator = [1, -beta] if family == "B" else [1]
+        f = PowerSeries.from_rational([0, 1, -alpha], denominator, 150)
+        assert int_coeffs(f.revert()) == [
+            family_reversion_term_ref(family, alpha, beta, m) for m in range(151)
+        ]
+
+    def test_berlekamp_massey_finds_the_family_b_form(self):
+        # f/x = (1 - 3x)/(1 + 4x): length 2, and P/Q has two terms
+        b = PowerSeries.from_rational([1, -3], [1, 4], 50).integer_coefficients()
+        assert _berlekamp_massey(b, 4) == ([1, 4], 2)
+        assert _rational_form(b, 4) == ([1, -3], [1, 4])
+        assert len(_ratio_terms([1, -3], [1, 4], 49)) == 2
+        # 2L - 1 = 3 reaches a limit of 3: the search gives up
+        assert _berlekamp_massey(b, 3) is None
+
+    def test_berlekamp_massey_keeps_the_coefficients_primitive(self):
+        # the sequence 6 * (2/3)^k scaled to integers: Q = 3 - 2x, not 6 - 4x
+        b = [6 * 2**k * 3 ** (20 - k) for k in range(21)]
+        assert _rational_form(b, 20) == ([3 * 6 * 3**20], [3, -2])
+
+    @pytest.mark.parametrize("a, c", [(3, -5), (-7, 2)])
+    @pytest.mark.parametrize("e", [-9, -1, pytest.param(Fraction(1, 2), id="1/2"), 9])
+    def test_power_coefficient_of_a_ratio_of_binomials(self, a, c, e):
+        # P = 4 + a x and Q = 4 + c x: Z_k = 16^k [x^k] (1 + a x/4)^e (1 + c x/4)^(-e)
+        # = sum_i binom(e, i) a^i binom(-e, k-i) c^(k-i) 4^k
+        e = Fraction(e)
+        k = 15
+        zs = _power_coefficients(_ratio_terms([4, a], [4, c], k), e.numerator, e.denominator, k)
+        assert zs == [
+            4**j
+            * sum(binomial(e, i) * a**i * binomial(-e, j - i) * c ** (j - i) for i in range(j + 1))
+            for j in range(k + 1)
+        ]
+
+    def test_sqrt_input_abandons_the_rational_form(self, monkeypatch):
+        # f = (3/2) x sqrt(1 - 4x/5) is not rational, so Berlekamp-Massey gives up
+        root = PowerSeries.from_polynomial([1, Fraction(-4, 5)], 30).sqrt()
+        f = PowerSeries((Fraction(0), *(Fraction(3, 2) * c for c in root.coeffs[:-1])))
+        forms = []
+
+        def spy(s, limit):
+            forms.append(_rational_form(s, limit))
+            return forms[-1]
+
+        monkeypatch.setattr(series, "_rational_form", spy)
+        assert list(f.revert().coeffs) == revert_ref(list(f.coeffs))
+        assert forms == [None]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda q, length: ([q[0], q[1] + 1, *q[2:]], length),
+            # x * Q times B is x * P, a polynomial, but Q_0 = 0
+            lambda q, length: ([0, *q], length + 1),
+        ],
+        ids=["tail", "head"],
+    )
+    def test_a_corrupted_form_raises(self, monkeypatch, corrupt):
+        def corrupted(s, limit):
+            return corrupt(*_berlekamp_massey(s, limit))
+
+        monkeypatch.setattr(series, "_berlekamp_massey", corrupted)
+        f = PowerSeries.from_rational([0, 1, -3], [1, 4], 30)
+        with pytest.raises(ArithmeticError, match="Berlekamp-Massey form does not match"):
+            f.revert()
 
 
 class TestShapeOperations:
