@@ -22,11 +22,15 @@ section 4.7).  sqrt takes e = 1/2 and Q = 1.  Reversion takes the powers
 e = -m of Lagrange inversion on the form P/Q of f/x with the fewest
 terms: f/x itself, 1/(x/f), or, when f/x is rational, short P and Q found
 by Berlekamp-Massey (:func:`_berlekamp_massey`).  A form of length L has
-at most 2L - 1 terms, so that search stops once 2L - 1 reaches the term
-count of the sparser of f/x and x/f.  Reverting a rational f to order n
-then costs O(n^2 * deg PQ) products, not the n^3/6 of a dense f/x and
-x/f.  Other inputs keep their recurrence and add only the abandoned
-search.
+at most 2L - 1 terms, so that search, run on f/x before anything else,
+stops once 2L - 1 reaches the term count of f/x.  Reverting a rational f
+to order n then costs O(n^2 * deg PQ) products, not the n^3/6 of a dense
+f/x and x/f.  Other inputs keep their recurrence and add only the
+abandoned search.  The quadratic class, f = x * P/Q with deg(x * P) <= 2
+and deg Q <= 2, which holds the bases of all three families, skips
+Lagrange inversion: there u solves a quadratic, so one square root of a
+polynomial of degree 2 and one quotient by a polynomial of degree at most
+1 give it in O(n) steps (:func:`_radical_revert`).
 
 :func:`_decimal` and :func:`coefficient_string` are the one way a value
 becomes exact decimal text at any magnitude, and :func:`_parse_int` the
@@ -478,16 +482,28 @@ class PowerSeries:
     def revert(self) -> "PowerSeries":
         """Compositional inverse of a series with f0 = 0 and f1 != 0.
 
-        Computed by Lagrange inversion, m * u_m = [x^(m-1)] (x/f)^m, which
-        needs one coefficient of each power.  Write B/d for the integer
-        numerators of whichever of f/x or x/f has fewer nonzero
-        coefficients (f/x on a tie), and B = P/Q mod x^n for a form of it:
-        the one :func:`_rational_form` finds by Berlekamp-Massey, if it
-        finds one, else (B, 1).  That makes three candidate forms of f/x:
-        f/x itself, 1/(x/f), and a short P/Q when f/x is rational.  Each
-        gives x/f = w * N/D for integer lists N and D divided by their
-        content and a rational w, with (N, D) = (Q, P) for f/x and (P, Q)
-        for x/f.  The recurrence in the module docstring, with D and N in
+        Both paths below start from a form of f/x.  With B/d the integer
+        numerators of f/x, :func:`_rational_form` looks for a short
+        B = P/Q mod x^n by Berlekamp-Massey.  Only if it gives up is x/f
+        formed, by one division, and B/d replaced by the numerators of x/f
+        when those have fewer nonzero coefficients (f/x on a tie); the form
+        is then (B, 1).  That makes three candidate forms of f/x: f/x
+        itself, 1/(x/f), and a short P/Q when f/x is rational.  Each gives
+        x/f = w * N/D for integer lists N and D divided by their content
+        and trimmed of trailing zeros, and a rational w = w_n / w_d, with
+        (N, D) = (Q, P) for f/x and (P, Q) for x/f.  So u solves
+        A(u) = x * C(u) for A = w_d * t * D(t) and C = w_n * N(t).
+
+        When deg A <= 2 and deg C <= 2, as for the bases of all three
+        families in :mod:`hankelrev.families`, that is a quadratic in u, and
+        :func:`_radical_revert` reads u off the square root of a polynomial
+        of degree 2 and one quotient by a polynomial of degree at most 1:
+        O(n) steps on integers of O(n) digits.  Its root is checked, u_0 = 0
+        and u_1 * f_1 = 1, and a failure raises ArithmeticError.
+
+        Every other form runs Lagrange inversion,
+        m * u_m = [x^(m-1)] (x/f)^m, which needs one coefficient of each
+        power.  The recurrence in the module docstring, with D and N in
         place of P and Q and at e = -m, gives
         [x^(m-1)] (N/D)^m = N_0 * Z_(m-1) / D_0^(2m-1), so
 
@@ -502,7 +518,7 @@ class PowerSeries:
         nonzero B_i, i >= 1, and its weights are Miller's,
         ((e+1) i - k) * B_i * B_0^(i-1) with e = -m for f/x and e = m for
         x/f.  A Berlekamp-Massey form of length L has at most 2L - 1 terms,
-        so the search stops once 2L - 1 reaches the term count of (B, 1),
+        so the search stops once 2L - 1 reaches the term count of (f/x, 1),
         and if it finishes, it wins.  A form with s terms costs about
         s * n^2 / 2 products to order n: O(n^2 * deg PQ) for a rational f,
         against n^3/6 for a dense f/x and x/f, which is still the cost of
@@ -516,17 +532,66 @@ class PowerSeries:
             raise ValueError("series not reversible")
         n = self.order
         f_over_x = self.shift_down(1)  # invertible constant term
-        x_over_f = PowerSeries.one(n - 1) / f_over_x
-        on_x_over_f = sum(map(bool, x_over_f.coeffs)) < sum(map(bool, f_over_x.coeffs))
-        b, d = _common((x_over_f if on_x_over_f else f_over_x).coeffs)
-        form = _rational_form(b, sum(map(bool, b[1:]))) or (b, [1])  # B = P/Q
+        b, d = _common(f_over_x.coeffs)
+        form = _rational_form(b, sum(map(bool, b[1:])))  # B = P/Q
+        on_x_over_f = False
+        if form is None:
+            x_over_f = PowerSeries.one(n - 1) / f_over_x
+            on_x_over_f = sum(map(bool, x_over_f.coeffs)) < sum(map(bool, b))
+            if on_x_over_f:
+                b, d = _common(x_over_f.coeffs)
+            form = (b, [1])
         # x/f = w * num/den: B/d itself, or its reciprocal
         (num, gn), (den, gd) = map(_primitive, form if on_x_over_f else form[::-1])
         w = Fraction(gn, gd * d) if on_x_over_f else Fraction(gn * d, gd)
         wn, wd = w.numerator, w.denominator
+        for poly in (num, den):
+            while not poly[-1]:
+                poly.pop()
+        if len(den) <= 2 and len(num) <= 3:
+            # u solves A(u) = x * C(u), A = wd * t * den(t), C = wn * num(t)
+            u = _radical_revert([0, *(wd * c for c in den)], [wn * c for c in num], n)
+            if u[0] != 0 or u[1] * self.coeffs[1] != 1:
+                raise ArithmeticError("the radical's root is not the reversion")
+            return u
         terms = _ratio_terms(den, num, n - 1)
         out = [Fraction(0)]
         for m in range(1, n + 1):
             z = _power_coefficients(terms, -m, 1, m - 1)[-1]
             out.append(Fraction(wn**m * num[0] * z, wd**m * m * den[0] ** (2 * m - 1)))
         return PowerSeries(tuple(out))
+
+
+def _radical_revert(a: Sequence[int], c: Sequence[int], n: int) -> PowerSeries:
+    """The series u to order n with u_0 = 0 that solves A(u) = x * C(u),
+    for A = A_1 t + A_2 t^2 and C = C_0 + C_1 t + C_2 t^2 with A_1 and C_0
+    nonzero, given as coefficient lists a = [0, A_1, A_2] and
+    c = [C_0, C_1, C_2], either of them possibly without its zero tail.
+
+    That is a * u^2 + b * u - C_0 x = 0 for a = A_2 - C_2 x and
+    b = A_1 - C_1 x, so u = (sqrt(D) - b) / (2a) for D = b^2 + 4 C_0 x a,
+    with the root whose constant term is A_1.  D has degree at most 2 and
+    D_0 = A_1^2, so with s = sqrt(D / A_1^2), from O(n) steps of
+    :meth:`PowerSeries.sqrt`,
+
+        u = (s - b / A_1) / (2a / A_1),
+
+    a quotient by a polynomial of degree at most 1, O(n) steps of the
+    division.  s - b / A_1 differs from s in its first two coefficients
+    alone.  If A_2 = 0, a = -C_2 x and s - b / A_1 is divisible by x^2, so
+    s is taken to order n + 1 and the difference shifted down by one.  If
+    a = 0, u = C_0 x / b.
+    """
+    _, a1, a2 = [*a, 0][:3]
+    c0, c1, c2 = [*c, 0, 0][:3]
+    if not a2 and not c2:
+        return PowerSeries.from_polynomial([0, c0], n) / PowerSeries.from_polynomial(
+            [a1, -c1], n
+        )
+    square = a1 * a1
+    disc = [1, Fraction(4 * c0 * a2 - 2 * a1 * c1, square), Fraction(c1 * c1 - 4 * c0 * c2, square)]
+    s = PowerSeries.from_polynomial(disc, n if a2 else n + 1).sqrt().coeffs
+    top = PowerSeries((Fraction(0), s[1] + Fraction(c1, a1), *s[2:]))  # s - b / A_1
+    if a2:
+        return top / PowerSeries.from_polynomial([Fraction(2 * a2, a1), Fraction(-2 * c2, a1)], n)
+    return top.shift_down(1) / Fraction(-2 * c2, a1)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hankelrev import PowerSeries, coefficient_string
 from hankelrev import series
+from hankelrev.families import FamilyParams, family_base_ogf, family_reversion_terms
 from hankelrev.series import (
     _berlekamp_massey,
     _common,
@@ -633,6 +634,104 @@ class TestRationalRevert:
         f = PowerSeries.from_rational([0, 1, -3], [1, 4], 30)
         with pytest.raises(ArithmeticError, match="Berlekamp-Massey form does not match"):
             f.revert()
+
+
+non_unit_heads = small_heads.filter(lambda h: h != 1)
+
+
+@st.composite
+def quadratic_reversible(draw):
+    """f = x * N/D of order 1..60 with deg N <= 1 and deg D <= 2, fraction
+    coefficients and heads that are not 1, in one of the three shapes of
+    the radical's a = A_2 - C_2 x: A_2 != 0 (N_1 != 0), A_2 = 0 with
+    C_2 != 0 (D_2 != 0), and a = 0 (deg D <= 1)."""
+    order = draw(st.integers(1, 60))
+    shape = draw(st.sampled_from(["A2", "C2", "zero"]))
+    numerator = [draw(non_unit_heads)]
+    denominator = [draw(non_unit_heads), draw(small_fractions)]
+    if shape == "A2":
+        numerator.append(draw(small_heads))
+        denominator.append(draw(small_fractions))
+    elif shape == "C2":
+        denominator.append(draw(small_heads))
+    return PowerSeries.from_rational([0, *numerator], denominator, order)
+
+
+class TestRadicalRevert:
+    """revert on the quadratic class, deg(x P) <= 2 and deg Q <= 2, by the
+    square root of a polynomial of degree 2."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(quadratic_reversible())
+    def test_quadratic_inputs_against_lagrange_inversion(self, f):
+        reverted = f.revert()
+        assert list(reverted.coeffs) == revert_ref(list(f.coeffs))
+        assert all_fractions(reverted)
+
+    @pytest.mark.parametrize(
+        "numerator, denominator, a, c",
+        [
+            # x(2 - 3x)/(5 + x): A_2 = -3
+            ([0, 2, -3], [5, 1], [0, 2, -3], [5, 1]),
+            # x - 3x^2: the form is f/x, padded with zeros to the order
+            ([0, 1, -3], [1], [0, 1, -3], [1]),
+            # (3/2) x/(1 + 3x - 5x^2): A_2 = 0, C_2 = -10
+            ([0, Fraction(3, 2)], [1, 3, -5], [0, 3], [2, 6, -10]),
+            # (2/7) x/(1 + 4x): a = 0
+            ([0, Fraction(2, 7)], [1, 4], [0, 2], [7, 28]),
+        ],
+        ids=["A2", "A2-polynomial", "C2", "zero"],
+    )
+    def test_each_shape_takes_the_radical(self, monkeypatch, numerator, denominator, a, c):
+        f = PowerSeries.from_rational(numerator, denominator, 40)
+        radical_revert = series._radical_revert
+        calls = []
+
+        def spy(a, c, n):
+            calls.append((a, c, n))
+            return radical_revert(a, c, n)
+
+        monkeypatch.setattr(series, "_radical_revert", spy)
+        assert list(f.revert().coeffs) == revert_ref(list(f.coeffs))
+        assert calls == [(a, c, 40)]
+
+    @pytest.mark.parametrize(
+        "family, alpha, beta",
+        [("A", 3, -5), ("A", -2, 7), ("A", 4, 0), ("B", 3, -4), ("B", -2, 5), ("C", -7, 0)],
+    )
+    def test_family_base_at_order_800(self, family, alpha, beta):
+        params = FamilyParams(alpha, beta, family)
+        reverted = int_coeffs(family_base_ogf(params, 800).revert())
+        assert reverted == family_reversion_terms(params, 801)
+        # the binomial sums take seconds per family at every index up to
+        # 800, so they are checked at every tenth index and the last ten
+        for m in [*range(0, 790, 10), *range(790, 801)]:
+            assert reverted[m] == family_reversion_term_ref(family, alpha, beta, m)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda u: -u, lambda u: u + PowerSeries.one(u.order)],
+        ids=["sign", "constant"],
+    )
+    def test_a_wrong_root_raises(self, monkeypatch, corrupt):
+        radical_revert = series._radical_revert
+        monkeypatch.setattr(series, "_radical_revert", lambda *args: corrupt(radical_revert(*args)))
+        f = PowerSeries.from_rational([0, 1, -3], [1, 4], 30)
+        with pytest.raises(ArithmeticError, match="the radical's root is not the reversion"):
+            f.revert()
+
+    def test_rational_form_outside_the_class_needs_no_division(self, monkeypatch):
+        # x/f = 1 + x + 2x^2 + 3x^3 has degree 3: Lagrange inversion on the
+        # Berlekamp-Massey form, with x/f never formed by a division
+        f = PowerSeries.from_rational([0, 1], [1, 1, 2, 3], 60)
+        expected = revert_ref(list(f.coeffs))
+
+        def refuse(*args):
+            raise AssertionError("revert divided")
+
+        monkeypatch.setattr(PowerSeries, "__truediv__", refuse)
+        monkeypatch.setattr(series, "_radical_revert", refuse)
+        assert list(f.revert().coeffs) == expected
 
 
 class TestShapeOperations:
