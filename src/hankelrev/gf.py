@@ -12,21 +12,29 @@ precedence associate left; a leading '-' reads as ``0 - term``.  Whitespace
 is insignificant and U+2212 is accepted as a minus sign.  Syntax errors
 report the byte offset of the offending input.
 
-Evaluation is numeric, not symbolic: :func:`eval_gf` expands an expression
-to a requested truncation order in exact rational arithmetic.  Division by
-an expression that vanishes at 0 (for example ``(1-sqrt(1-4*x))/(2*x)``) is
-supported by cancelling the common power of x; internally the evaluator
-widens its working order until the requested order is fully determined.
+Evaluation is exact: :func:`eval_gf` expands an expression to a requested
+truncation order.  A subtree without sqrt evaluates to a rational function
+P/Q of integer polynomials, untruncated.  ``sqrt(f)``, and a quotient by
+it, are one run of the power recurrence of :mod:`hankelrev.series` at
+e = 1/2 or e = -1/2, and the series built from them keep integer
+numerators over a denominator until each output coefficient becomes a
+Fraction, once.  Division by an expression that vanishes at 0 (for example
+``(1-sqrt(1-4*x))/(2*x)``) is supported by cancelling the common power of
+x.  The valuation of a divisor without sqrt is exact, so its numerator is
+evaluated once, to the order the quotient needs.  Only a divisor with a
+sqrt in it makes the evaluator widen its working order and evaluate again
+until the requested order is fully determined.
 """
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple, Union
 
-from hankelrev.series import PowerSeries, _decimal, _parse_int
+from hankelrev.series import PowerSeries, _conv, _decimal, _fractions, _parse_int, _quotient, _root
 
 
 class GfParseError(ValueError):
@@ -275,20 +283,61 @@ class _NeedPrecision(Exception):
         self.extra = max(1, extra)
 
 
+class _Rational:
+    """An exact rational function p/q, as integer coefficient lists with the
+    constant term first: no trailing zeros (p = [] is 0), q[0] > 0, and the
+    content of p and q together divided out."""
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: list[int], q: list[int]):
+        while p and not p[-1]:
+            p.pop()
+        while not q[-1]:
+            q.pop()
+        g = math.gcd(*p, *q)
+        if q[0] < 0:
+            g = -g
+        if g != 1:
+            p, q = [c // g for c in p], [c // g for c in q]
+        self.p, self.q = p, q
+
+
+class _Series:
+    """A truncated series whose coefficient j is z[j] / (d * r^j).  It
+    determines the coefficients through len(z) - 1, its order."""
+
+    __slots__ = ("z", "d", "r")
+
+    def __init__(self, z: list[int], d: int, r: int):
+        self.z, self.d, self.r = z, d, r
+
+
+_Value = Union[_Rational, _Series]
+
+
 def eval_gf(expression: GfExpression, order: int) -> PowerSeries:
-    """Expand an expression to a power series of exactly the given order."""
+    """Expand an expression to a power series of exactly the given order.
+
+    The tree is evaluated once on integers (see :func:`_eval`), and each
+    coefficient becomes a Fraction once, at the end.  Only a quotient by a
+    series that vanishes at 0, such as ``1/(sqrt(1+x)-1)``, leaves
+    coefficients undetermined; then the working order widens by the
+    shortfall and the tree is evaluated again, at most
+    ``_MAX_EVAL_PASSES`` times in all.
+    """
     if order < 0:
         raise ValueError("order must be non-negative")
     working = order
     for _ in range(_MAX_EVAL_PASSES):
         try:
-            series, valid = _eval(expression, working)
+            series = _series(_eval(expression, working), order)
         except _NeedPrecision as need:
             working += need.extra
             continue
-        if valid >= order:
-            return series.truncate(order)
-        working += order - valid
+        if len(series.z) > order:
+            return PowerSeries(_fractions(series.z, series.d, series.r))
+        working += order + 1 - len(series.z)
     raise ValueError("non-invertible series")
 
 
@@ -297,73 +346,206 @@ def expand_gf(text: str, order: int) -> PowerSeries:
     return eval_gf(parse_gf(text), order)
 
 
-def _eval(e: GfExpression, w: int) -> tuple[PowerSeries, int]:
-    """Evaluate at working order ``w``.
+def _eval(e: GfExpression, w: int) -> _Value:
+    """The value of ``e``, needed through x^w.
 
-    Returns the series along with the greatest index whose coefficient is
-    fully determined.  Division by a series with positive valuation shifts
-    the quotient down, so downstream coefficients past that index are
-    garbage; the ``valid`` bound tracks exactly how far results can be
-    trusted, and the caller widens ``w`` until the requested order is
-    covered.
+    A subtree without sqrt is an exact :class:`_Rational`, never truncated,
+    except that a power whose degree would pass w is expanded as a series
+    to order w.  ``sqrt(f)`` is a :class:`_Series` of order w from one run
+    of :func:`hankelrev.series._root`.  Operations on series keep integer
+    numerators over a denominator d * r^j, so nothing is reduced before
+    :func:`eval_gf` is done.  A series is as long as its coefficients are
+    determined: the quotient by a series of valuation v is v shorter.
     """
     if isinstance(e, Lit):
-        return PowerSeries.constant(e.value, w), w
+        return _Rational([e.value], [1])
     if isinstance(e, Var):
-        return PowerSeries.identity(w), w
+        return _Rational([0, 1], [1])
     if isinstance(e, Sqrt):
-        inner, valid = _eval(e.arg, w)
-        if valid < 0:
-            raise _NeedPrecision(-valid)
-        if inner[0] != 1:
-            raise ValueError("sqrt requires unit constant term")
-        return inner.sqrt(), valid
+        return _root_of(_eval(e.arg, w), w, 1)
     if isinstance(e, Pow):
-        base, valid = _eval(e.base, w)
-        if e.exponent == 0:
-            return PowerSeries.one(w), w
-        result = PowerSeries.one(w)
-        power = base
-        exponent = e.exponent
-        while True:
-            if exponent & 1:
-                result = result * power
-            exponent >>= 1
-            if not exponent:
-                break
-            power = power * power
-        return result, valid
+        return _power(_eval(e.base, w), e.exponent, w)
     if isinstance(e, BinOp):
-        left, lv = _eval(e.left, w)
-        right, rv = _eval(e.right, w)
-        if e.op == "+":
-            return left + right, min(lv, rv)
-        if e.op == "-":
-            return left - right, min(lv, rv)
+        if e.op == "/":
+            return _eval_quotient(e.left, e.right, w)
+        left = _eval(e.left, w)
+        right = _eval(e.right, w)
         if e.op == "*":
-            return left * right, min(lv, rv)
-        return _divide(left, lv, right, rv, w)
+            return _mul(left, right)
+        return _add(left, right, 1 if e.op == "+" else -1)
     raise TypeError(f"not a generating-function expression node: {e!r}")
 
 
-def _divide(
-    num: PowerSeries, nv: int, den: PowerSeries, dv: int, w: int
-) -> tuple[PowerSeries, int]:
-    if dv < 0:
-        raise _NeedPrecision(-dv)
-    v = next((k for k in range(dv + 1) if den[k] != 0), None)
+def _eval_quotient(num: GfExpression, den: GfExpression, w: int) -> _Value:
+    """``num / den``, with the errors of ``num`` raised before those of ``den``.
+
+    The quotient by ``sqrt(f)`` is the product with f^(-1/2), one run of
+    the power recurrence.  A divisor without sqrt is evaluated first: it is
+    exact, so its valuation v is known and the numerator is evaluated once,
+    at order w + v.  If it fails, the numerator is evaluated before its
+    error is raised.
+    """
+    if isinstance(den, Sqrt):
+        left = _eval(num, w)
+        return _mul(left, _root_of(_eval(den.arg, w), w, -1))
+    if _has_sqrt(den):
+        left = _eval(num, w)
+        return _over(left, _eval(den, w), w)
+    try:
+        right = _eval(den, w)
+        v = _valuation(right.p) if isinstance(right, _Rational) else 0
+        if v is None:
+            raise ValueError("non-invertible series")
+    except (ValueError, _NeedPrecision):
+        _eval(num, w)
+        raise
+    return _over(_eval(num, w + v), right, w)
+
+
+def _has_sqrt(e: GfExpression) -> bool:
+    if isinstance(e, Sqrt):
+        return True
+    if isinstance(e, BinOp):
+        return _has_sqrt(e.left) or _has_sqrt(e.right)
+    return isinstance(e, Pow) and _has_sqrt(e.base)
+
+
+def _valuation(p: list[int]) -> int | None:
+    """The index of the first nonzero entry of p, or None."""
+    return next((k for k, c in enumerate(p) if c), None)
+
+
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """The full product of two polynomials."""
+    return _conv(a, b, len(a) + len(b) - 2)
+
+
+def _scaled(z: list[int], step: int, f: int = 1) -> list[int]:
+    """z_j * f * step^j for each j.  For a polynomial p and step r that is
+    p(r * x); for the numerators of a series s it moves them from ratio s.r
+    to ratio step * s.r."""
+    if step == 1 and f == 1:
+        return z
+    out, scale = [], f
+    for c in z:
+        out.append(c * scale)
+        scale *= step
+    return out
+
+
+def _series(value: _Value, n: int) -> _Series:
+    """``value`` as a series of order at most n."""
+    if isinstance(value, _Series):
+        return value if len(value.z) <= n + 1 else _Series(value.z[: n + 1], value.d, value.r)
+    return _Series(*_quotient(value.p, value.q, n))
+
+
+def _add(a: _Value, b: _Value, sign: int) -> _Value:
+    """a + b for sign 1, a - b for sign -1."""
+    if isinstance(a, _Rational) and isinstance(b, _Rational):
+        if a.q == b.q:
+            return _Rational([x + sign * y for x, y in zip_longest(a.p, b.p, fillvalue=0)], a.q)
+        p = zip_longest(_product(a.p, b.q), _product(b.p, a.q), fillvalue=0)
+        return _Rational([x + sign * y for x, y in p], _product(a.q, b.q))
+    if isinstance(a, _Rational):
+        a = _series(a, len(b.z) - 1)
+    if isinstance(b, _Rational):
+        b = _series(b, len(a.z) - 1)
+    n = min(len(a.z), len(b.z))
+    r, d = math.lcm(a.r, b.r), math.lcm(a.d, b.d)
+    za = _scaled(a.z[:n], r // a.r, d // a.d)
+    zb = _scaled(b.z[:n], r // b.r, sign * (d // b.d))
+    return _Series([x + y for x, y in zip(za, zb)], d, r)
+
+
+def _mul(a: _Value, b: _Value) -> _Value:
+    if isinstance(a, _Rational):
+        if isinstance(b, _Rational):
+            return _Rational(_product(a.p, b.p), _product(a.q, b.q))
+        return _times_ratio(b, a.p, a.q)
+    if isinstance(b, _Rational):
+        return _times_ratio(a, b.p, b.q)
+    n = min(len(a.z), len(b.z))
+    r = math.lcm(a.r, b.r)
+    za, zb = _scaled(a.z[:n], r // a.r), _scaled(b.z[:n], r // b.r)
+    return _Series(_conv(za, zb, n - 1), a.d * b.d, r)
+
+
+def _times_ratio(s: _Series, p: list[int], q: list[int]) -> _Series:
+    """s * p/q for polynomials p and q with q[0] != 0.
+
+    With s = Z(y) / d for y = x / r, this is Z(y) * p(r y) / q(r y) / d:
+    a sparse product and :func:`hankelrev.series._quotient`, O(n) steps
+    per term of p and q.  A constant q is a scalar.
+    """
+    n = len(s.z) - 1
+    z = s.z if p == [1] else _conv(s.z, _scaled(p, s.r), n)
+    if q == [1]:
+        return _Series(z, s.d, s.r)
+    t, d, r = _quotient(z, _scaled(q, s.r), n)
+    return _Series(t, s.d * d, s.r * r)
+
+
+def _over(num: _Value, den: _Value, w: int) -> _Value:
+    """num / den, cancelling the valuation v of den, which num must share."""
+    v = _valuation(den.p if isinstance(den, _Rational) else den.z)
     if v is None:
-        # no trusted nonzero coefficient yet; widen (a genuinely zero
+        if isinstance(den, _Rational):
+            raise ValueError("non-invertible series")
+        # no determined nonzero coefficient yet; widen (a genuinely zero
         # divisor exhausts the pass budget and surfaces as non-invertible)
-        raise _NeedPrecision(w - dv + 1)
-    if v == 0:
-        return num / den, min(nv, dv)
-    if nv < v - 1:
-        raise _NeedPrecision(v - 1 - nv)
-    if any(num[k] != 0 for k in range(v)):
+        raise _NeedPrecision(w - len(den.z) + 2)
+    if isinstance(num, _Rational):
+        if num.p and _valuation(num.p) < v:
+            raise ValueError("non-invertible series")
+    elif len(num.z) < v:
+        raise _NeedPrecision(v - len(num.z))
+    elif any(num.z[:v]):
         raise ValueError("non-invertible series")
-    if w < v:
-        raise _NeedPrecision(v - w)
-    quotient = num.shift_down(v) / den.shift_down(v)
-    padded = PowerSeries(quotient.coeffs + (Fraction(0),) * v)
-    return padded, min(nv, dv) - v
+    if isinstance(den, _Rational):
+        if isinstance(num, _Rational):
+            return _Rational(_product(num.p[v:], den.q), _product(num.q, den.p[v:]))
+        shifted = _Series(num.z[v:], num.d * num.r**v, num.r)
+        return _times_ratio(shifted, den.q, den.p[v:])
+    num = _series(num, len(den.z) - 1)
+    n = min(len(num.z), len(den.z))
+    if n == v:
+        return _Series([], 1, 1)
+    # both shifted down by v in y = x / r, where the factors r^v cancel
+    r = math.lcm(num.r, den.r)
+    a, b = _scaled(num.z[:n], r // num.r), _scaled(den.z[:n], r // den.r)
+    t, d, rt = _quotient(a[v:], b[v:], n - v - 1)
+    return _Series(_scaled(t, 1, den.d), num.d * d, r * rt)
+
+
+def _root_of(value: _Value, w: int, sign: int) -> _Series:
+    """sqrt(value) for sign 1, 1/sqrt(value) for sign -1: one run of the
+    power recurrence at e = sign/2.  The constant term must be 1."""
+    if isinstance(value, _Rational):
+        p, q = value.p, value.q
+        if not p or p[0] != q[0]:
+            raise ValueError("sqrt requires unit constant term")
+        z, rho = _root(p, q, w, sign)
+        return _Series(z, 1, rho)
+    if not value.z:
+        raise _NeedPrecision(1)
+    if value.z[0] != value.d:
+        raise ValueError("sqrt requires unit constant term")
+    z, rho = _root(value.z, [1], len(value.z) - 1, sign)
+    return _Series(z, 1, rho * value.r)
+
+
+def _power(base: _Value, k: int, w: int) -> _Value:
+    """base^k by repeated squaring; exact unless its degree would pass w."""
+    if k == 0:
+        return _Rational([1], [1])
+    if not isinstance(base, _Rational) or k * (max(len(base.p), len(base.q)) - 1) > w:
+        base = _series(base, w)
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else _mul(result, base)
+        k >>= 1
+        if not k:
+            return result
+        base = _mul(base, base)

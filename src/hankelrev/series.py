@@ -9,7 +9,14 @@ so mixing orders raises instead.
 Products, division, square roots and reversion run on integer numerators
 over one common denominator (:func:`_common`, :func:`_conv`), so the inner
 loops multiply and add plain ints and each output coefficient is reduced
-once.  Square roots and reversion share one recurrence for a power
+once.  A quotient by an integer list is the fraction-free recurrence of
+:func:`_quotient`, and a square root or its inverse one run of
+:func:`_root`; both give integers Z_j with coefficient j equal to
+Z_j / (d * r^j), which :func:`_fractions` reduces once.  Division,
+:meth:`PowerSeries.from_rational`, :meth:`PowerSeries.sqrt`,
+:func:`_radical_revert` and the evaluator of :mod:`hankelrev.gf` all
+expand a ratio P/Q or a root of one through these.  Square roots and
+reversion share one recurrence for a power
 Y = (P/P_0)^e * (Q/Q_0)^(-e) of a ratio of integer series
 (:func:`_power_coefficients`).  With R = PQ and S = P'Q - PQ', Y solves
 R * Y' = e * S * Y, so Z_k = R_0^k * Y_k obeys
@@ -233,6 +240,86 @@ def _primitive(a: Sequence[int]) -> tuple[list[int], int]:
     return [x // g for x in a], g
 
 
+def _quotient(a: Sequence[int], b: Sequence[int], n: int) -> tuple[list[int], int, int]:
+    """(T, d, r) with [x^m] a/b = T_m / (d * r^m) for m = 0..n, for integer
+    lists a and b with b_0 != 0; a may be shorter than n + 1.
+
+    With g the content of b and B = b / g, the quotient of a by B is
+    T_m / B_0^(m+1) for the fraction-free recurrence
+
+        T_m = a_m * B_0^m - sum_{k>=1, B_k != 0} B_k * B_0^(k-1) * T_{m-k},
+
+    so d = g * B_0 and r = B_0: O(n * deg b) products.  Taking the content
+    out keeps a divisor like 10^100 * (1 + x) from scaling every T_m, and a
+    constant divisor costs nothing: T = a, d = b_0, r = 1.
+    """
+    b, g = _primitive(b)
+    b0 = b[0]
+    a = [*a[: n + 1], *[0] * (n + 1 - len(a))]
+    # at Q = 1 the third field of term k is B_k * B_0^(k-1)
+    terms = _ratio_terms(b, [1], n)
+    if not terms:
+        return a, g * b0, 1
+    out: list[int] = []
+    b0_power = 1  # B_0^m
+    for m, am in enumerate(a):
+        t = am * b0_power
+        for k, _, w in terms:
+            if k > m:
+                break
+            t -= w * out[m - k]
+        out.append(t)
+        b0_power *= b0
+    return out, g * b0, b0
+
+
+def _fractions(z: Iterable[int], d: int, r: int) -> tuple[Fraction, ...]:
+    """The coefficients z_j / (d * r^j) as Fractions, each reduced once.
+
+    The power of 2 that z_j shares with its denominator is shifted out
+    before the Fraction takes the gcd of the rest.  It costs two bit
+    operations, and the 4 in rho of :func:`_root` puts 2^(2j) into every
+    denominator of a root, which left math.gcd on numbers of twice the
+    size of the reduced coefficient.
+    """
+    out = []
+    for c in z:
+        k = min(c & -c, d & -d).bit_length() - 1 if c else 0
+        out.append(Fraction(c >> k, d >> k))
+        d *= r
+    return tuple(out)
+
+
+def _root(p: Sequence[int], q: Sequence[int], n: int, sign: int = 1) -> tuple[list[int], int]:
+    """(Z, rho) with [x^j] (P/P_0)^(s/2) * (Q/Q_0)^(-s/2) = Z_j / rho^j for
+    j = 0..n and s = ``sign`` (1 or -1), for integer lists P and Q with
+    nonzero heads: the power of :func:`_power_coefficients` at e = s/2, run
+    on 4P and Q, so rho = 4 * P_0 * Q_0.
+
+    Z_j is an integer: binom(+-1/2, i) * 4^i is one, and the coefficient of
+    x^j in (P/P_0 - 1)^i has a denominator dividing P_0^j, so the x^j
+    coefficient of (P/P_0)^(s/2) has one dividing (4 P_0)^j, and that of
+    (Q/Q_0)^(-s/2) one dividing (4 Q_0)^j.  When P_0 = Q_0 this is the root
+    of P/Q itself.
+    """
+    terms = _ratio_terms([4 * c for c in p], q, n)
+    return _power_coefficients(terms, sign, 2, n), 4 * p[0] * q[0]
+
+
+def _ratio_fractions(
+    num: Sequence[Scalar], den: Sequence[Scalar], n: int
+) -> tuple[Fraction, ...]:
+    """Coefficients 0..n of num/den for coefficient lists of ints or
+    Fractions with den[0] != 0: :func:`_quotient` on their integer
+    numerators, each coefficient reduced once."""
+    a, da = _common(num)
+    b, db = _common(den)
+    z, d, r = _quotient(a, b, n)
+    if db != 1:
+        z = [c * db for c in z]
+    return _fractions(z, da * d, r)
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """A formal power series truncated at a fixed order.
@@ -293,13 +380,14 @@ class PowerSeries:
         """Expand the rational function numerator/denominator.
 
         Both arguments are polynomial coefficient lists, constant term first.
+        This is the quotient recurrence of division, in O(order * deg den).
         """
         den = [Fraction(c) for c in denominator]
         if not den or den[0] == 0:
             raise ValueError("zero constant denominator")
-        num_series = cls.from_polynomial(numerator, order)
-        den_series = cls.from_polynomial(den, order)
-        return num_series / den_series
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        return cls(_ratio_fractions([Fraction(c) for c in numerator], den, order))
 
     # ------------------------------------------------------------------
     # queries
@@ -374,42 +462,15 @@ class PowerSeries:
     def __truediv__(self, other: Union["PowerSeries", Scalar]) -> "PowerSeries":
         """Quotient by a series with a nonzero constant term, or by a scalar.
 
-        With a = A/da and b = g*B/db, where g is the content (gcd) of b's
-        common numerators, the quotient of the integer lists is
-        q_m = R_m / B_0^(m+1) for the fraction-free recurrence
-
-            R_m = A_m * B_0^m - sum_{k>=1, B_k != 0} B_k * B_0^(k-1) * R_{m-k},
-
-        so coefficient m of a/b is R_m * db / (da * g * B_0^(m+1)), reduced
-        once.  Taking the content out keeps a divisor like 10^100 * (1 + x)
-        from scaling every R_m, and makes a constant divisor cost one
-        Fraction per coefficient.
+        With a = A/da and b = B/db over common denominators, coefficient m
+        of a/b is db * T_m / (da * d * r^m) for (T, d, r) = :func:`_quotient`
+        of A and B, reduced once.
         """
         if isinstance(other, PowerSeries):
             self._require_same_order(other)
             if other.coeffs[0] == 0:
                 raise ValueError("non-invertible series")
-            a, da = _common(self.coeffs)
-            b, db = _common(other.coeffs)
-            b, g = _primitive(b)
-            b0 = b[0]
-            # at Q = 1 the third field of term k is B_k * B_0^(k-1)
-            terms = _ratio_terms(b, [1], len(b) - 1)
-            rs: list[int] = []  # R_0, R_1, ...
-            out = []
-            scale = da * g  # da * g * B_0^m, before the step for m
-            b0_power = 1  # B_0^m
-            for m, am in enumerate(a):
-                r = am * b0_power
-                for k, _, w in terms:
-                    if k > m:
-                        break
-                    r -= w * rs[m - k]
-                rs.append(r)
-                scale *= b0
-                out.append(Fraction(r * db, scale))
-                b0_power *= b0
-            return PowerSeries(tuple(out))
+            return PowerSeries(_ratio_fractions(self.coeffs, other.coeffs, self.order))
         if isinstance(other, (int, Fraction)):
             scalar = Fraction(other)
             return PowerSeries(tuple(c / scalar for c in self.coeffs))
@@ -458,26 +519,18 @@ class PowerSeries:
     def sqrt(self) -> "PowerSeries":
         """Square root of a series with constant term exactly 1.
 
-        This is the power (P/P_0)^(1/2) of :func:`_power_coefficients`, with
-        Q = 1 and P = 4N for the integer numerators N of f = N/d (N_0 = d).
-        Then R = P, S = P', Z_m = y_m * (4d)^m, and coefficient m reads
+        This is :func:`_root` of the integer numerators N of f = N/d
+        (N_0 = d) and Q = 1, so coefficient m is Z_m / (4d)^m, with
 
-            2m * Z_m = sum_{i=1..m, N_i != 0} (3i - 2m) * N_i * 4^i * d^(i-1) * Z_{m-i},
+            2m * Z_m = sum_{i=1..m, N_i != 0} (3i - 2m) * N_i * 4^i * d^(i-1) * Z_{m-i}:
 
-        so a polynomial f of degree k costs O(k) operations per coefficient.
-        Z_m is an integer because binom(1/2, j) * 4^j = +-2 * Catalan(j-1)
-        for j >= 1, so each division by 2m is exact, and checked.
+        a polynomial f of degree k costs O(k) operations per coefficient.
         """
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires unit constant term")
-        nums, d = _common(self.coeffs)
-        terms = _ratio_terms([4 * ni for ni in nums], [1], self.order)
-        out = []
-        scale = 1  # (4d)^m
-        for z in _power_coefficients(terms, 1, 2, self.order):
-            out.append(Fraction(z, scale))
-            scale *= 4 * d
-        return PowerSeries(tuple(out))
+        nums, _ = _common(self.coeffs)
+        z, rho = _root(nums, [1], self.order)
+        return PowerSeries(_fractions(z, 1, rho))
 
     def revert(self) -> "PowerSeries":
         """Compositional inverse of a series with f0 = 0 and f1 != 0.
@@ -571,27 +624,28 @@ def _radical_revert(a: Sequence[int], c: Sequence[int], n: int) -> PowerSeries:
     That is a * u^2 + b * u - C_0 x = 0 for a = A_2 - C_2 x and
     b = A_1 - C_1 x, so u = (sqrt(D) - b) / (2a) for D = b^2 + 4 C_0 x a,
     with the root whose constant term is A_1.  D has degree at most 2 and
-    D_0 = A_1^2, so with s = sqrt(D / A_1^2), from O(n) steps of
-    :meth:`PowerSeries.sqrt`,
+    D_0 = A_1^2, so s = sqrt(D / A_1^2) is s_j = Z_j / rho^j for the
+    integers (Z, rho) of :func:`_root`, O(n) steps, and
 
-        u = (s - b / A_1) / (2a / A_1),
+        u = A_1 * (s - b / A_1) / (2a),
 
-    a quotient by a polynomial of degree at most 1, O(n) steps of the
-    division.  s - b / A_1 differs from s in its first two coefficients
-    alone.  If A_2 = 0, a = -C_2 x and s - b / A_1 is divisible by x^2, so
-    s is taken to order n + 1 and the difference shifted down by one.  If
-    a = 0, u = C_0 x / b.
+    a quotient by a polynomial of degree at most 1.  s - b / A_1 differs
+    from s in its first two coefficients alone: Z_0 becomes 0 and Z_1 gains
+    C_1 * rho / A_1 = 4 A_1 C_1.  In y = x / rho it is the integer series
+    Z(y), so :func:`_quotient` divides A_1 * Z by 2a(rho y) in O(n) steps,
+    and each coefficient of u is reduced once.  If A_2 = 0, a = -C_2 x and
+    s - b / A_1 is divisible by x^2, so s is taken to order n + 1 and the
+    difference shifted down by one.  If a = 0, u = C_0 x / b.
     """
     _, a1, a2 = [*a, 0][:3]
     c0, c1, c2 = [*c, 0, 0][:3]
     if not a2 and not c2:
-        return PowerSeries.from_polynomial([0, c0], n) / PowerSeries.from_polynomial(
-            [a1, -c1], n
-        )
-    square = a1 * a1
-    disc = [1, Fraction(4 * c0 * a2 - 2 * a1 * c1, square), Fraction(c1 * c1 - 4 * c0 * c2, square)]
-    s = PowerSeries.from_polynomial(disc, n if a2 else n + 1).sqrt().coeffs
-    top = PowerSeries((Fraction(0), s[1] + Fraction(c1, a1), *s[2:]))  # s - b / A_1
+        return PowerSeries(_fractions(*_quotient([0, c0], [a1, -c1], n)))
+    disc = [a1 * a1, 4 * c0 * a2 - 2 * a1 * c1, c1 * c1 - 4 * c0 * c2]
+    z, rho = _root(disc, [1], n if a2 else n + 1)
+    z[0], z[1] = 0, a1 * (z[1] + 4 * a1 * c1)  # A_1 * (s - b / A_1)
+    z[2:] = [a1 * x for x in z[2:]]
     if a2:
-        return top / PowerSeries.from_polynomial([Fraction(2 * a2, a1), Fraction(-2 * c2, a1)], n)
-    return top.shift_down(1) / Fraction(-2 * c2, a1)
+        t, d, r = _quotient(z, [2 * a2, -2 * c2 * rho], n)
+        return PowerSeries(_fractions(t, d, r * rho))
+    return PowerSeries(_fractions(z[1:], -2 * c2 * rho, rho))

@@ -4,8 +4,10 @@ Everything here trades speed for obviousness: cofactor expansion is
 exponential and the Gaussian variant works over Fraction, so neither is
 suitable outside tests.  The series routines work on plain lists of
 Fraction coefficients, one Fraction operation per pair of terms, without
-the library's common-denominator kernel.  :func:`h_fractions` draws
-sequences whose Hankel minors are known in closed form.
+the library's common-denominator kernel.  :func:`eval_gf_ref` evaluates a
+g.f. expression on them, node by node at a working order, as
+``hankelrev.gf`` did before it evaluated on integers.  :func:`h_fractions`
+draws sequences whose Hankel minors are known in closed form.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
+from hankelrev.gf import BinOp, Lit, Pow, Sqrt, Var
 from hankelrev.series import PowerSeries
 
 
@@ -148,6 +151,85 @@ def binomial_ogf_horner_ref(f: Sequence[Fraction]) -> list[Fraction]:
         result = series_product_ref(result, inner)
         result[0] += c
     return series_product_ref(result, [Fraction(1)] * (n + 1))
+
+
+class _NeedPrecisionRef(Exception):
+    def __init__(self, extra: int):
+        self.extra = max(1, extra)
+
+
+def eval_gf_ref(expression, order: int, passes: int = 8) -> PowerSeries:
+    """Expand a g.f. expression tree the way ``eval_gf`` once did.
+
+    Every node, literals and x included, is a Fraction list truncated at
+    a working order w, built with the reference routines above, together
+    with the greatest index it determines.  A quotient by a series of
+    valuation v shifts both down by v and determines v fewer
+    coefficients, and the caller widens w until the requested order is
+    determined, in at most ``passes`` evaluations of the whole tree.  With
+    no nonzero coefficient in sight the divisor widens w by one, so a
+    divisor of valuation v needs about v passes: x^8/x^8 runs out of
+    passes at order 0 and 1.
+    """
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    working = order
+    for _ in range(passes):
+        try:
+            series, valid = _eval_ref(expression, working)
+        except _NeedPrecisionRef as need:
+            working += need.extra
+            continue
+        if valid >= order:
+            return PowerSeries(tuple(series[: order + 1]))
+        working += order - valid
+    raise ValueError("non-invertible series")
+
+
+def _eval_ref(e, w: int) -> tuple[list[Fraction], int]:
+    zero = [Fraction(0)] * (w + 1)
+    if isinstance(e, Lit):
+        return [Fraction(e.value)] + zero[1:], w
+    if isinstance(e, Var):
+        return ([Fraction(0), Fraction(1)] + zero[2:])[: w + 1], w
+    if isinstance(e, Sqrt):
+        inner, valid = _eval_ref(e.arg, w)
+        if valid < 0:
+            raise _NeedPrecisionRef(-valid)
+        if inner[0] != 1:
+            raise ValueError("sqrt requires unit constant term")
+        return series_sqrt_ref(inner), valid
+    if isinstance(e, Pow):
+        base, valid = _eval_ref(e.base, w)
+        result = [Fraction(1)] + zero[1:]
+        for _ in range(e.exponent):
+            result = series_product_ref(result, base)
+        return result, valid if e.exponent else w
+    if not isinstance(e, BinOp):
+        raise TypeError(f"not a generating-function expression node: {e!r}")
+    left, lv = _eval_ref(e.left, w)
+    right, rv = _eval_ref(e.right, w)
+    if e.op == "+":
+        return [a + b for a, b in zip(left, right)], min(lv, rv)
+    if e.op == "-":
+        return [a - b for a, b in zip(left, right)], min(lv, rv)
+    if e.op == "*":
+        return series_product_ref(left, right), min(lv, rv)
+    if rv < 0:
+        raise _NeedPrecisionRef(-rv)
+    v = next((k for k in range(rv + 1) if right[k] != 0), None)
+    if v is None:
+        raise _NeedPrecisionRef(w - rv + 1)
+    if v == 0:
+        return series_quotient_ref(left, right), min(lv, rv)
+    if lv < v - 1:
+        raise _NeedPrecisionRef(v - 1 - lv)
+    if any(left[k] != 0 for k in range(v)):
+        raise ValueError("non-invertible series")
+    if w < v:
+        raise _NeedPrecisionRef(v - w)
+    quotient = series_quotient_ref(left[v:], right[v:])
+    return quotient + [Fraction(0)] * v, min(lv, rv) - v
 
 
 @st.composite

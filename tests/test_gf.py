@@ -1,10 +1,11 @@
 """Generating-function expression parsing, formatting, and expansion."""
 
+import math
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelrev import (
@@ -20,6 +21,8 @@ from hankelrev import (
     format_gf,
     parse_gf,
 )
+from hankelrev import series
+from oracles import eval_gf_ref
 
 
 class TestParse:
@@ -90,7 +93,8 @@ class TestFormat:
         assert format_gf(parse_gf(text)) == formatted
 
 
-def gf_expressions():
+def expressions(roots, max_leaves):
+    """Expression trees over 0..9 and x, with ``roots(children)`` for sqrt."""
     atoms = st.one_of(st.integers(0, 9).map(Lit), st.just(Var()))
 
     def extend(children):
@@ -98,9 +102,25 @@ def gf_expressions():
             st.sampled_from("+-*/"), children, children
         ).map(lambda t: BinOp(*t))
         pows = st.tuples(children, st.integers(0, 4)).map(lambda t: Pow(*t))
-        return st.one_of(binops, pows, children.map(Sqrt))
+        return st.one_of(binops, pows, roots(children))
 
-    return st.recursive(atoms, extend, max_leaves=16)
+    return st.recursive(atoms, extend, max_leaves=max_leaves)
+
+
+def gf_expressions():
+    return expressions(lambda children: children.map(Sqrt), 16)
+
+
+def unit_root_expressions():
+    """Each sqrt is of 1 + x * e or of e/e, so most roots are defined and
+    the series paths of the evaluator run."""
+    return expressions(
+        lambda children: st.one_of(
+            children.map(lambda c: Sqrt(BinOp("+", Lit(1), BinOp("*", Var(), c)))),
+            children.map(lambda c: Sqrt(BinOp("/", c, c))),
+        ),
+        12,
+    )
 
 
 class TestRoundtrip:
@@ -189,3 +209,101 @@ class TestExpand:
         except ValueError:
             return
         assert series.order == order
+
+
+def outcome(evaluate, expression, order, *args):
+    """The series an evaluator returns, or the message of its ValueError."""
+    try:
+        return evaluate(expression, order, *args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# the reference widens its working order by one per pass while a divisor
+# shows no nonzero coefficient, so a divisor of valuation v needs about v
+# of its passes; with more passes it reaches the valuations these trees
+# can build
+REFERENCE_PASSES = 64
+BIG = 10**119 + 7
+
+
+class TestAgainstReference:
+    """eval_gf against eval_gf_ref, the evaluator on truncated Fraction
+    series that it replaced."""
+
+    def check(self, expression, order):
+        actual = outcome(eval_gf, expression, order)
+        expected = outcome(eval_gf_ref, expression, order)
+        if expected == "non-invertible series" and actual != expected:
+            expected = outcome(eval_gf_ref, expression, order, REFERENCE_PASSES)
+        assert actual == expected
+        if isinstance(actual, PowerSeries):
+            assert actual.order == order
+
+    @settings(max_examples=300)
+    @given(gf_expressions(), st.integers(0, 8))
+    def test_random_expressions(self, expression, order):
+        self.check(expression, order)
+
+    @settings(max_examples=300)
+    @given(unit_root_expressions(), st.integers(0, 8))
+    def test_random_expressions_with_unit_roots(self, expression, order):
+        self.check(expression, order)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x/x",
+            "x^2/x",
+            "x/(x-x)",
+            "1/x",
+            "(1/x)*x",
+            "sqrt(2+x)",
+            "sqrt(x/x)",
+            "(1-sqrt(1-4*x))/(sqrt(1-4*x)-1)",
+            f"(1-sqrt(1-4*{BIG}*x))/(2*{BIG})",
+            "x^8/x^8",
+            "(x^4)^4/(x^3)^3",
+            "sqrt(1+x)/sqrt(1+x)^3",
+            "1/sqrt(1/(1-x)+x)",
+            "(1+3*x-sqrt(1+6*x+29*x^2))/(-10*x^2)",
+            "x/(1-sqrt(1-x))",
+            "sqrt(sqrt(1+x)+3)",
+            "1/(sqrt(1+x)-sqrt(1+x))",
+            "(sqrt(1+x)-1)^2/x^2",
+        ],
+    )
+    @pytest.mark.parametrize("order", [0, 1, 2, 7])
+    def test_pinned(self, text, order):
+        self.check(parse_gf(text), order)
+
+    def test_budget_of_the_reference(self):
+        # the exact valuation of x^8 needs no widening
+        assert outcome(eval_gf_ref, parse_gf("x^8/x^8"), 1) == "non-invertible series"
+        assert eval_gf(parse_gf("x^8/x^8"), 1).integer_coefficients() == [1, 0]
+
+
+@pytest.fixture
+def power_runs(monkeypatch):
+    """(p, q, k) of each run of the power recurrence."""
+    runs = []
+    power_coefficients = series._power_coefficients
+
+    def spy(terms, p, q, k):
+        runs.append((p, q, k))
+        return power_coefficients(terms, p, q, k)
+
+    monkeypatch.setattr(series, "_power_coefficients", spy)
+    return runs
+
+
+class TestSinglePass:
+    def test_polynomial_divisor_takes_one_root(self, power_runs):
+        s = expand_gf("(1-sqrt(1-8*x))/(4*x)", 120)
+        assert s.integer_coefficients() == [math.comb(2 * n, n) // (n + 1) * 2**n for n in range(121)]
+        assert power_runs == [(1, 2, 121)]
+
+    def test_quotient_by_a_root_is_one_power(self, power_runs):
+        s = expand_gf("1/sqrt(1-4*x)", 400)
+        assert s.integer_coefficients() == [math.comb(2 * n, n) for n in range(401)]
+        assert power_runs == [(-1, 2, 400)]
