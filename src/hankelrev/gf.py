@@ -13,17 +13,19 @@ is insignificant and U+2212 is accepted as a minus sign.  Syntax errors
 report the byte offset of the offending input.
 
 Evaluation is exact: :func:`eval_gf` expands an expression to a requested
-truncation order.  A subtree without sqrt evaluates to a rational function
-P/Q of integer polynomials, untruncated.  ``sqrt(f)``, and a quotient by
-it, are one run of the power recurrence of :mod:`hankelrev.series` at
-e = 1/2 or e = -1/2, and the series built from them keep integer
-numerators over a denominator until each output coefficient becomes a
-Fraction, once.  Division by an expression that vanishes at 0 (for example
-``(1-sqrt(1-4*x))/(2*x)``) is supported by cancelling the common power of
-x.  The valuation of a divisor without sqrt is exact, so its numerator is
-evaluated once, to the order the quotient needs.  Only a divisor with a
-sqrt in it makes the evaluator widen its working order and evaluate again
-until the requested order is fully determined.
+truncation order in one pass.  A subtree without sqrt evaluates to a
+rational function P/Q of integer polynomials, untruncated.  ``sqrt(f)``,
+and a quotient by it, are one run of the power recurrence of
+:mod:`hankelrev.series` at e = 1/2 or e = -1/2, and the series built from
+them keep integer numerators over a denominator until each output
+coefficient becomes a Fraction, once.  Division by an expression that
+vanishes at 0 (for example ``(1-sqrt(1-4*x))/(2*x)``) is supported by
+cancelling the common power of x.  The divisor is evaluated first, so its
+valuation v is known and the numerator is evaluated once, v further than
+the quotient needs.  A series divisor that shows no nonzero coefficient
+through the order it was asked for is evaluated once more, ``_REACH``
+coefficients further; a divisor whose valuation lies past that is reported
+as non-invertible.
 """
 
 from __future__ import annotations
@@ -273,14 +275,9 @@ def _format(e: GfExpression, min_prec: int) -> str:
 # ----------------------------------------------------------------------
 # evaluator
 
-_MAX_EVAL_PASSES = 8
-
-
-class _NeedPrecision(Exception):
-    """Internal signal: widen the working order and re-evaluate."""
-
-    def __init__(self, extra: int):
-        self.extra = max(1, extra)
+# how many coefficients past its order a series divisor is evaluated to
+# find its valuation
+_REACH = 64
 
 
 class _Rational:
@@ -320,25 +317,12 @@ def eval_gf(expression: GfExpression, order: int) -> PowerSeries:
     """Expand an expression to a power series of exactly the given order.
 
     The tree is evaluated once on integers (see :func:`_eval`), and each
-    coefficient becomes a Fraction once, at the end.  Only a quotient by a
-    series that vanishes at 0, such as ``1/(sqrt(1+x)-1)``, leaves
-    coefficients undetermined; then the working order widens by the
-    shortfall and the tree is evaluated again, at most
-    ``_MAX_EVAL_PASSES`` times in all.
+    coefficient becomes a Fraction once, at the end.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    working = order
-    for _ in range(_MAX_EVAL_PASSES):
-        try:
-            series = _series(_eval(expression, working), order)
-        except _NeedPrecision as need:
-            working += need.extra
-            continue
-        if len(series.z) > order:
-            return PowerSeries(_fractions(series.z, series.d, series.r))
-        working += order + 1 - len(series.z)
-    raise ValueError("non-invertible series")
+    series = _series(_eval(expression, order), order)
+    return PowerSeries(_fractions(series.z, series.d, series.r))
 
 
 def expand_gf(text: str, order: int) -> PowerSeries:
@@ -347,15 +331,16 @@ def expand_gf(text: str, order: int) -> PowerSeries:
 
 
 def _eval(e: GfExpression, w: int) -> _Value:
-    """The value of ``e``, needed through x^w.
+    """The value of ``e``, determined through x^w.
 
     A subtree without sqrt is an exact :class:`_Rational`, never truncated,
     except that a power whose degree would pass w is expanded as a series
     to order w.  ``sqrt(f)`` is a :class:`_Series` of order w from one run
     of :func:`hankelrev.series._root`.  Operations on series keep integer
     numerators over a denominator d * r^j, so nothing is reduced before
-    :func:`eval_gf` is done.  A series is as long as its coefficients are
-    determined: the quotient by a series of valuation v is v shorter.
+    :func:`eval_gf` is done.  Every series returned determines at least
+    its coefficients through x^w: a quotient by a divisor of valuation v
+    takes its numerator, and a series divisor, through x^(w+v).
     """
     if isinstance(e, Lit):
         return _Rational([e.value], [1])
@@ -380,39 +365,42 @@ def _eval_quotient(num: GfExpression, den: GfExpression, w: int) -> _Value:
     """``num / den``, with the errors of ``num`` raised before those of ``den``.
 
     The quotient by ``sqrt(f)`` is the product with f^(-1/2), one run of
-    the power recurrence.  A divisor without sqrt is evaluated first: it is
-    exact, so its valuation v is known and the numerator is evaluated once,
-    at order w + v.  If it fails, the numerator is evaluated before its
-    error is raised.
+    the power recurrence.  Any other divisor is evaluated first, to find
+    its valuation v: once more through x^(w + _REACH) if it is a series
+    with no nonzero coefficient through x^w, and once more through
+    x^(w + v) if it is a series shorter than that.  The numerator is then
+    evaluated once, through x^(w + v).  If the divisor fails, the
+    numerator is evaluated before its error is raised.
     """
     if isinstance(den, Sqrt):
         left = _eval(num, w)
         return _mul(left, _root_of(_eval(den.arg, w), w, -1))
-    if _has_sqrt(den):
-        left = _eval(num, w)
-        return _over(left, _eval(den, w), w)
     try:
         right = _eval(den, w)
-        v = _valuation(right.p) if isinstance(right, _Rational) else 0
+        v = _valuation(right)
+        if v is None and isinstance(right, _Series):
+            right = _eval(den, w + _REACH)
+            v = _valuation(right)
         if v is None:
             raise ValueError("non-invertible series")
-    except (ValueError, _NeedPrecision):
+        if isinstance(right, _Series) and len(right.z) <= w + v:
+            right = _eval(den, w + v)
+    except ValueError:
         _eval(num, w)
         raise
-    return _over(_eval(num, w + v), right, w)
+    return _over(_eval(num, w + v), right, v)
 
 
-def _has_sqrt(e: GfExpression) -> bool:
-    if isinstance(e, Sqrt):
-        return True
-    if isinstance(e, BinOp):
-        return _has_sqrt(e.left) or _has_sqrt(e.right)
-    return isinstance(e, Pow) and _has_sqrt(e.base)
+def _coefficients(value: _Value) -> list[int]:
+    """The numerator of a rational function, the numerators of a series:
+    either has the valuation of ``value``."""
+    return value.p if isinstance(value, _Rational) else value.z
 
 
-def _valuation(p: list[int]) -> int | None:
-    """The index of the first nonzero entry of p, or None."""
-    return next((k for k, c in enumerate(p) if c), None)
+def _valuation(value: _Value) -> int | None:
+    """The index of the first nonzero coefficient of ``value`` that it
+    determines, or None."""
+    return next((k for k, c in enumerate(_coefficients(value)) if c), None)
 
 
 def _product(a: list[int], b: list[int]) -> list[int]:
@@ -486,21 +474,11 @@ def _times_ratio(s: _Series, p: list[int], q: list[int]) -> _Series:
     return _Series(t, s.d * d, s.r * r)
 
 
-def _over(num: _Value, den: _Value, w: int) -> _Value:
-    """num / den, cancelling the valuation v of den, which num must share."""
-    v = _valuation(den.p if isinstance(den, _Rational) else den.z)
-    if v is None:
-        if isinstance(den, _Rational):
-            raise ValueError("non-invertible series")
-        # no determined nonzero coefficient yet; widen (a genuinely zero
-        # divisor exhausts the pass budget and surfaces as non-invertible)
-        raise _NeedPrecision(w - len(den.z) + 2)
-    if isinstance(num, _Rational):
-        if num.p and _valuation(num.p) < v:
-            raise ValueError("non-invertible series")
-    elif len(num.z) < v:
-        raise _NeedPrecision(v - len(num.z))
-    elif any(num.z[:v]):
+def _over(num: _Value, den: _Value, v: int) -> _Value:
+    """num / den for den of valuation v, which num must share: both are
+    shifted down by v, so a series quotient is v shorter than the shorter
+    of num and den."""
+    if any(_coefficients(num)[:v]):
         raise ValueError("non-invertible series")
     if isinstance(den, _Rational):
         if isinstance(num, _Rational):
@@ -509,8 +487,6 @@ def _over(num: _Value, den: _Value, w: int) -> _Value:
         return _times_ratio(shifted, den.q, den.p[v:])
     num = _series(num, len(den.z) - 1)
     n = min(len(num.z), len(den.z))
-    if n == v:
-        return _Series([], 1, 1)
     # both shifted down by v in y = x / r, where the factors r^v cancel
     r = math.lcm(num.r, den.r)
     a, b = _scaled(num.z[:n], r // num.r), _scaled(den.z[:n], r // den.r)
@@ -527,8 +503,6 @@ def _root_of(value: _Value, w: int, sign: int) -> _Series:
             raise ValueError("sqrt requires unit constant term")
         z, rho = _root(p, q, w, sign)
         return _Series(z, 1, rho)
-    if not value.z:
-        raise _NeedPrecision(1)
     if value.z[0] != value.d:
         raise ValueError("sqrt requires unit constant term")
     z, rho = _root(value.z, [1], len(value.z) - 1, sign)

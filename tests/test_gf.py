@@ -165,8 +165,9 @@ class TestExpand:
         assert s.integer_coefficients() == [1, 1, 2, 5, 14]
 
     def test_radical_over_negative_monomial(self):
-        # numerator valuation 2, divisor valuation 1: quotient still reaches
-        # the requested order because evaluation widens its working precision
+        # numerator valuation 2, divisor valuation 1: the numerator is
+        # evaluated one coefficient further, so the quotient reaches the
+        # requested order
         s = expand_gf("(1+3*x-sqrt(1+6*x+29*x^2))/(-10*x)", 5)
         assert s.integer_coefficients() == [0, 1, -3, 4, 18, -139]
 
@@ -191,6 +192,18 @@ class TestExpand:
     def test_division_by_higher_valuation_fails(self):
         with pytest.raises(ValueError, match="non-invertible series"):
             expand_gf("1/x", 4)
+
+    @pytest.mark.parametrize("order, expected", [(0, [2]), (1, [2, 0]), (3, [2, 0, 0, 0])])
+    def test_series_divisor_past_the_order(self, order, expected):
+        # the divisor vanishes through x^7, past the requested order
+        assert expand_gf("x^8/(sqrt(1+x^8)-1)", order).integer_coefficients() == expected
+
+    def test_reach_of_a_series_divisor(self):
+        # a series divisor is evaluated at most _REACH = 64 coefficients
+        # past the requested order to find its valuation
+        assert expand_gf("x^64/(sqrt(1+x^64)-1)", 0).integer_coefficients() == [2]
+        with pytest.raises(ValueError, match="non-invertible series"):
+            expand_gf("x^65/(sqrt(1+x^65)-1)", 0)
 
     def test_sqrt_requires_unit_constant(self):
         with pytest.raises(ValueError, match="sqrt requires unit constant term"):
@@ -221,8 +234,9 @@ def outcome(evaluate, expression, order, *args):
 
 # the reference widens its working order by one per pass while a divisor
 # shows no nonzero coefficient, so a divisor of valuation v needs about v
-# of its passes; with more passes it reaches the valuations these trees
-# can build
+# of its passes; with 64 passes it reaches as far as eval_gf, which looks
+# 64 coefficients past the order of a series divisor, and further than
+# the valuations these trees can build
 REFERENCE_PASSES = 64
 BIG = 10**119 + 7
 
@@ -271,6 +285,8 @@ class TestAgainstReference:
             "sqrt(sqrt(1+x)+3)",
             "1/(sqrt(1+x)-sqrt(1+x))",
             "(sqrt(1+x)-1)^2/x^2",
+            "(1/x)/(sqrt(2+x)-1)",
+            "sqrt(3+x)/(sqrt(2+x)-1)",
         ],
     )
     @pytest.mark.parametrize("order", [0, 1, 2, 7])
@@ -307,3 +323,16 @@ class TestSinglePass:
         s = expand_gf("1/sqrt(1-4*x)", 400)
         assert s.integer_coefficients() == [math.comb(2 * n, n) for n in range(401)]
         assert power_runs == [(-1, 2, 400)]
+
+    def test_series_divisor_runs_the_numerator_once(self, power_runs):
+        # the divisor vanishes at 0, so it is evaluated at 100 and again at
+        # 101; the numerator's root runs once, at 101
+        s = expand_gf("sqrt(1+x)*x/(1-sqrt(1-4*x))", 100)
+        assert s.order == 100
+        assert power_runs == [(1, 2, 100), (1, 2, 101), (1, 2, 101)]
+
+    def test_zero_series_divisor_fails_after_one_widening(self, power_runs):
+        # the divisor's two roots run at 100, then once more at 100 + 64
+        with pytest.raises(ValueError, match="non-invertible series"):
+            expand_gf("1/(sqrt(1-4*x)-sqrt(1-4*x))", 100)
+        assert len(power_runs) <= 4
