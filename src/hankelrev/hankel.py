@@ -17,9 +17,11 @@ The rows are kept as integers over one denominator with their content
 divided out, so on sequences with small J-fraction coefficients, such as
 those of the families, the entries stay small.  Each step's three
 multipliers are divided by their gcd before they touch a row.  Where the
-J-fraction coefficients a_k and b_k are integers, as in the families,
-that leaves the step r[i+2] - a_k r[i+1] - b_k p[i+2] on rows r and p
-over denominator 1, and the row's content is 1.
+row's denominator is 1 and the J-fraction coefficients a_k and b_k are
+integers, as in the family runs, that gcd is the first multiplier.  The
+run then takes the step r[i+2] - a_k r[i+1] - b_k p[i+2] on rows r and p
+from two exact divisions, with no gcd of the multipliers, the row or the
+riders below, and the new row stays over denominator 1.
 
 One run on m = u[1:] gives all three transforms of :func:`hankel_triple`
 (Krattenthaler, *Advanced determinant calculus*, 1999, the section on
@@ -162,12 +164,16 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
     with r[i] = D sigma_{j,j+i}, where sigma_{k,l} = L(pi_k x^l) for the
     monic orthogonal polynomials pi_k of the moments ``terms``.  Here
     c1 / c0 = a_j and c2 / c0 = b_j D / D_p, with D_p the denominator of
-    p.  So where every a_j and b_j is an integer, D stays 1, the reduced
-    multipliers are (1, a_j, b_j), the step is
+    p.  Where D = 1 and c0 divides c1 and c2, as at every row of a run
+    whose a_j and b_j are all integers, g = c0, so the reduced multipliers
+    are (1, a, b) with a = c1 / c0 = a_j and b = c2 / c0.  That integral
+    step takes no gcd at all:
 
-        next[i] = r[i+2] - a_j r[i+1] - b_j p[i+2],
+        next[i] = r[i+2] - a r[i+1] - b p[i+2]  over D = 1,
 
-    and the row gcd is 1, so the row is not rebuilt.
+    and the row gcd, gcd(1, ...) = 1, is not taken.  D == 1 is tested
+    first, so a run with fractional coefficients pays nothing for it;
+    every other row takes the general step above.
 
     Each rider is a list [X_{-1}, X_0] that the run extends in place with
     the continuant X_{j+1} = a_j nu_j X_j - nu_j^2 X_{j-1} at every row,
@@ -177,7 +183,9 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
         X_{j+1} = (c1 D X_j - h^2 p0 X_{j-1}) / (p0 D^2),
 
     with its three weights divided by their gcd first.  It is exact for
-    integer input and checked like the minors.  It reads r[1] of the last
+    integer input and checked like the minors.  In the integral step,
+    a_j nu_j = a h and nu_j^2 = h^2, so it is X_{j+1} = h (a X_j - h X_{j-1})
+    with no gcd and no division.  It reads r[1] of the last
     row, so riders need ``2 * depth + 2`` terms.  The riders stop at the
     first block of zero minors, short of ``depth + 3`` entries.
     """
@@ -197,6 +205,17 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
                 return minors
             p0 = prev[0]
             c0, c1, c2 = h * p0, row[1] * p0 - h * prev[1], h * h
+            if denom == 1:
+                (a, r1), (b, r2) = divmod(c1, c0), divmod(c2, c0)
+                if not (r1 or r2):  # integral a_j and b_j: g = c0
+                    for seq in riders:
+                        seq.append(h * (a * seq[-1] - h * seq[-2]))
+                    if last:
+                        return minors
+                    prev, row = row, [
+                        x - a * y - b * z for x, y, z in zip(row[2:], row[1:], prev[2:])
+                    ]
+                    continue
             if riders:
                 w1, w2, w3 = c1 * denom, c2 * p0, p0 * denom * denom
                 g = math.gcd(w1, w2, w3)

@@ -44,7 +44,10 @@ becomes exact decimal text at any magnitude, and :func:`_parse_int` the
 one way decimal text becomes an int.  The other modules hand back ints
 (or series), and :mod:`hankelrev.cli` renders them with the first two
 when it prints.  The command line and the gf parser read integers with
-the third.
+the third.  :func:`_decimal` splits a value of 2000 bits or more at a
+cached power 10^(300 * 2^k) near the middle of its digits, so every
+piece that reaches CPython's ``str``, quadratic in the digit count, is
+under 603 digits, below any int->str limit a process can set.
 """
 
 from __future__ import annotations
@@ -65,23 +68,32 @@ def coefficient_string(value: Fraction) -> str:
     return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
+_POW10 = [10**300]  # _POW10[k] = 10^(300 * 2^k), squared on demand
+
+
 def _decimal(value: int) -> str:
     """Exact decimal text of an int of any size.
 
     CPython caps int->str conversion (4300 digits by default, settable per
-    process).  Values past the cap are split by a power of ten and each half
-    converted on its own, so the process-wide limit is never touched: library
-    callers of ``cli.run`` keep whatever limit they chose.
+    process, never below 640) and takes quadratic time below the cap.  A
+    value of fewer than 2000 bits, so fewer than 603 digits, goes straight
+    to ``str``.  A larger one is split by ``divmod`` at m = 300 * 2^k
+    digits, with k chosen so that m is 0.35 to 0.71 of its digit count, and
+    each part converted on its own.  The powers 10^m are cached in
+    ``_POW10``, one per octave, as in CPython's ``Lib/_pylong.py``.  The
+    process-wide limit is neither read nor touched: library callers of
+    ``cli.run`` keep whatever limit they chose.
     """
-    try:
+    if value.bit_length() < 2000:
         return str(value)
-    except ValueError:  # past the int->str digit limit
-        pass
     if value < 0:
         return "-" + _decimal(-value)
-    half = value.bit_length() * 3 // 20  # about half the decimal digits
-    high, low = divmod(value, 10**half)
-    return _decimal(high) + _decimal(low).zfill(half)
+    # 2^k <= bits / 1410.75 < 2^(k+1), so m lies in (0.353, 0.707] of the digits
+    k = (value.bit_length() * 4 // 5643).bit_length() - 1
+    while len(_POW10) <= k:
+        _POW10.append(_POW10[-1] ** 2)
+    high, low = divmod(value, _POW10[k])
+    return _decimal(high) + _decimal(low).zfill(300 << k)
 
 
 def _parse_int(text: str) -> int:

@@ -457,6 +457,67 @@ class TestRidingContinuants:
 
 
 
+def count_gcds(monkeypatch):
+    """Record the arguments of every math.gcd call that hankel makes."""
+    calls = []
+    monkeypatch.setattr(
+        hankel, "math", SimpleNamespace(gcd=lambda *args: calls.append(args) or math.gcd(*args))
+    )
+    return calls
+
+
+def assert_triple_equals_det_exact(triple, terms):
+    for shift, arm in enumerate((triple.h, triple.h_star, triple.h_star_star)):
+        assert list(arm) == per_index(terms[shift:], triple.depth)
+
+
+PARAMETERS = st.integers(-(10**40), 10**40)
+FAMILY_POINTS = st.one_of(
+    st.builds(FamilyParams, PARAMETERS, PARAMETERS, st.sampled_from([FAMILY_A, FAMILY_B])),
+    st.builds(FamilyParams, PARAMETERS.filter(bool), st.just(0), st.just(FAMILY_C)),
+)
+
+
+class TestIntegralStep:
+    """Rows over denominator 1 whose J-fraction coefficients are integers
+    take the step r[i+2] - a r[i+1] - b p[i+2] with no gcd at all."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            FamilyParams(-3, -5, FAMILY_A),
+            FamilyParams(2, 5, FAMILY_B),
+            FamilyParams(10, 0, FAMILY_C),
+            FamilyParams(10**30 + 7, 0, FAMILY_C),
+            FamilyParams(10**40 + 1, -(10**39) + 3, FAMILY_A),
+        ],
+        ids=["A(-3,-5)", "B(2,5)", "C(10)", "C(1e30+7)", "A(1e40+1,-1e39+3)"],
+    )
+    def test_family_runs_take_no_gcd(self, monkeypatch, params):
+        depth = 10
+        terms = family_reversion_terms(params, 2 * depth + 3)
+        gcds = count_gcds(monkeypatch)
+        triple = hankel_triple(terms, depth)
+        assert gcds == []
+        assert_triple_equals_det_exact(triple, terms)
+
+    def test_switch_to_the_general_step_mid_run(self, monkeypatch):
+        # the last four terms make the last rows' coefficients fractions
+        depth = 10
+        terms = family_reversion_terms(FamilyParams(-3, -5, FAMILY_A), 2 * depth + 3)
+        terms[-4:] = [t + 1 for t in terms[-4:]]
+        gcds = count_gcds(monkeypatch)
+        triple = hankel_triple(terms, depth)
+        assert 0 < len(gcds) < depth
+        assert_triple_equals_det_exact(triple, terms)
+
+    @given(FAMILY_POINTS, st.integers(0, 6))
+    def test_family_points_against_det_exact(self, params, depth):
+        terms = family_reversion_terms(params, 2 * depth + 3)
+        assert_triple_equals_det_exact(hankel_triple(terms, depth), terms)
+        assert hankel_transform(terms[1:], depth) == per_index(terms[1:], depth)
+
+
 class TestHugeParameters:
     """Closed forms at |alpha|, |beta| around 10^30 and 10^100, where the step
     multipliers have thousands of bits before their gcd is divided out."""

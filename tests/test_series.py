@@ -1,6 +1,7 @@
 """Truncated power series arithmetic over exact rationals."""
 
 import math
+import random
 import sys
 import time
 from decimal import Decimal
@@ -778,3 +779,28 @@ class TestSerialization:
             assert sys.get_int_max_str_digits() == 640
         finally:
             sys.set_int_max_str_digits(before)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit"
+    )
+    @pytest.mark.parametrize("limit", [640, "default"])
+    def test_decimal_at_the_lowest_digit_limit(self, limit):
+        # every piece that reaches str must fit under the lowest limit
+        # CPython accepts, also next to each split point 10^(300 * 2^j)
+        if limit == "default":
+            limit = sys.int_info.default_max_str_digits
+        rng = random.Random(2021)
+        digits = [603, 604, 640, 641, 1300] + rng.sample(range(605, 1300), 6) + [25000, 25123]
+        values = [rng.randrange(10 ** (d - 1), 10**d) for d in digits]
+        values += [10 ** (300 << j) + c for j in range(5) for c in (-1, 0, 1)]
+        values += [-v for v in values]
+        before = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = [str(v) for v in values]
+            sys.set_int_max_str_digits(limit)
+            texts = [series._decimal(v) for v in values]
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert texts == expected
