@@ -13,8 +13,6 @@ from hankelrev.conjectures import (
     ConjectureReport,
     SweepResult,
     prop9_T_matrix,
-    prop9_coeff_identity_1,
-    prop9_coeff_identity_2,
     prop9_verify,
     sweep,
     verify_alpha_shift,
@@ -92,8 +90,6 @@ __all__ = [
     "inverse_binomial_transform",
     "parse_gf",
     "prop9_T_matrix",
-    "prop9_coeff_identity_1",
-    "prop9_coeff_identity_2",
     "prop9_verify",
     "sweep",
     "verify_alpha_shift",

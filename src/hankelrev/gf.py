@@ -17,15 +17,17 @@ truncation order in one pass.  A subtree without sqrt evaluates to a
 rational function P/Q of integer polynomials, untruncated.  ``sqrt(f)``,
 and a quotient by it, are one run of the power recurrence of
 :mod:`hankelrev.series` at e = 1/2 or e = -1/2, and the series built from
-them keep integer numerators over a denominator until each output
-coefficient becomes a Fraction, once.  Division by an expression that
-vanishes at 0 (for example ``(1-sqrt(1-4*x))/(2*x)``) is supported by
-cancelling the common power of x.  The divisor is evaluated first, so its
-valuation v is known and the numerator is evaluated once, v further than
-the quotient needs.  A series divisor that shows no nonzero coefficient
-through the order it was asked for is evaluated once more, ``_REACH``
-coefficients further; a divisor whose valuation lies past that is reported
-as non-invertible.
+them keep integer numerators over a denominator.  The result hands them
+to :class:`hankelrev.series.PowerSeries`, which reads each output
+coefficient once, as an int where it is one, and builds Fractions only
+when they are asked for.  Division by an expression that vanishes at 0
+(for example ``(1-sqrt(1-4*x))/(2*x)``) is supported by cancelling the
+common power of x.  The divisor is evaluated first, so its valuation v is
+known and the numerator is evaluated once, v further than the quotient
+needs.  A divisor with a sqrt in it that vanishes at 0 is evaluated once,
+``_REACH`` coefficients past the order it was asked for, and cut back to
+v past it; a divisor whose valuation lies past that is reported as
+non-invertible.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import NamedTuple, Union
 
-from hankelrev.series import PowerSeries, _conv, _decimal, _fractions, _parse_int, _quotient, _root
+from hankelrev.series import PowerSeries, _conv, _decimal, _parse_int, _quotient, _root
 
 
 class GfParseError(ValueError):
@@ -316,13 +318,15 @@ _Value = Union[_Rational, _Series]
 def eval_gf(expression: GfExpression, order: int) -> PowerSeries:
     """Expand an expression to a power series of exactly the given order.
 
-    The tree is evaluated once on integers (see :func:`_eval`), and each
-    coefficient becomes a Fraction once, at the end.
+    The tree is evaluated once on integers (see :func:`_eval`).  The
+    series keeps the integer numerators of the result: each coefficient is
+    read once, as an int where it is one, and becomes a Fraction only
+    when ``coeffs`` is read.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     series = _series(_eval(expression, order), order)
-    return PowerSeries(_fractions(series.z, series.d, series.r))
+    return PowerSeries._from_numerators(series.z, series.d, series.r)
 
 
 def expand_gf(text: str, order: int) -> PowerSeries:
@@ -337,7 +341,7 @@ def _eval(e: GfExpression, w: int) -> _Value:
     except that a power whose degree would pass w is expanded as a series
     to order w.  ``sqrt(f)`` is a :class:`_Series` of order w from one run
     of :func:`hankelrev.series._root`.  Operations on series keep integer
-    numerators over a denominator d * r^j, so nothing is reduced before
+    numerators over a denominator d * r^j, so nothing is divided before
     :func:`eval_gf` is done.  Every series returned determines at least
     its coefficients through x^w: a quotient by a divisor of valuation v
     takes its numerator, and a series divisor, through x^(w+v).
@@ -366,29 +370,52 @@ def _eval_quotient(num: GfExpression, den: GfExpression, w: int) -> _Value:
 
     The quotient by ``sqrt(f)`` is the product with f^(-1/2), one run of
     the power recurrence.  Any other divisor is evaluated first, to find
-    its valuation v: once more through x^(w + _REACH) if it is a series
-    with no nonzero coefficient through x^w, and once more through
-    x^(w + v) if it is a series shorter than that.  The numerator is then
-    evaluated once, through x^(w + v).  If the divisor fails, the
-    numerator is evaluated before its error is raised.
+    its valuation v.  A divisor that holds a sqrt is probed at x^0 first;
+    if it vanishes there, it is evaluated once, through x^(w + _REACH).
+    Otherwise it is evaluated through x^w, and once more through
+    x^(w + _REACH) if it is a series with no nonzero coefficient through
+    x^w.  Either way a series divisor is then evaluated once more through
+    x^(w + v) if it is shorter than that, and cut back to x^(w + v) if it
+    is longer.  The numerator is then evaluated once, through x^(w + v).  If the divisor fails, the numerator is evaluated
+    before its error is raised.
     """
     if isinstance(den, Sqrt):
         left = _eval(num, w)
         return _mul(left, _root_of(_eval(den.arg, w), w, -1))
     try:
-        right = _eval(den, w)
+        reach = w + _REACH if _has_sqrt(den) and _vanishes(den) else w
+        right = _eval(den, reach)
         v = _valuation(right)
-        if v is None and isinstance(right, _Series):
+        if v is None and isinstance(right, _Series) and reach == w:
             right = _eval(den, w + _REACH)
             v = _valuation(right)
         if v is None:
             raise ValueError("non-invertible series")
-        if isinstance(right, _Series) and len(right.z) <= w + v:
-            right = _eval(den, w + v)
+        if isinstance(right, _Series):
+            # the quotient runs to the length of its divisor, so a widened
+            # divisor is cut back to x^(w + v)
+            right = _eval(den, w + v) if len(right.z) <= w + v else _series(right, w + v)
     except ValueError:
         _eval(num, w)
         raise
     return _over(_eval(num, w + v), right, v)
+
+
+def _has_sqrt(e: GfExpression) -> bool:
+    if isinstance(e, Sqrt):
+        return True
+    if isinstance(e, BinOp):
+        return _has_sqrt(e.left) or _has_sqrt(e.right)
+    return isinstance(e, Pow) and _has_sqrt(e.base)
+
+
+def _vanishes(e: GfExpression) -> bool:
+    """Whether ``e`` is 0 at x^0.  An expression whose evaluation there
+    fails is reported as not vanishing, so the full evaluation raises."""
+    try:
+        return not any(_coefficients(_eval(e, 0))[:1])
+    except ValueError:
+        return False
 
 
 def _coefficients(value: _Value) -> list[int]:

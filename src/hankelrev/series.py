@@ -1,18 +1,22 @@
 """Exact truncated formal power series over rational coefficients.
 
-A :class:`PowerSeries` stores coefficients 0..order as `fractions.Fraction`
-values; all arithmetic is exact and nothing is ever rounded.  Binary
-operations insist on equal truncation orders.  Silent extension or
-truncation is how precision bugs sneak into determinant work downstream,
-so mixing orders raises instead.
+A :class:`PowerSeries` reads its coefficients 0..order as
+`fractions.Fraction` values (``coeffs``); all arithmetic is exact and
+nothing is ever rounded.  Binary operations insist on equal truncation
+orders.  Silent extension or truncation is how precision bugs sneak into
+determinant work downstream, so mixing orders raises instead.
 
 Products, division, square roots and reversion run on integer numerators
 over one common denominator (:func:`_common`, :func:`_conv`), so the inner
-loops multiply and add plain ints and each output coefficient is reduced
+loops multiply and add plain ints and each output coefficient is read
 once.  A quotient by an integer list is the fraction-free recurrence of
 :func:`_quotient`, and a square root or its inverse one run of
 :func:`_root`; both give integers Z_j with coefficient j equal to
-Z_j / (d * r^j), which :func:`_fractions` reduces once.  Division,
+Z_j / (d * r^j).  :func:`_quotients` reads each by one checked exact
+division: an int where it divides, a reduced Fraction elsewhere.  A
+series holds those values and builds its Fractions only when ``coeffs``
+is read, so an integral series goes from :mod:`hankelrev.gf` through
+reversion to printed text without a Fraction.  Division,
 :meth:`PowerSeries.from_rational`, :meth:`PowerSeries.sqrt`,
 :func:`_radical_revert` and the evaluator of :mod:`hankelrev.gf` all
 expand a ratio P/Q or a root of one through these.  Square roots and
@@ -54,15 +58,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
-def coefficient_string(value: Fraction) -> str:
-    """Render a coefficient as ``num`` or ``num/den``, exact at any magnitude."""
+def coefficient_string(value: Scalar) -> str:
+    """Render an int or Fraction as ``num`` or ``num/den``, exact at any magnitude."""
     if value.denominator == 1:
         return _decimal(value.numerator)
     return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
@@ -285,20 +288,42 @@ def _quotient(a: Sequence[int], b: Sequence[int], n: int) -> tuple[list[int], in
     return out, g * b0, b0
 
 
-def _fractions(z: Iterable[int], d: int, r: int) -> tuple[Fraction, ...]:
-    """The coefficients z_j / (d * r^j) as Fractions, each reduced once.
+def _quotients(z: Sequence[int], d: int, r: int) -> tuple[Scalar, ...]:
+    """The coefficients z_j / (d * r^j): an int where the division is exact,
+    a reduced Fraction elsewhere.
 
+    With d * r^j = 2^(s + j*t) * o * u^j for odd o and u, the power of two
+    is known by addition.  z_j is read by one mask test of its low s + j*t
+    bits, a shift, and one checked division by the odd part o * u^j, none
+    when that is 1.  So an integral coefficient costs no gcd and no
+    Fraction.  From the first coefficient that fails either test on,
+    each coefficient becomes a reduced Fraction, kept as its int when it
+    is whole: a failed division costs about as much as the gcd after it.
     The power of 2 that z_j shares with its denominator is shifted out
-    before the Fraction takes the gcd of the rest.  It costs two bit
-    operations, and the 4 in rho of :func:`_root` puts 2^(2j) into every
-    denominator of a root, which left math.gcd on numbers of twice the
-    size of the reduced coefficient.
+    first, because the 4 in rho of :func:`_root` puts 2^(2j) into every
+    denominator of a root, which would leave math.gcd on numbers of twice
+    the size of the reduced coefficient.
     """
+    if d == 1 and r == 1:
+        return tuple(z)
+    s, t = (d & -d).bit_length() - 1, (r & -r).bit_length() - 1
+    odd, odd_step = d >> s, r >> t
     out = []
     for c in z:
-        k = min(c & -c, d & -d).bit_length() - 1 if c else 0
-        out.append(Fraction(c >> k, d >> k))
-        d *= r
+        rem = c & ((1 << s) - 1)
+        if not rem:
+            q, rem = (c >> s, 0) if odd == 1 else divmod(c >> s, odd)
+        if rem:
+            break
+        out.append(q)
+        s += t
+        odd *= odd_step
+    for c in z[len(out) :]:
+        k = min((c & -c).bit_length() - 1, s) if c else 0
+        f = Fraction(c >> k, (odd << s) >> k)
+        out.append(f.numerator if f.denominator == 1 else f)
+        s += t
+        odd *= odd_step
     return tuple(out)
 
 
@@ -318,37 +343,68 @@ def _root(p: Sequence[int], q: Sequence[int], n: int, sign: int = 1) -> tuple[li
     return _power_coefficients(terms, sign, 2, n), 4 * p[0] * q[0]
 
 
-def _ratio_fractions(
+def _ratio_series(
     num: Sequence[Scalar], den: Sequence[Scalar], n: int
-) -> tuple[Fraction, ...]:
+) -> "PowerSeries":
     """Coefficients 0..n of num/den for coefficient lists of ints or
     Fractions with den[0] != 0: :func:`_quotient` on their integer
-    numerators, each coefficient reduced once."""
+    numerators."""
     a, da = _common(num)
     b, db = _common(den)
     z, d, r = _quotient(a, b, n)
     if db != 1:
         z = [c * db for c in z]
-    return _fractions(z, da * d, r)
+    return PowerSeries._from_numerators(z, da * d, r)
 
 
-@dataclass(frozen=True)
+def _scalar(c: Scalar) -> Scalar:
+    return c if type(c) is int else Fraction(c)
+
+
 class PowerSeries:
     """A formal power series truncated at a fixed order.
 
-    ``coeffs[n]`` is the coefficient of x^n; the order is ``len(coeffs) - 1``.
-    Instances are immutable and safe to share across threads.
+    ``coeffs[n]`` is the coefficient of x^n, a Fraction; the order is
+    ``len(coeffs) - 1``.  A series that the integer kernels build
+    (:meth:`_from_numerators`) holds each coefficient as an int where it
+    is one, and builds the tuple of Fractions once, on its first read.
+    :meth:`revert`, :meth:`integer_coefficients` and
+    :meth:`coefficient_strings` read the ints, so an integral series
+    reaches print without a Fraction.  Equality and hashing compare
+    values, as ``coeffs`` would.  Instances are immutable and safe to
+    share across threads.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("_values", "_coeffs")
 
-    def __post_init__(self) -> None:
-        normalized = tuple(
-            c if type(c) is Fraction else Fraction(c) for c in self.coeffs
-        )
+    def __init__(self, coeffs: Iterable[Scalar]) -> None:
+        normalized = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not normalized:
             raise ValueError("series must carry at least the constant coefficient")
-        object.__setattr__(self, "coeffs", normalized)
+        self._values = self._coeffs = normalized
+
+    @classmethod
+    def _from_numerators(cls, z: Sequence[Scalar], d: int, r: int) -> "PowerSeries":
+        """The series whose coefficient j is z_j / (d * r^j), read by
+        :func:`_quotients`.  At d = r = 1, z may be values already read:
+        ints and reduced Fractions."""
+        series = cls.__new__(cls)
+        series._values, series._coeffs = _quotients(z, d, r), None
+        return series
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self._values)
+        return self._coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
 
     # ------------------------------------------------------------------
     # construction
@@ -394,19 +450,19 @@ class PowerSeries:
         Both arguments are polynomial coefficient lists, constant term first.
         This is the quotient recurrence of division, in O(order * deg den).
         """
-        den = [Fraction(c) for c in denominator]
+        den = [_scalar(c) for c in denominator]
         if not den or den[0] == 0:
             raise ValueError("zero constant denominator")
         if order < 0:
             raise ValueError("order must be non-negative")
-        return cls(_ratio_fractions([Fraction(c) for c in numerator], den, order))
+        return _ratio_series([_scalar(c) for c in numerator], den, order)
 
     # ------------------------------------------------------------------
     # queries
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._values) - 1
 
     def __getitem__(self, n: int) -> Fraction:
         return self.coeffs[n]
@@ -415,20 +471,20 @@ class PowerSeries:
         return iter(self.coeffs)
 
     def __repr__(self) -> str:
-        inner = ", ".join(coefficient_string(c) for c in self.coeffs)
+        inner = ", ".join(self.coefficient_strings())
         return f"PowerSeries([{inner}])"
 
     def integer_coefficients(self) -> list[int]:
         """Coefficients as plain ints; raises if any denominator is not 1."""
-        for c in self.coeffs:
+        for c in self._values:
             if c.denominator != 1:
                 raise ValueError(
                     f"series has a non-integer coefficient {coefficient_string(c)}"
                 )
-        return [c.numerator for c in self.coeffs]
+        return [c.numerator for c in self._values]
 
     def coefficient_strings(self) -> list[str]:
-        return [coefficient_string(c) for c in self.coeffs]
+        return [coefficient_string(c) for c in self._values]
 
     def _require_same_order(self, other: "PowerSeries") -> None:
         if self.order != other.order:
@@ -455,12 +511,9 @@ class PowerSeries:
     def __mul__(self, other: Union["PowerSeries", Scalar]) -> "PowerSeries":
         if isinstance(other, PowerSeries):
             self._require_same_order(other)
-            a, da = _common(self.coeffs)
-            b, db = _common(other.coeffs)
-            den = da * db
-            return PowerSeries(
-                tuple(Fraction(c, den) for c in _conv(a, b, self.order))
-            )
+            a, da = _common(self._values)
+            b, db = _common(other._values)
+            return PowerSeries._from_numerators(_conv(a, b, self.order), da * db, 1)
         if isinstance(other, (int, Fraction)):
             scalar = Fraction(other)
             return PowerSeries(tuple(c * scalar for c in self.coeffs))
@@ -476,13 +529,13 @@ class PowerSeries:
 
         With a = A/da and b = B/db over common denominators, coefficient m
         of a/b is db * T_m / (da * d * r^m) for (T, d, r) = :func:`_quotient`
-        of A and B, reduced once.
+        of A and B, read once by :func:`_quotients`.
         """
         if isinstance(other, PowerSeries):
             self._require_same_order(other)
-            if other.coeffs[0] == 0:
+            if other._values[0] == 0:
                 raise ValueError("non-invertible series")
-            return PowerSeries(_ratio_fractions(self.coeffs, other.coeffs, self.order))
+            return _ratio_series(self._values, other._values, self.order)
         if isinstance(other, (int, Fraction)):
             scalar = Fraction(other)
             return PowerSeries(tuple(c / scalar for c in self.coeffs))
@@ -496,7 +549,7 @@ class PowerSeries:
             raise ValueError("order must be non-negative")
         if order > self.order:
             raise ValueError("truncate cannot extend a series")
-        return PowerSeries(self.coeffs[: order + 1])
+        return PowerSeries._from_numerators(self._values[: order + 1], 1, 1)
 
     def shift_down(self, k: int) -> "PowerSeries":
         """Divide by x^k, i.e. drop the first k coefficients.
@@ -538,11 +591,11 @@ class PowerSeries:
 
         a polynomial f of degree k costs O(k) operations per coefficient.
         """
-        if self.coeffs[0] != 1:
+        if self._values[0] != 1:
             raise ValueError("sqrt requires unit constant term")
-        nums, _ = _common(self.coeffs)
+        nums, _ = _common(self._values)
         z, rho = _root(nums, [1], self.order)
-        return PowerSeries(_fractions(z, 1, rho))
+        return PowerSeries._from_numerators(z, 1, rho)
 
     def revert(self) -> "PowerSeries":
         """Compositional inverse of a series with f0 = 0 and f1 != 0.
@@ -574,10 +627,11 @@ class PowerSeries:
 
             u_m = w^m * N_0 * Z_(m-1) / (m * D_0^(2m-1)),
 
-        reduced once.  Z_k is an integer: (D/D_0)^(-m) is a sum of
-        binom(-m, i) (D/D_0 - 1)^i, whose coefficient at x^k has a
-        denominator dividing D_0^k, and likewise (N/N_0)^m.  So each
-        division by k is exact, and it is checked.
+        an int where the division is exact, reduced once elsewhere.  Z_k
+        is an integer: (D/D_0)^(-m) is a sum of binom(-m, i) (D/D_0 - 1)^i,
+        whose coefficient at x^k has a denominator dividing D_0^k, and
+        likewise (N/N_0)^m.  So each division by k is exact, and it is
+        checked.
 
         The form with the fewest terms wins.  (B, 1) has one term per
         nonzero B_i, i >= 1, and its weights are Miller's,
@@ -593,38 +647,41 @@ class PowerSeries:
         truncation order; the test suite checks that postcondition with an
         independent composition routine.
         """
-        if self.order < 1 or self.coeffs[0] != 0 or self.coeffs[1] == 0:
+        f = self._values
+        if len(f) < 2 or f[0] != 0 or f[1] == 0:
             raise ValueError("series not reversible")
         n = self.order
-        f_over_x = self.shift_down(1)  # invertible constant term
-        b, d = _common(f_over_x.coeffs)
+        b, d = _common(f[1:])  # f/x, with an invertible constant term
         form = _rational_form(b, sum(map(bool, b[1:])))  # B = P/Q
         on_x_over_f = False
         if form is None:
-            x_over_f = PowerSeries.one(n - 1) / f_over_x
-            on_x_over_f = sum(map(bool, x_over_f.coeffs)) < sum(map(bool, b))
+            x_over_f = _ratio_series([d], b, n - 1)._values
+            on_x_over_f = sum(map(bool, x_over_f)) < sum(map(bool, b))
             if on_x_over_f:
-                b, d = _common(x_over_f.coeffs)
+                b, d = _common(x_over_f)
             form = (b, [1])
         # x/f = w * num/den: B/d itself, or its reciprocal
         (num, gn), (den, gd) = map(_primitive, form if on_x_over_f else form[::-1])
-        w = Fraction(gn, gd * d) if on_x_over_f else Fraction(gn * d, gd)
-        wn, wd = w.numerator, w.denominator
+        wn, wd = (gn, gd * d) if on_x_over_f else (gn * d, gd)
+        g = math.gcd(wn, wd)
+        wn, wd = wn // g, wd // g
         for poly in (num, den):
             while not poly[-1]:
                 poly.pop()
         if len(den) <= 2 and len(num) <= 3:
             # u solves A(u) = x * C(u), A = wd * t * den(t), C = wn * num(t)
             u = _radical_revert([0, *(wd * c for c in den)], [wn * c for c in num], n)
-            if u[0] != 0 or u[1] * self.coeffs[1] != 1:
+            if u._values[0] != 0 or u._values[1] * f[1] != 1:
                 raise ArithmeticError("the radical's root is not the reversion")
             return u
         terms = _ratio_terms(den, num, n - 1)
-        out = [Fraction(0)]
+        out = [0]
         for m in range(1, n + 1):
             z = _power_coefficients(terms, -m, 1, m - 1)[-1]
-            out.append(Fraction(wn**m * num[0] * z, wd**m * m * den[0] ** (2 * m - 1)))
-        return PowerSeries(tuple(out))
+            top, bottom = wn**m * num[0] * z, wd**m * m * den[0] ** (2 * m - 1)
+            q, rem = divmod(top, bottom)
+            out.append(Fraction(top, bottom) if rem else q)
+        return PowerSeries._from_numerators(out, 1, 1)
 
 
 def _radical_revert(a: Sequence[int], c: Sequence[int], n: int) -> PowerSeries:
@@ -645,19 +702,19 @@ def _radical_revert(a: Sequence[int], c: Sequence[int], n: int) -> PowerSeries:
     from s in its first two coefficients alone: Z_0 becomes 0 and Z_1 gains
     C_1 * rho / A_1 = 4 A_1 C_1.  In y = x / rho it is the integer series
     Z(y), so :func:`_quotient` divides A_1 * Z by 2a(rho y) in O(n) steps,
-    and each coefficient of u is reduced once.  If A_2 = 0, a = -C_2 x and
+    and each coefficient of u is read once.  If A_2 = 0, a = -C_2 x and
     s - b / A_1 is divisible by x^2, so s is taken to order n + 1 and the
     difference shifted down by one.  If a = 0, u = C_0 x / b.
     """
     _, a1, a2 = [*a, 0][:3]
     c0, c1, c2 = [*c, 0, 0][:3]
     if not a2 and not c2:
-        return PowerSeries(_fractions(*_quotient([0, c0], [a1, -c1], n)))
+        return PowerSeries._from_numerators(*_quotient([0, c0], [a1, -c1], n))
     disc = [a1 * a1, 4 * c0 * a2 - 2 * a1 * c1, c1 * c1 - 4 * c0 * c2]
     z, rho = _root(disc, [1], n if a2 else n + 1)
     z[0], z[1] = 0, a1 * (z[1] + 4 * a1 * c1)  # A_1 * (s - b / A_1)
     z[2:] = [a1 * x for x in z[2:]]
     if a2:
         t, d, r = _quotient(z, [2 * a2, -2 * c2 * rho], n)
-        return PowerSeries(_fractions(t, d, r * rho))
-    return PowerSeries(_fractions(z[1:], -2 * c2 * rho, rho))
+        return PowerSeries._from_numerators(t, d, r * rho)
+    return PowerSeries._from_numerators(z[1:], -2 * c2 * rho, rho)

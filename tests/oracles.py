@@ -8,6 +8,9 @@ the library's common-denominator kernel.  :func:`eval_gf_ref` evaluates a
 g.f. expression on them, node by node at a working order, as
 ``hankelrev.gf`` did before it evaluated on integers.  :func:`h_fractions`
 draws sequences whose Hankel minors are known in closed form.
+:func:`prop9_coeff_identity_1` and :func:`prop9_coeff_identity_2` check
+the two polynomial coefficient identities that prop9's factorization
+rests on, by expanding the polynomials term by term.
 """
 
 from __future__ import annotations
@@ -351,3 +354,54 @@ def family_reversion_radical_ref(family: str, alpha: int, beta: int, count: int)
     root = series_sqrt_ref(padded[:size])
     numerator = [(head[m] if m < len(head) else 0) - root[m] for m in range(size)]
     return [c / scale for c in numerator[shift:]]
+
+
+# ----------------------------------------------------------------------
+# the two coefficient identities behind prop9's factorization
+
+
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if not a:
+            continue
+        for j, b in enumerate(q):
+            if b:
+                out[i + j] += a * b
+    return out
+
+
+def _poly_coefficient(p: list[int], k: int) -> int:
+    return p[k] if 0 <= k < len(p) else 0
+
+
+def prop9_coeff_identity_1(i: int, j: int, alpha: int) -> bool:
+    """Coefficient of x^(i+j+1) in (1-alpha*x)^2 * (1+alpha*x)^(2i+2j)
+    equals -2 * catalan(i+j) * alpha^(i+j+1)."""
+    if i < 0 or j < 0:
+        raise ValueError("indices must be non-negative")
+    poly = [1, -2 * alpha, alpha * alpha]
+    for _ in range(2 * i + 2 * j):
+        poly = _poly_mul(poly, [1, alpha])
+    lhs = _poly_coefficient(poly, i + j + 1)
+    rhs = -2 * _catalan_ref(i + j) * alpha ** (i + j + 1)
+    return lhs == rhs
+
+
+def prop9_coeff_identity_2(i: int, k: int, alpha: int) -> bool:
+    """Coefficient of x^k in (1-alpha*x) * (1+alpha*x)^(2i)
+    equals C(2i, k) * (2i-2k+1)/(2i-k+1) * alpha^k.
+
+    At k = 2i+1 the stated ratio degenerates to 0/0; there the equivalent
+    difference form C(2i, k) - C(2i, k-1) is used instead.
+    """
+    if i < 0 or k < 0:
+        raise ValueError("indices must be non-negative")
+    poly = [1, -alpha]
+    for _ in range(2 * i):
+        poly = _poly_mul(poly, [1, alpha])
+    lhs = _poly_coefficient(poly, k)
+    if 2 * i - k + 1 != 0:
+        # the ratio form, cross-multiplied
+        return lhs * (2 * i - k + 1) == math.comb(2 * i, k) * (2 * i - 2 * k + 1) * alpha**k
+    return lhs == (math.comb(2 * i, k) - math.comb(2 * i, k - 1)) * alpha**k

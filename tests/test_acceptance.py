@@ -25,14 +25,12 @@ from hankelrev import (
     hankel_matrix,
     hankel_transform,
     hankel_triple,
-    prop9_coeff_identity_1,
-    prop9_coeff_identity_2,
     prop9_verify,
     sweep,
     verify_alpha_shift,
     verify_anchors,
 )
-from oracles import det_cofactor
+from oracles import det_cofactor, prop9_coeff_identity_1, prop9_coeff_identity_2
 
 SEED = 20260816
 

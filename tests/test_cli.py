@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -773,6 +774,61 @@ class TestLazyRendering:
         values = {c.lhs for c in checks}
         assert len(values) < len(checks)
         assert Counter(rendered) == Counter([2, 0, *values])
+
+
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """The arguments of each Fraction built."""
+    calls = []
+    new = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+    return calls
+
+
+class TestIntegerPath:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "expand --gf x/(1+3*x-4*x^2) --order 60",
+            "expand --gf (1-sqrt(1-12*x))/(6*x) --order 60",
+            "expand --family A --alpha 2 --beta 3 --order 20",
+            "revert --gf x/(1+3*x-4*x^2) --order 60",
+            "revert --gf x*(1+3*x)/(1-2*x) --order 60",
+            "revert --gf x/(1-x-x^2-x^3) --order 30",
+            "revert --gf x/sqrt(1+4*x)+x^3/(1-x)^2 --order 12",
+            "hankel --gf 1/sqrt(1-4*x) --depth 10",
+            "hankel --gf (1-sqrt(1-4*x))/(2*x)-x^2 --depth 20",
+        ],
+    )
+    def test_an_integral_series_builds_no_fraction(self, capsys, fractions_made, command):
+        code, out, _ = invoke(capsys, *command.split(), "--format", "csv")
+        assert code == 0
+        assert "/" not in out
+        assert fractions_made == []
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("expand --gf 1/(2-x) --order 3", "1/2,1/4,1/8,1/16"),
+            ("expand --gf sqrt(1+x) --order 4", "1,1/2,-1/8,1/16,-5/128"),
+            ("expand --gf (1+x)/(6-4*x) --order 3", "1/6,5/18,5/27,10/81"),
+            ("revert --gf 2*x+x^2 --order 4", "0,1/2,-1/8,1/16,-5/128"),
+        ],
+    )
+    def test_other_coefficients_print_reduced(self, capsys, fractions_made, command, expected):
+        code, out, _ = invoke(capsys, *command.split(), "--format", "csv")
+        assert (code, out) == (0, expected + "\n")
+        assert fractions_made
+
+    def test_hankel_of_a_non_integral_series_exits_2(self, capsys):
+        code, _, err = invoke(capsys, "hankel", "--gf", "1/(2-x)", "--depth", "2")
+        assert code == 2
+        assert "non-integer coefficient 1/2" in err
 
 
 class TestProp9:

@@ -23,8 +23,6 @@ from hankelrev import (
     family_reversion_terms,
     hankel_triple,
     prop9_T_matrix,
-    prop9_coeff_identity_1,
-    prop9_coeff_identity_2,
     prop9_verify,
     sweep,
     verify_alpha_shift,
@@ -43,6 +41,7 @@ from hankelrev.conjectures import (
     CLAIM_P9_DET,
     CLAIM_P9_DET_T,
 )
+from oracles import prop9_coeff_identity_1, prop9_coeff_identity_2
 
 
 def checks_for(report, claim):

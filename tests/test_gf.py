@@ -21,7 +21,7 @@ from hankelrev import (
     format_gf,
     parse_gf,
 )
-from hankelrev import series
+from hankelrev import gf, series
 from oracles import eval_gf_ref
 
 
@@ -325,14 +325,43 @@ class TestSinglePass:
         assert power_runs == [(-1, 2, 400)]
 
     def test_series_divisor_runs_the_numerator_once(self, power_runs):
-        # the divisor vanishes at 0, so it is evaluated at 100 and again at
-        # 101; the numerator's root runs once, at 101
+        # a probe at order 0 shows that the divisor vanishes at 0, so its
+        # root runs once, at 100 + 64; the numerator's root runs once, at 101
         s = expand_gf("sqrt(1+x)*x/(1-sqrt(1-4*x))", 100)
         assert s.order == 100
-        assert power_runs == [(1, 2, 100), (1, 2, 101), (1, 2, 101)]
+        assert power_runs == [(1, 2, 0), (1, 2, 164), (1, 2, 101)]
+
+    def test_divisor_without_a_zero_head_takes_no_widening(self, power_runs):
+        s = expand_gf("x/(1+sqrt(1-4*x))", 100)
+        assert s.order == 100
+        assert power_runs == [(1, 2, 0), (1, 2, 100)]
+
+    def test_divisor_whose_probe_fails_raises_its_own_error(self, power_runs):
+        with pytest.raises(ValueError, match="sqrt requires unit constant term"):
+            expand_gf("x/(x-sqrt(4-x))", 10)
+
+    @pytest.mark.parametrize(
+        "text, order, runs",
+        [("x^8/(sqrt(1+x^8)-1)", 1, [9, 1]), ("x/(1-sqrt(1-4*x))", 100, [101, 100])],
+    )
+    def test_quotient_runs_to_the_order_asked(self, monkeypatch, text, order, runs):
+        # the divisor is widened to find its valuation v, then cut back to
+        # x^(order + v), so the numerator's expansion and the quotient, the
+        # last two runs, stop there
+        orders = []
+        quotient = gf._quotient
+
+        def spy(a, b, n):
+            orders.append(n)
+            return quotient(a, b, n)
+
+        monkeypatch.setattr(gf, "_quotient", spy)
+        assert expand_gf(text, order).order == order
+        assert orders[-2:] == runs
 
     def test_zero_series_divisor_fails_after_one_widening(self, power_runs):
-        # the divisor's two roots run at 100, then once more at 100 + 64
+        # the divisor's two roots run in the probe at 0, then once at 100 + 64
         with pytest.raises(ValueError, match="non-invertible series"):
             expand_gf("1/(sqrt(1-4*x)-sqrt(1-4*x))", 100)
         assert len(power_runs) <= 4
+        assert power_runs == [(1, 2, 0), (1, 2, 0), (1, 2, 164), (1, 2, 164)]

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from hankelrev import PowerSeries, coefficient_string
 from hankelrev import series
 from hankelrev.families import FamilyParams, family_base_ogf, family_reversion_terms
+from hankelrev.gf import expand_gf
 from hankelrev.series import (
     _berlekamp_massey,
     _common,
     _conv,
     _power_coefficients,
+    _quotients,
     _ratio_terms,
     _rational_form,
 )
@@ -437,6 +439,53 @@ class TestIntegerKernel:
         assert s.coeffs[0] is kept
         assert s.coeffs == (Fraction(1, 3), 2, 1, Fraction(1, 2), Fraction(1, 4))
         assert all_fractions(s)
+
+
+class TestIntegerValues:
+    """Series from the integer kernels hold ints where the coefficients are
+    integers and read as Fractions through ``coeffs``."""
+
+    @given(
+        st.lists(st.integers(-(10**30), 10**30), max_size=8),
+        st.integers(-300, 300).filter(bool),
+        st.sampled_from((1, -1, 2, -2, 3, 4, -6, 12, 2**40, 3**20)),
+    )
+    def test_values_are_the_exact_quotients(self, z, d, r):
+        values = _quotients(z, d, r)
+        assert values == tuple(Fraction(c, d * r**j) for j, c in enumerate(z))
+        for v in values:
+            assert type(v) is (int if v.denominator == 1 else Fraction)
+
+    def test_values_of_a_root_are_ints(self):
+        # [x^j] sqrt(1 - 4x) = Z_j / 4^j, with 2^(2j) in every denominator
+        values = expand_gf("sqrt(1-4*x)", 60)._values
+        assert all(type(v) is int for v in values)
+        assert values[:4] == (1, -2, -2, -4)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: expand_gf("(1-sqrt(1-4*x))/(2*x)", 12),
+            lambda: expand_gf("1/(2-x)", 12),
+            lambda: PowerSeries.from_rational([1, 1], [1, -3, 2], 12),
+            lambda: PowerSeries.from_polynomial([1, 4], 12).sqrt(),
+            lambda: expand_gf("x/(1+3*x-4*x^2)", 12).revert(),
+            lambda: expand_gf("x/(1-x-x^2-x^3)", 12).revert(),
+            lambda: PowerSeries.one(12) / PowerSeries.from_polynomial([1, -1], 12),
+            lambda: expand_gf("1/(1-x)", 12).truncate(5),
+        ],
+    )
+    def test_coeffs_are_fractions(self, build):
+        assert all_fractions(build())
+
+    def test_series_from_a_tuple_and_from_ints_are_equal(self):
+        ints = PowerSeries.from_rational([1], [1, -2], 6)
+        listed = PowerSeries(tuple(Fraction(2**n) for n in range(7)))
+        assert ints == listed and hash(ints) == hash(listed)
+        assert {listed: "kept"}[ints] == "kept"
+        halves = expand_gf("1/(2-x)", 6)
+        assert halves == PowerSeries(tuple(Fraction(1, 2 ** (n + 1)) for n in range(7)))
+        assert halves != ints and ints != tuple(ints.coeffs)
 
 
 def nonzero(coeffs):
