@@ -11,8 +11,9 @@ The base series is numerator/denominator with a denominator of head 1, so
 its terms follow the linear recurrence of the denominator.  Every
 reversion u is quadratic-algebraic with the radical y = sqrt(D),
 D = 1 + 2e*x + d*x^2: past the row's seeds, u_m is a constant times
-y_{m+s} for the row's index shift s.  So, like ``PowerSeries.sqrt``,
-u follows the recurrence of 2*D*y' = D'*y; with k = m + s,
+y_{m+s} for the row's index shift s.  So, like the square root in
+``hankelrev.series._root``, u follows the recurrence of 2*D*y' = D'*y;
+with k = m + s,
 
     k*u_m = (3 - 2k)*e*u_{m-1} + (3 - k)*d*u_{m-2},
 
@@ -96,8 +97,6 @@ def family_reversion_terms(params: FamilyParams, count: int) -> list[int]:
     """The first ``count`` coefficients of the reversion of the base o.g.f."""
     if count < 1:
         raise ValueError("count must be positive")
-    if params.family == FAMILY_C and params.alpha == 0:
-        raise ValueError("alpha must be nonzero")
     *_, e, d, shift, seeds = _row(params)
     u = list(seeds[:count])
     for m in range(len(u), count):

@@ -1,23 +1,24 @@
 """Exact truncated formal power series over rational coefficients.
 
-A :class:`PowerSeries` reads its coefficients 0..order as
-`fractions.Fraction` values (``coeffs``); all arithmetic is exact and
-nothing is ever rounded.  Binary operations insist on equal truncation
-orders.  Silent extension or truncation is how precision bugs sneak into
-determinant work downstream, so mixing orders raises instead.
+A :class:`PowerSeries` is a value: coefficients 0..order, read as
+`fractions.Fraction` values (``coeffs``), exact and never rounded.  It is
+built from a coefficient list, by :meth:`PowerSeries.from_rational`, or by
+:func:`hankelrev.gf.expand_gf`, and is read, reverted, or multiplied by a
+series of the same order; a product of mixed orders raises rather than
+truncate silently.
 
-Products, division, square roots and reversion run on integer numerators
-over one common denominator (:func:`_common`, :func:`_conv`), so the inner
-loops multiply and add plain ints and each output coefficient is read
-once.  A quotient by an integer list is the fraction-free recurrence of
+Quotients, square roots and reversion run on integer numerators over one
+common denominator (:func:`_common`, :func:`_conv`), so the inner loops
+multiply and add plain ints and each output coefficient is read once.  A
+quotient by an integer list is the fraction-free recurrence of
 :func:`_quotient`, and a square root or its inverse one run of
 :func:`_root`; both give integers Z_j with coefficient j equal to
 Z_j / (d * r^j).  :func:`_quotients` reads each by one checked exact
 division: an int where it divides, a reduced Fraction elsewhere.  A
 series holds those values and builds its Fractions only when ``coeffs``
 is read, so an integral series goes from :mod:`hankelrev.gf` through
-reversion to printed text without a Fraction.  Division,
-:meth:`PowerSeries.from_rational`, :meth:`PowerSeries.sqrt`,
+reversion to printed text without a Fraction.
+:meth:`PowerSeries.from_rational`, :meth:`PowerSeries.revert`,
 :func:`_radical_revert` and the evaluator of :mod:`hankelrev.gf` all
 expand a ratio P/Q or a root of one through these.  Square roots and
 reversion share one recurrence for a power
@@ -29,19 +30,20 @@ R * Y' = e * S * Y, so Z_k = R_0^k * Y_k obeys
 
 with one term per nonzero R_i or S_(i-1).  At Q = 1 this is J.C.P.
 Miller's recurrence for a power of a series (Knuth, TAOCP vol. 2,
-section 4.7).  sqrt takes e = 1/2 and Q = 1.  Reversion takes the powers
-e = -m of Lagrange inversion on the form P/Q of f/x with the fewest
-terms: f/x itself, 1/(x/f), or, when f/x is rational, short P and Q found
-by Berlekamp-Massey (:func:`_berlekamp_massey`).  A form of length L has
-at most 2L - 1 terms, so that search, run on f/x before anything else,
-stops once 2L - 1 reaches the term count of f/x.  Reverting a rational f
-to order n then costs O(n^2 * deg PQ) products, not the n^3/6 of a dense
-f/x and x/f.  Other inputs keep their recurrence and add only the
-abandoned search.  The quadratic class, f = x * P/Q with deg(x * P) <= 2
-and deg Q <= 2, which holds the bases of all three families, skips
-Lagrange inversion: there u solves a quadratic, so one square root of a
-polynomial of degree 2 and one quotient by a polynomial of degree at most
-1 give it in O(n) steps (:func:`_radical_revert`).
+section 4.7).  :func:`_root` takes e = 1/2 or -1/2.  Reversion takes the
+powers e = -m of Lagrange inversion on the form P/Q of f/x with the
+fewest terms: f/x itself, 1/(x/f), or, when f/x is rational, short P and
+Q found by Berlekamp-Massey (:func:`_berlekamp_massey`).  A form of
+length L has at most 2L - 1 terms, so that search, run on f/x before
+anything else, stops once 2L - 1 reaches the term count of f/x.
+Reverting a rational f to order n then costs O(n^2 * deg PQ) products,
+not the n^3/6 of a dense f/x and x/f.  Other inputs keep their
+recurrence and add only the abandoned search.  The quadratic class,
+f = x * P/Q with deg(x * P) <= 2 and deg Q <= 2, which holds the bases
+of all three families, skips Lagrange inversion: there u solves a
+quadratic, so one square root of a polynomial of degree 2 and one
+quotient by a polynomial of degree at most 1 give it in O(n) steps
+(:func:`_radical_revert`).
 
 :func:`_decimal` and :func:`coefficient_string` are the one way a value
 becomes exact decimal text at any magnitude, and :func:`_parse_int` the
@@ -365,7 +367,9 @@ class PowerSeries:
     """A formal power series truncated at a fixed order.
 
     ``coeffs[n]`` is the coefficient of x^n, a Fraction; the order is
-    ``len(coeffs) - 1``.  A series that the integer kernels build
+    ``len(coeffs) - 1``.  Beyond reading its coefficients, a series
+    offers :meth:`revert` and a product ``*`` with a series of the same
+    order.  A series that the integer kernels build
     (:meth:`_from_numerators`) holds each coefficient as an int where it
     is one, and builds the tuple of Fractions once, on its first read.
     :meth:`revert`, :meth:`integer_coefficients` and
@@ -406,38 +410,6 @@ class PowerSeries:
     def __hash__(self) -> int:
         return hash(self._values)
 
-    # ------------------------------------------------------------------
-    # construction
-
-    @classmethod
-    def constant(cls, value: Scalar, order: int) -> "PowerSeries":
-        return cls((Fraction(value),) + (Fraction(0),) * order)
-
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls.constant(0, order)
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls.constant(1, order)
-
-    @classmethod
-    def identity(cls, order: int) -> "PowerSeries":
-        """The series x, truncated to the given order."""
-        if order == 0:
-            return cls.zero(0)
-        return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
-
-    @classmethod
-    def from_polynomial(cls, coeffs: Iterable[Scalar], order: int) -> "PowerSeries":
-        """Pad or truncate a coefficient list to the requested order."""
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) < order + 1:
-            cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        return cls(tuple(cs[: order + 1]))
-
     @classmethod
     def from_rational(
         cls,
@@ -448,7 +420,8 @@ class PowerSeries:
         """Expand the rational function numerator/denominator.
 
         Both arguments are polynomial coefficient lists, constant term first.
-        This is the quotient recurrence of division, in O(order * deg den).
+        This is the quotient recurrence of :func:`_quotient`, in
+        O(order * deg den).
         """
         den = [_scalar(c) for c in denominator]
         if not den or den[0] == 0:
@@ -486,116 +459,15 @@ class PowerSeries:
     def coefficient_strings(self) -> list[str]:
         return [coefficient_string(c) for c in self._values]
 
-    def _require_same_order(self, other: "PowerSeries") -> None:
+    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        """The truncated product of two series of one order."""
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
         if self.order != other.order:
             raise ValueError("incompatible truncation orders")
-
-    # ------------------------------------------------------------------
-    # ring operations
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        return PowerSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: Union["PowerSeries", Scalar]) -> "PowerSeries":
-        if isinstance(other, PowerSeries):
-            self._require_same_order(other)
-            a, da = _common(self._values)
-            b, db = _common(other._values)
-            return PowerSeries._from_numerators(_conv(a, b, self.order), da * db, 1)
-        if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            return PowerSeries(tuple(c * scalar for c in self.coeffs))
-        return NotImplemented
-
-    def __rmul__(self, other: Scalar) -> "PowerSeries":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __truediv__(self, other: Union["PowerSeries", Scalar]) -> "PowerSeries":
-        """Quotient by a series with a nonzero constant term, or by a scalar.
-
-        With a = A/da and b = B/db over common denominators, coefficient m
-        of a/b is db * T_m / (da * d * r^m) for (T, d, r) = :func:`_quotient`
-        of A and B, read once by :func:`_quotients`.
-        """
-        if isinstance(other, PowerSeries):
-            self._require_same_order(other)
-            if other._values[0] == 0:
-                raise ValueError("non-invertible series")
-            return _ratio_series(self._values, other._values, self.order)
-        if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            return PowerSeries(tuple(c / scalar for c in self.coeffs))
-        return NotImplemented
-
-    # ------------------------------------------------------------------
-    # structural operations
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        if order > self.order:
-            raise ValueError("truncate cannot extend a series")
-        return PowerSeries._from_numerators(self._values[: order + 1], 1, 1)
-
-    def shift_down(self, k: int) -> "PowerSeries":
-        """Divide by x^k, i.e. drop the first k coefficients.
-
-        Dropping a nonzero coefficient changes the series, so it is refused.
-        """
-        if k < 0:
-            raise ValueError("shift must be non-negative")
-        if k == 0:
-            return self
-        if k > self.order:
-            raise ValueError(f"cannot shift a series of order {self.order} down by {k}")
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise ValueError(f"shifting down by {k} drops nonzero coefficients")
-        return PowerSeries(self.coeffs[k:])
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Substitute ``inner`` for x, by Horner evaluation at equal order.
-
-        Requires ``inner`` to have zero constant term; otherwise the result
-        would need infinitely many terms of this series.
-        """
-        self._require_same_order(inner)
-        if inner.coeffs[0] != 0:
-            raise ValueError("composition requires zero constant term")
-        n = self.order
-        result = PowerSeries.constant(self.coeffs[n], n)
-        for c in reversed(self.coeffs[:-1]):
-            result = result * inner + PowerSeries.constant(c, n)
-        return result
-
-    def sqrt(self) -> "PowerSeries":
-        """Square root of a series with constant term exactly 1.
-
-        This is :func:`_root` of the integer numerators N of f = N/d
-        (N_0 = d) and Q = 1, so coefficient m is Z_m / (4d)^m, with
-
-            2m * Z_m = sum_{i=1..m, N_i != 0} (3i - 2m) * N_i * 4^i * d^(i-1) * Z_{m-i}:
-
-        a polynomial f of degree k costs O(k) operations per coefficient.
-        """
-        if self._values[0] != 1:
-            raise ValueError("sqrt requires unit constant term")
-        nums, _ = _common(self._values)
-        z, rho = _root(nums, [1], self.order)
-        return PowerSeries._from_numerators(z, 1, rho)
+        a, da = _common(self._values)
+        b, db = _common(other._values)
+        return PowerSeries._from_numerators(_conv(a, b, self.order), da * db, 1)
 
     def revert(self) -> "PowerSeries":
         """Compositional inverse of a series with f0 = 0 and f1 != 0.

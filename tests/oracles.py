@@ -4,8 +4,10 @@ Everything here trades speed for obviousness: cofactor expansion is
 exponential and the Gaussian variant works over Fraction, so neither is
 suitable outside tests.  The series routines work on plain lists of
 Fraction coefficients, one Fraction operation per pair of terms, without
-the library's common-denominator kernel.  :func:`eval_gf_ref` evaluates a
-g.f. expression on them, node by node at a working order, as
+the library's common-denominator kernel; :func:`compose_ref` substitutes
+one series into another, which checks reversion both ways, and
+:func:`pad` builds such a list from a polynomial.  :func:`eval_gf_ref`
+evaluates a g.f. expression on them, node by node at a working order, as
 ``hankelrev.gf`` did before it evaluated on integers.  :func:`h_fractions`
 draws sequences whose Hankel minors are known in closed form.
 :func:`prop9_coeff_identity_1` and :func:`prop9_coeff_identity_2` check
@@ -92,6 +94,12 @@ def inverse_binomial_transform_ref(terms: Sequence[int]) -> list[int]:
     return out
 
 
+def pad(coeffs: Sequence[Fraction], order: int) -> list[Fraction]:
+    """A coefficient list padded with zeros, or truncated, to the order."""
+    out = [Fraction(c) for c in coeffs[: order + 1]]
+    return out + [Fraction(0)] * (order + 1 - len(out))
+
+
 def series_product_ref(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     """Truncated product of two equal-length coefficient lists, one Fraction
     multiply-add per pair of terms."""
@@ -145,15 +153,23 @@ def revert_ref(f: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
+def compose_ref(f: Sequence[Fraction], g: Sequence[Fraction]) -> list[Fraction]:
+    """f(g) for equal-length coefficient lists with g[0] == 0, by Horner's
+    rule with the Fraction product above."""
+    if g[0] != 0:
+        raise ValueError("composition requires zero constant term")
+    result = [Fraction(0)] * len(f)
+    for c in reversed(f):
+        result = series_product_ref(result, g)
+        result[0] += c
+    return result
+
+
 def binomial_ogf_horner_ref(f: Sequence[Fraction]) -> list[Fraction]:
-    """(1/(1-x)) * f(x/(1-x)), with f(x/(1-x)) by Horner's rule."""
+    """(1/(1-x)) * f(x/(1-x)), with f(x/(1-x)) by :func:`compose_ref`."""
     n = len(f) - 1
     inner = [Fraction(0)] + [Fraction(1)] * n  # x/(1-x)
-    result = [Fraction(0)] * (n + 1)
-    for c in reversed(f):
-        result = series_product_ref(result, inner)
-        result[0] += c
-    return series_product_ref(result, [Fraction(1)] * (n + 1))
+    return series_product_ref(compose_ref(f, inner), [Fraction(1)] * (n + 1))
 
 
 class _NeedPrecisionRef(Exception):
@@ -239,9 +255,9 @@ def _eval_ref(e, w: int) -> tuple[list[Fraction], int]:
 def h_fractions(draw) -> tuple[list[int], list[int]]:
     """A sequence with zero-minor blocks anywhere, and its leading minors.
 
-    The sequence is the expansion, by ``PowerSeries``, of a random finite
-    H-fraction (G.-N. Han, *Hankel continued fraction and its
-    applications*, Adv. Math. 303, 2016, Thm 2.1)
+    The sequence is the expansion, by the list routines above, of a
+    random finite H-fraction (G.-N. Han, *Hankel continued fraction and
+    its applications*, Adv. Math. 303, 2016, Thm 2.1)
 
         F = v_0 x^{k_0} / (1 + x u_1 - v_1 x^{k_0+k_1+2} / (1 + x u_2 - ...)),
 
@@ -265,12 +281,16 @@ def h_fractions(draw) -> tuple[list[int], list[int]]:
     order = 2 * depth + 2
 
     def poly(coeffs):
-        return PowerSeries.from_polynomial(coeffs, order)
+        return pad(coeffs, order)
 
     tail = poly([1, *us[-1]])
     for j in range(levels - 1, 0, -1):
-        tail = poly([1, *us[j - 1]]) - poly([0] * (ks[j - 1] + ks[j] + 2) + [vs[j]]) / tail
-    terms = (poly([0] * ks[0] + [vs[0]]) / tail).integer_coefficients()
+        level = series_quotient_ref(poly([0] * (ks[j - 1] + ks[j] + 2) + [vs[j]]), tail)
+        tail = [a - b for a, b in zip(poly([1, *us[j - 1]]), level)]
+    expansion = series_quotient_ref(poly([0] * ks[0] + [vs[0]]), tail)
+    if any(c.denominator != 1 for c in expansion):
+        raise ArithmeticError("the H-fraction expansion is not integral")
+    terms = [c.numerator for c in expansion]
     minors = [0] * (depth + 1)
     for j in range(1, levels + 1):
         sign = (-1) ** sum(k * (k + 1) // 2 for k in ks[:j])

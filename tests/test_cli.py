@@ -175,6 +175,31 @@ class TestRevert:
         assert code == 0
         assert out == "0,1,2,8,40,224\n"
 
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            ("table", "n  value\n0  0\n1  1\n2  0\n3  0\n4  0\n5  0\n"),
+            ("csv", "0,1,0,0,0,0\n"),
+        ],
+    )
+    def test_family_c_at_zero_alpha_is_x(self, capsys, fmt, expected):
+        # the base f = x reverts to x
+        family = invoke(
+            capsys, "revert", "--family", "C", "--alpha", "0", "--order", "5", "--format", fmt
+        )
+        gf = invoke(capsys, "revert", "--gf", "x", "--order", "5", "--format", fmt)
+        assert family == gf == (0, expected, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "--conjecture", "8", "--alpha", "0"), ("prop9", "--alpha", "0")],
+        ids=["conjecture-8", "prop9"],
+    )
+    def test_conjectures_on_family_c_still_refuse_zero_alpha(self, capsys, argv):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2
+        assert "error: alpha must be nonzero" in err
+
     def test_non_reversible_input_exits_2(self, capsys):
         code, _, err = invoke(
             capsys, "revert", "--gf", "1+x", "--order", "4", "--format", "csv",

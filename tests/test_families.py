@@ -131,11 +131,16 @@ class TestFamilyC:
         p = FamilyParams(2, 0, FAMILY_C)
         assert family_reversion_terms(p, 6) == [0, 1, 2, 8, 40, 224]
 
-    def test_reversion_needs_nonzero_alpha(self):
-        with pytest.raises(ValueError, match="alpha must be nonzero"):
-            family_reversion_terms(FamilyParams(0, 0, FAMILY_C), 4)
+    def test_reversion_at_zero_alpha_is_x(self):
+        # the base is f = x, its own reversion
+        assert family_reversion_terms(FamilyParams(0, 0, FAMILY_C), 6) == [0, 1, 0, 0, 0, 0]
 
-    @given(params_c.filter(lambda p: p.alpha != 0))
+    def test_base_at_zero_alpha_is_x(self):
+        p = FamilyParams(0, 0, FAMILY_C)
+        assert family_base_terms(p, 6) == [0, 1, 0, 0, 0, 0]
+        assert family_base_ogf(p, 5).integer_coefficients() == [0, 1, 0, 0, 0, 0]
+
+    @given(params_c)
     def test_reversion_matches_lagrange_inversion(self, p):
         expected = family_base_ogf(p, 10).revert().integer_coefficients()
         assert family_reversion_terms(p, 11) == expected
