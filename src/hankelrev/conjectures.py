@@ -44,7 +44,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Callable, NamedTuple
 
 from hankelrev.families import (
@@ -131,6 +133,16 @@ def _rows(
     )
 
 
+def _powers(x: int, count: int) -> list[int]:
+    """x^0, ..., x^(count-1), each the last times x."""
+    return list(accumulate(repeat(x, count - 1), operator.mul, initial=1))
+
+
+def _triangular_powers(x: int, count: int) -> list[int]:
+    """x^binom(n+1, 2) for n = 0..count-1, each the last times x^n."""
+    return list(accumulate(accumulate(repeat(x, count - 1), operator.mul), operator.mul, initial=1))
+
+
 def _require_depth(depth: int) -> None:
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -165,7 +177,7 @@ def verify_conjecture4(alpha: int, beta: int, depth: int) -> ConjectureReport:
     a = family_base_terms(params, depth + 2)
     checks = _rows(
         depth + 1,
-        (CLAIM_C4_HSTAR, lambda n: t.h_star[n], lambda n: beta ** math.comb(n + 1, 2)),
+        (CLAIM_C4_HSTAR, lambda n: t.h_star[n], _triangular_powers(beta, depth + 1).__getitem__),
     ) + _rows(
         depth,
         (CLAIM_C4_H, lambda n: (-1) ** (n + 1) * t.h[n + 1], lambda n: a[n + 1] * t.h_star[n]),
@@ -179,14 +191,16 @@ def verify_conjecture6(alpha: int, beta: int, depth: int) -> ConjectureReport:
     """Check the family B reversion claims to the given depth."""
     params, t = _reversion_triple("6", alpha, beta, depth)
     gap = alpha - beta
+    gaps, alphas = _powers(gap, depth + 1), _powers(alpha, depth + 1)
     checks = _rows(
         depth + 1,
-        (CLAIM_C6_HSTAR, lambda n: t.h_star[n], lambda n: (alpha * gap) ** math.comb(n + 1, 2)),
+        (CLAIM_C6_HSTAR, lambda n: t.h_star[n],
+         _triangular_powers(alpha * gap, depth + 1).__getitem__),
     ) + _rows(
         depth,
         (CLAIM_C6_H, lambda n: beta * t.h[n + 1],
-         lambda n: (gap ** (n + 1) - alpha ** (n + 1)) * t.h_star[n]),
-        (CLAIM_C6_HSS, lambda n: t.h_star_star[n], lambda n: gap ** (n + 1) * t.h_star[n]),
+         lambda n: (gaps[n + 1] - alphas[n + 1]) * t.h_star[n]),
+        (CLAIM_C6_HSS, lambda n: t.h_star_star[n], lambda n: gaps[n + 1] * t.h_star[n]),
     )
     return ConjectureReport("6", params, depth, checks)
 
@@ -194,18 +208,21 @@ def verify_conjecture6(alpha: int, beta: int, depth: int) -> ConjectureReport:
 def verify_conjecture8(alpha: int, depth: int) -> ConjectureReport:
     """Check the scaled-Catalan claims (family C) to the given depth."""
     params, t = _reversion_triple("8", alpha, 0, depth)
+    # alpha^(n(n+1)) = (alpha^2)^binom(n+1,2); alpha^((n+1)^2) and
+    # alpha^(n^2-1) are alpha^(n(n+1)) times alpha^(n+1), and
+    # alpha^((n-1)n) times alpha^(n-1)
+    alphas, pronic = _powers(alpha, depth + 2), _triangular_powers(alpha * alpha, depth + 1)
     checks = _rows(
         depth + 1,
         # at n = 0 the monomial's exponent n^2 - 1 is negative, but the
         # factor -n kills the term; the expected value is 0
-        (CLAIM_C8_H, lambda n: t.h[n], lambda n: -n * alpha ** (n * n - 1) if n else 0),
-        (CLAIM_C8_HSTAR, lambda n: t.h_star[n], lambda n: alpha ** (n * (n + 1))),
-        (CLAIM_C8_HSS, lambda n: t.h_star_star[n], lambda n: alpha ** ((n + 1) ** 2)),
+        (CLAIM_C8_H, lambda n: t.h[n], lambda n: -n * alphas[n - 1] * pronic[n - 1] if n else 0),
+        (CLAIM_C8_HSTAR, lambda n: t.h_star[n], pronic.__getitem__),
+        (CLAIM_C8_HSS, lambda n: t.h_star_star[n], lambda n: alphas[n + 1] * pronic[n]),
     ) + _rows(
         depth,
-        (CLAIM_C8_H_RATIO, lambda n: t.h[n + 1], lambda n: -(n + 1) * alpha**n * t.h_star[n]),
-        (CLAIM_C8_HSS_RATIO, lambda n: t.h_star_star[n],
-         lambda n: alpha ** (n + 1) * t.h_star[n]),
+        (CLAIM_C8_H_RATIO, lambda n: t.h[n + 1], lambda n: -(n + 1) * alphas[n] * t.h_star[n]),
+        (CLAIM_C8_HSS_RATIO, lambda n: t.h_star_star[n], lambda n: alphas[n + 1] * t.h_star[n]),
     )
     return ConjectureReport("8", params, depth, checks)
 
@@ -266,21 +283,26 @@ def prop9_verify(alpha: int, n: int) -> ConjectureReport:
     three checks are mutually consistent (the entrywise identity plus the
     triangular determinant force the Hankel determinant) but each is
     still evaluated independently against det_exact.
+
+    T[i][k] is t[i][k] alpha^i with t = T at alpha = 1, so (T * T^t)[i][j]
+    is alpha^(i+j) (t * t^t)[i][j]: a sum of small products times one
+    power of alpha.
     """
     params = _params("prop9", alpha)
-    T = prop9_T_matrix(alpha, n)  # refuses a negative n
+    t = prop9_T_matrix(1, n)  # refuses a negative n
+    alphas = _powers(alpha, 2 * n + 1)
     H = hankel_matrix(family_reversion_terms(params, 2 * n + 2)[1:], n)
     products = tuple(
         Check(
             i,
             CLAIM_P9_PRODUCT.format(i=i, j=j),
             H[i][j],
-            sum(T[i][k] * T[j][k] for k in range(min(i, j) + 1)),
+            alphas[i + j] * sum(t[i][k] * t[j][k] for k in range(min(i, j) + 1)),
         )
         for i in range(n + 1)
         for j in range(n + 1)
     )
-    det_t = math.prod(T[i][i] for i in range(n + 1))
+    det_t = math.prod(t[i][i] * alphas[i] for i in range(n + 1))
     checks = products + (
         Check(n, CLAIM_P9_DET, det_exact(H), alpha ** (n * (n + 1))),
         Check(n, CLAIM_P9_DET_T, det_t, alpha ** math.comb(n + 1, 2)),

@@ -16,12 +16,14 @@ and Approximation*, 2004), a recurrence on two rows of modified moments.
 The rows are kept as integers over one denominator with their content
 divided out, so on sequences with small J-fraction coefficients, such as
 those of the families, the entries stay small.  Each step's three
-multipliers are divided by their gcd before they touch a row.  Where the
-row's denominator is 1 and the J-fraction coefficients a_k and b_k are
-integers, as in the family runs, that gcd is the first multiplier.  The
-run then takes the step r[i+2] - a_k r[i+1] - b_k p[i+2] on rows r and p
-from two exact divisions, with no gcd of the multipliers, the row or the
-riders below, and the new row stays over denominator 1.
+multipliers are divided by their gcd before they touch a row.  While
+every row so far has had integer J-fraction coefficients a_k and b_k, as
+in the family runs, the rows stay over denominator 1, and the run reads
+a_k and b_k off rows r and p by two small quotients, r[1] / r[0] =
+a_0 + ... + a_k and r[0] / p[0] = b_k.  It then takes the step
+r[i+2] - a_k r[i+1] - b_k p[i+2], with no gcd of the multipliers, the
+row or the riders below.  From the first inexact quotient or zero minor
+on, the general step runs to the end.
 
 One run on m = u[1:] gives all three transforms of :func:`hankel_triple`
 (Krattenthaler, *Advanced determinant calculus*, 1999, the section on
@@ -43,7 +45,13 @@ X_{n+1} = h**_n.  Row k of the run gives nu_k and a_k nu_k, so h and h**
 ride on it at a few integer operations per row, and no condition such
 as h**_{n-1} != 0 is needed.  They need every nu_k up to the depth to be
 nonzero, that is no zero minor of m; past one, u and u[2:] get runs of
-their own.
+their own.  Divided by h*_{k-1} = nu_0 ... nu_{k-1}, the continuants are
+
+    Y_k = X_k / h*_{k-1},  Y_{k+1} = a_k Y_k - b_k Y_{k-1},
+
+with b_k = nu_k / nu_{k-1} and b_0 = nu_0: the ratios h_{n+1} / h*_n and
+h**_n / h*_n, which are small where a_k and b_k are.  The integral step
+carries these, and the run multiplies them out into h and h** once.
 
 :func:`det_exact`, Bareiss fraction-free elimination with row swaps, is
 not on the transform path.  It is prop9's independent determinant and
@@ -129,6 +137,13 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
     return sign * content * m[n - 1][n - 1]
 
 
+def _rescale(riders: Sequence[list[int]], minors: list[int]) -> None:
+    """Turn ratio riders [Y_{-1}, Y_0, ...] into continuants, in place:
+    X_k = h*_{k-1} Y_k, with h*_{-2} = h*_{-1} = 1 and h*_k = minors[k]."""
+    for seq in riders:
+        seq[:] = map(operator.mul, [1, 1, *minors], seq)
+
+
 def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> list[int]:
     """Leading principal minors of orders 1 to ``depth + 1`` of the
     index-``depth`` Hankel matrix of ``terms``, by Han's H-fraction.
@@ -164,16 +179,23 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
     with r[i] = D sigma_{j,j+i}, where sigma_{k,l} = L(pi_k x^l) for the
     monic orthogonal polynomials pi_k of the moments ``terms``.  Here
     c1 / c0 = a_j and c2 / c0 = b_j D / D_p, with D_p the denominator of
-    p.  Where D = 1 and c0 divides c1 and c2, as at every row of a run
-    whose a_j and b_j are all integers, g = c0, so the reduced multipliers
-    are (1, a, b) with a = c1 / c0 = a_j and b = c2 / c0.  That integral
-    step takes no gcd at all:
+    p.
 
-        next[i] = r[i+2] - a r[i+1] - b p[i+2]  over D = 1,
+    While every earlier row has taken it, a row takes the integral step
+    instead.  Then D = D_p = 1, and r[1] / h = sigma_{j,j+1} / sigma_{j,j}
+    is a_0 + ... + a_j, the sum s_j of the J-fraction's a's, and
+    h / p0 = nu_j / nu_{j-1} is b_j (with nu_{-1} = p0 = 1 at the head
+    row).  Where both quotients are exact, a_j = s_j - s_{j-1} and b_j are
+    integers, g = c0, and the reduced multipliers are (1, a_j, b_j), so
+    the step takes no gcd at all:
 
-    and the row gcd, gcd(1, ...) = 1, is not taken.  D == 1 is tested
-    first, so a run with fractional coefficients pays nothing for it;
-    every other row takes the general step above.
+        next[i] = r[i+2] - a_j r[i+1] - b_j p[i+2]  over D = 1,
+
+    and the row gcd, gcd(1, ...) = 1, is not taken.  Two divisions by the
+    small h and p0 replace the four products c0, c1, c2 of row heads the
+    size of nu_j and two divisions by c0.  At the first inexact quotient
+    or zero minor the run leaves the integral step for good, and the
+    general step above runs to the end.
 
     Each rider is a list [X_{-1}, X_0] that the run extends in place with
     the continuant X_{j+1} = a_j nu_j X_j - nu_j^2 X_{j-1} at every row,
@@ -183,16 +205,21 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
         X_{j+1} = (c1 D X_j - h^2 p0 X_{j-1}) / (p0 D^2),
 
     with its three weights divided by their gcd first.  It is exact for
-    integer input and checked like the minors.  In the integral step,
-    a_j nu_j = a h and nu_j^2 = h^2, so it is X_{j+1} = h (a X_j - h X_{j-1})
-    with no gcd and no division.  It reads r[1] of the last
-    row, so riders need ``2 * depth + 2`` terms.  The riders stop at the
-    first block of zero minors, short of ``depth + 3`` entries.
+    integer input and checked like the minors.  The integral step carries
+    the ratios Y_k = X_k / h*_{k-1} instead, by Y_{j+1} = a_j Y_j - b_j Y_{j-1},
+    with no gcd, no division and no product larger than a_j Y_j.  The
+    ratios are multiplied out into X_k = h*_{k-1} Y_k in one pass over
+    each rider (:func:`_rescale`) where the integral step ends: when the
+    run returns from it, or before the general step's first rider step.
+    The riders read r[1] of the last row, so they need ``2 * depth + 2``
+    terms.  They stop at the first block of zero minors, short of
+    ``depth + 3`` entries and of no further use.
     """
     row = [operator.index(t) for t in terms[: 2 * depth + (2 if riders else 1)]]
     prev = [1] + [0] * len(row)  # E_{-1}
     minor = denom = 1
     minors = []
+    s = 0  # a_0 + ... + a_{j-1} while every row has taken the integral step
     while True:
         h = row[0]
         if h:
@@ -203,19 +230,23 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
             last = len(minors) > depth
             if last and not riders:
                 return minors
-            p0 = prev[0]
-            c0, c1, c2 = h * p0, row[1] * p0 - h * prev[1], h * h
-            if denom == 1:
-                (a, r1), (b, r2) = divmod(c1, c0), divmod(c2, c0)
-                if not (r1 or r2):  # integral a_j and b_j: g = c0
+            if s is not None:
+                (t, r1), (b, r2) = divmod(row[1], h), divmod(h, prev[0])
+                if not (r1 or r2):  # integral a_j = t - s and b_j = b
+                    a, s = t - s, t
                     for seq in riders:
-                        seq.append(h * (a * seq[-1] - h * seq[-2]))
+                        seq.append(a * seq[-1] - b * seq[-2])
                     if last:
+                        _rescale(riders, minors)
                         return minors
                     prev, row = row, [
                         x - a * y - b * z for x, y, z in zip(row[2:], row[1:], prev[2:])
                     ]
                     continue
+                s = None
+                _rescale(riders, minors)
+            p0 = prev[0]
+            c0, c1, c2 = h * p0, row[1] * p0 - h * prev[1], h * h
             if riders:
                 w1, w2, w3 = c1 * denom, c2 * p0, p0 * denom * denom
                 g = math.gcd(w1, w2, w3)
@@ -242,7 +273,7 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
             minors += [0] * k
             if len(minors) > depth:  # always so when the row is all zeros
                 return minors[: depth + 1]
-            riders = ()
+            riders, s = (), None
             row = row[k:]
             h = row[0]
             power = h ** (k + 1)

@@ -9,7 +9,10 @@ one series into another, which checks reversion both ways, and
 :func:`pad` builds such a list from a polynomial.  :func:`eval_gf_ref`
 evaluates a g.f. expression on them, node by node at a working order, as
 ``hankelrev.gf`` did before it evaluated on integers.  :func:`h_fractions`
-draws sequences whose Hankel minors are known in closed form.
+draws sequences whose Hankel minors are known in closed form, and
+:func:`stieltjes_moments` builds the moments of a J-fraction, whose run
+:func:`continuants` follows.  The ``*_rhs_ref`` functions give the
+right-hand sides of the verifier reports from their closed forms.
 :func:`prop9_coeff_identity_1` and :func:`prop9_coeff_identity_2` check
 the two polynomial coefficient identities that prop9's factorization
 rests on, by expanding the polynomials term by term.
@@ -298,6 +301,38 @@ def h_fractions(draw) -> tuple[list[int], list[int]]:
     return terms, minors
 
 
+def stieltjes_moments(a: Sequence, b: Sequence, count: int) -> list:
+    """The first ``count`` moments of the J-fraction
+
+        b_0 / (1 - a_0 x - b_1 x^2 / (1 - a_1 x - b_2 x^2 / (1 - ...))),
+
+    with coefficients past the lists taken as 0, by the forward Stieltjes
+    recurrence on weighted Motzkin paths: m_n = b_0 g_{n,0}, where
+    g_{0,k} = [k = 0] and g_{n+1,k} = g_{n,k-1} + a_k g_{n,k} + b_{k+1} g_{n,k+1}.
+    The entries are ints or Fractions, as the coefficients are.  The
+    Hankel minors of m are nu_0 ... nu_n with nu_k = b_0 ... b_k.
+    """
+    levels = len(a)
+    g = [1] + [0] * (levels - 1)
+    out = []
+    for _ in range(count):
+        out.append(b[0] * g[0])
+        g = [
+            (g[k - 1] if k else 0) + a[k] * g[k] + (b[k + 1] * g[k + 1] if k + 1 < levels else 0)
+            for k in range(levels)
+        ]
+    return out
+
+
+def continuants(a: Sequence[int], b: Sequence[int], start: tuple[int, int]) -> list[int]:
+    """[X_{-1}, X_0, X_1, ...] from (X_{-1}, X_0) = start by
+    X_{k+1} = a_k X_k - b_k X_{k-1}, one step per pair (a_k, b_k)."""
+    x = list(start)
+    for ak, bk in zip(a, b):
+        x.append(ak * x[-1] - bk * x[-2])
+    return x
+
+
 # ----------------------------------------------------------------------
 # closed forms of the three families (see hankelrev.families)
 
@@ -425,3 +460,59 @@ def prop9_coeff_identity_2(i: int, k: int, alpha: int) -> bool:
         # the ratio form, cross-multiplied
         return lhs * (2 * i - k + 1) == math.comb(2 * i, k) * (2 * i - 2 * k + 1) * alpha**k
     return lhs == (math.comb(2 * i, k) - math.comb(2 * i, k - 1)) * alpha**k
+
+
+# ----------------------------------------------------------------------
+# right-hand sides of the verifier reports, one pow per closed form
+
+
+def conjecture4_rhs_ref(alpha: int, beta: int, depth: int) -> list[int]:
+    """The rhs column of conjecture 4's report, in its row order, with
+    h*_n = beta^binom(n+1,2) and the base coefficients in closed form."""
+    h_star = [beta ** math.comb(n + 1, 2) for n in range(depth + 1)]
+    a = [family_base_term_ref("A", alpha, beta, n) for n in range(depth + 2)]
+    return h_star + [
+        rhs for n in range(depth) for rhs in (a[n + 1] * h_star[n], a[n + 2] * h_star[n])
+    ]
+
+
+def conjecture6_rhs_ref(alpha: int, beta: int, depth: int) -> list[int]:
+    """The rhs column of conjecture 6's report, with h*_n = (alpha(alpha-beta))^binom(n+1,2)."""
+    gap = alpha - beta
+    h_star = [(alpha * gap) ** math.comb(n + 1, 2) for n in range(depth + 1)]
+    return h_star + [
+        rhs
+        for n in range(depth)
+        for rhs in ((gap ** (n + 1) - alpha ** (n + 1)) * h_star[n], gap ** (n + 1) * h_star[n])
+    ]
+
+
+def conjecture8_rhs_ref(alpha: int, depth: int) -> list[int]:
+    """The rhs column of conjecture 8's report, with h*_n = alpha^(n(n+1))."""
+    h_star = [alpha ** (n * (n + 1)) for n in range(depth + 1)]
+    direct = [
+        rhs
+        for n in range(depth + 1)
+        for rhs in (-n * alpha ** (n * n - 1) if n else 0, h_star[n], alpha ** ((n + 1) ** 2))
+    ]
+    return direct + [
+        rhs
+        for n in range(depth)
+        for rhs in (-(n + 1) * alpha**n * h_star[n], alpha ** (n + 1) * h_star[n])
+    ]
+
+
+def prop9_rhs_ref(alpha: int, n: int) -> list[int]:
+    """The rhs column of prop9's report: every entry of T * T^t as the plain
+    sum of T[i][k] T[j][k], T[i][k] = C(2i, i+k) (2k+1) / (i+k+1) alpha^i,
+    then alpha^(n(n+1)) and alpha^binom(n+1,2)."""
+    T = [
+        [math.comb(2 * i, i + k) * (2 * k + 1) // (i + k + 1) * alpha**i for k in range(i + 1)]
+        for i in range(n + 1)
+    ]
+    products = [
+        sum(T[i][k] * T[j][k] for k in range(min(i, j) + 1))
+        for i in range(n + 1)
+        for j in range(n + 1)
+    ]
+    return products + [alpha ** (n * (n + 1)), alpha ** math.comb(n + 1, 2)]

@@ -41,7 +41,14 @@ from hankelrev.conjectures import (
     CLAIM_P9_DET,
     CLAIM_P9_DET_T,
 )
-from oracles import prop9_coeff_identity_1, prop9_coeff_identity_2
+from oracles import (
+    conjecture4_rhs_ref,
+    conjecture6_rhs_ref,
+    conjecture8_rhs_ref,
+    prop9_coeff_identity_1,
+    prop9_coeff_identity_2,
+    prop9_rhs_ref,
+)
 
 
 def checks_for(report, claim):
@@ -249,6 +256,36 @@ def conjecture_choices(command):
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     option = next(a for a in commands.choices[command]._actions if a.dest == "conjecture")
     return tuple(option.choices)
+
+
+class TestReportsAtDepth:
+    """Every right-hand side, built as a running product or from T's
+    alpha-free part, against one pow per closed form, far past the depths
+    of tests/reports.txt."""
+
+    @pytest.mark.parametrize("alpha, beta", [(-3, -5), (7, 4), (0, 2)])
+    def test_conjecture4(self, alpha, beta):
+        report = verify_conjecture4(alpha, beta, 60)
+        assert [c.rhs for c in report.checks] == conjecture4_rhs_ref(alpha, beta, 60)
+        assert report.all_pass
+
+    @pytest.mark.parametrize("alpha, beta", [(2, -3), (-5, 4), (3, 1)])
+    def test_conjecture6(self, alpha, beta):
+        report = verify_conjecture6(alpha, beta, 60)
+        assert [c.rhs for c in report.checks] == conjecture6_rhs_ref(alpha, beta, 60)
+        assert report.all_pass
+
+    @pytest.mark.parametrize("alpha", [7, -3, 10**20 + 9])
+    def test_conjecture8(self, alpha):
+        report = verify_conjecture8(alpha, 60)
+        assert [c.rhs for c in report.checks] == conjecture8_rhs_ref(alpha, 60)
+        assert report.all_pass
+
+    @pytest.mark.parametrize("alpha", [10**59 + 123, -(10**59) - 4567], ids=["+60d", "-60d"])
+    def test_prop9(self, alpha):
+        report = prop9_verify(alpha, 12)
+        assert [c.rhs for c in report.checks] == prop9_rhs_ref(alpha, 12)
+        assert report.all_pass
 
 
 class TestRegistry:

@@ -1,7 +1,10 @@
 """Hankel matrices, exact determinants, and sequence transforms."""
 
 import math
+import operator
 import random
+from fractions import Fraction
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -27,10 +30,12 @@ from hankelrev import hankel
 from oracles import (
     binomial_ogf_horner_ref,
     binomial_transform_ref,
+    continuants,
     det_cofactor,
     det_gauss,
     h_fractions,
     inverse_binomial_transform_ref,
+    stieltjes_moments,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
@@ -516,6 +521,73 @@ class TestIntegralStep:
         terms = family_reversion_terms(params, 2 * depth + 3)
         assert_triple_equals_det_exact(hankel_triple(terms, depth), terms)
         assert hankel_transform(terms[1:], depth) == per_index(terms[1:], depth)
+
+
+@st.composite
+def j_fraction_runs(draw, variant):
+    """(terms, a, b): terms = [u_0, m_0, ..., m_{2d+1}], with m the moments of
+    the J-fraction of a_0..a_d and b_0..b_d (b_0 = m_0, see
+    :func:`oracles.stieltjes_moments`), so the run of ``hankel_triple(terms, d)``
+    on m meets a_k and b_k at row k.
+
+    ``variant`` is "integral" (integer coefficients, every b_k nonzero), "fraction"
+    (one a_k or b_k, k >= 1, a fraction; m scaled to integers, which leaves
+    a_k and b_k alone), "zero b" (one b_k = 0, k >= 1: the minors of m are
+    zero from index k on) or "zero head" (u_0 = 0).
+    """
+    depth = draw(st.integers(0 if variant in ("integral", "zero head") else 1, 7))
+    a = draw(st.lists(st.integers(-4, 4), min_size=depth + 1, max_size=depth + 1))
+    b = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=depth + 1, max_size=depth + 1))
+    k = draw(st.integers(1, depth)) if depth else 0
+    if variant == "fraction":
+        q = draw(st.sampled_from([2, 3]))
+        value = Fraction(draw(st.integers(1, q - 1)) + q * draw(st.integers(-3, 3)), q)
+        (a if draw(st.booleans()) else b)[k] = value
+    elif variant == "zero b":
+        b[k] = 0
+    moments = stieltjes_moments(a, b, 2 * depth + 2)
+    scale = math.lcm(*(Fraction(m).denominator for m in moments))
+    head = 0 if variant == "zero head" else draw(st.integers(-9, 9))
+    return [head, *(int(m * scale) for m in moments)], a, b
+
+
+class TestQuotientStep:
+    """Runs on the moments of random J-fractions: the integral step carries
+    the ratios h_{n+1} / h*_n and h**_n / h*_n, which are continuants of the
+    J-fraction's coefficients, and a run that meets a fraction, a zero minor
+    or a zero head still gives every transform that det_exact gives."""
+
+    @given(j_fraction_runs("integral"))
+    def test_whole_integral_runs_carry_the_continuants(self, case):
+        terms, a, b = case
+        depth = len(a) - 1
+        with pytest.MonkeyPatch.context() as patch:
+            gcds = count_gcds(patch)
+            triple = hankel_triple(terms, depth)
+        assert gcds == []
+        assert_triple_equals_det_exact(triple, terms)
+        # h*_n = nu_0 ... nu_n with nu_k = b_0 ... b_k
+        assert list(triple.h_star) == list(accumulate(accumulate(b, operator.mul), operator.mul))
+        ratios_h = continuants(a, b, (1, terms[0]))
+        ratios_hss = continuants(a, b, (0, 1))
+        for n in range(depth + 1):
+            if n < depth:
+                assert divmod(triple.h[n + 1], triple.h_star[n]) == (ratios_h[n + 2], 0)
+            assert divmod(triple.h_star_star[n], triple.h_star[n]) == (ratios_hss[n + 2], 0)
+
+    @pytest.mark.parametrize("variant", ["integral", "fraction", "zero b", "zero head"])
+    @given(data=st.data())
+    def test_variants_against_det_exact(self, variant, data):
+        terms, a, b = data.draw(j_fraction_runs(variant))
+        depth = len(a) - 1
+        assert_transforms_agree(terms, depth)
+        if variant == "fraction":
+            # the run on m meets the fraction at row k <= depth and leaves
+            # the integral step there
+            with pytest.MonkeyPatch.context() as patch:
+                gcds = count_gcds(patch)
+                hankel_triple(terms, depth)
+            assert gcds
 
 
 class TestHugeParameters:
