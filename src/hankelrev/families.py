@@ -6,12 +6,14 @@ With integer parameters alpha and beta, the base o.g.f.s are::
     family B:  x * (1 - alpha*x) / (1 - beta*x)
     family C:  x * (1 - alpha*x)
 
-Each family is one row of ``_ROWS``, and two integer loops read that row.
-The base series is numerator/denominator with a denominator of head 1, so
-its terms follow the linear recurrence of the denominator.  Every
+Each family is one row of ``_ROWS``, its point (p, q, r) of the class
+x*(1 + p*x) / (1 + q*x + r*x^2), and ``_row`` derives the rest from that
+point.  The base series is (0, 1, p) over (1, q, r), a denominator of head
+1, so its terms are one run of ``hankelrev.series._quotient``.  Every
 reversion u is quadratic-algebraic with the radical y = sqrt(D),
-D = 1 + 2e*x + d*x^2: past the row's seeds, u_m is a constant times
-y_{m+s} for the row's index shift s.  So, like the square root in
+D = 1 + 2e*x + d*x^2 for e = 2p - q and d = q^2 - 4r: past the seeds
+(0, 1, q - p), u_m is a constant times y_{m+s}, for the index shift s = 1
+if p = 0 and s = 0 otherwise.  So, like the square root in
 ``hankelrev.series._root``, u follows the recurrence of 2*D*y' = D'*y;
 with k = m + s,
 
@@ -28,7 +30,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from hankelrev.series import PowerSeries
+from hankelrev.series import PowerSeries, _quotient
 
 FAMILY_A = "A"
 FAMILY_B = "B"
@@ -57,20 +59,25 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-# family -> (alpha, beta) -> (numerator, denominator, e, d, shift, seeds):
-# the base o.g.f. is numerator/denominator (denominator head 1), and the
-# reversion has radical 1 + 2e*x + d*x^2, index shift ``shift`` and first
-# terms ``seeds``
-_ROWS: dict[str, Callable[[int, int], tuple]] = {
-    FAMILY_A: lambda a, b: ((0, 1), (1, a, b), -a, a * a - 4 * b, 1, (0, 1)),
-    FAMILY_B: lambda a, b: ((0, 1, -a), (1, -b), b - 2 * a, b * b, 0, (0, 1, a - b)),
-    # the B row at beta = 0
-    FAMILY_C: lambda a, b: ((0, 1, -a), (1,), -2 * a, 0, 0, (0, 1, a)),
+# family -> (alpha, beta) -> its point (p, q, r) of the class
+# x*(1 + p*x) / (1 + q*x + r*x^2).  Every family has p*r = 0, which the
+# two-term recurrence needs: the reversion is
+# (1 - q*x - sqrt(D)) / (2*(r*x - p)), and only while r*x - p is a monomial
+# are its terms past the seeds a constant times those of sqrt(D).
+_ROWS: dict[str, Callable[[int, int], tuple[int, int, int]]] = {
+    FAMILY_A: lambda a, b: (0, a, b),
+    FAMILY_B: lambda a, b: (-a, -b, 0),
+    FAMILY_C: lambda a, b: (-a, 0, 0),
 }
 
 
 def _row(params: FamilyParams) -> tuple:
-    return _ROWS[params.family](params.alpha, params.beta)
+    """(numerator, denominator, e, d, shift, seeds) of the family's point:
+    the base o.g.f. is numerator/denominator, and the reversion has the
+    radical D = 1 + 2e*x + d*x^2, index shift ``shift`` and first terms
+    ``seeds``."""
+    p, q, r = _ROWS[params.family](params.alpha, params.beta)
+    return (0, 1, p), (1, q, r), 2 * p - q, q * q - 4 * r, int(p == 0), (0, 1, q - p)
 
 
 def family_base_ogf(params: FamilyParams, order: int) -> PowerSeries:
@@ -84,13 +91,8 @@ def family_base_terms(params: FamilyParams, count: int) -> list[int]:
     if count < 1:
         raise ValueError("count must be positive")
     num, den, *_ = _row(params)
-    terms: list[int] = []
-    for n in range(count):
-        t = num[n] if n < len(num) else 0
-        for k in range(1, min(n, len(den) - 1) + 1):
-            t -= den[k] * terms[n - k]
-        terms.append(t)
-    return terms
+    # the denominator has head 1, so the quotient's d and r are 1
+    return _quotient(num, den, count - 1)[0]
 
 
 def family_reversion_terms(params: FamilyParams, count: int) -> list[int]:

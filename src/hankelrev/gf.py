@@ -8,9 +8,12 @@ Grammar::
     base   := uint | 'x' | '(' expr ')' | 'sqrt' '(' expr ')'
 
 '^' binds tightest, then '*' and '/', then '+' and '-'; operators of equal
-precedence associate left; a leading '-' reads as ``0 - term``.  Whitespace
-is insignificant and U+2212 is accepted as a minus sign.  Syntax errors
-report the byte offset of the offending input.
+precedence associate left; a leading '-' reads as ``0 - term``.  The
+binary precedences are stated once, in ``_BINOP_PREC``: the parser has one
+level per precedence in it, and the printer parenthesizes by it.  Lexing
+is one regular expression (``_TOKEN``): whitespace is insignificant,
+integers and words are ASCII, and U+2212 is accepted as a minus sign.
+Syntax errors report the byte offset of the offending input.
 
 Evaluation is exact: :func:`eval_gf` expands an expression to a requested
 truncation order in one pass.  A subtree without sqrt evaluates to a
@@ -33,10 +36,11 @@ non-invertible.
 from __future__ import annotations
 
 import math
-import string
+import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import zip_longest
-from typing import NamedTuple, Union
+from typing import Union
 
 from hankelrev.series import PowerSeries, _conv, _decimal, _parse_int, _quotient, _root
 
@@ -99,149 +103,104 @@ GfExpression = Union[Lit, Var, BinOp, Pow, Sqrt]
 
 
 # ----------------------------------------------------------------------
-# tokenizer
+# parser
+
+# the binary operators by precedence, read by the parser and the printer
+_BINOP_PREC = {"*": 2, "/": 2, "+": 1, "-": 1}
+_LOWEST, _HIGHEST = min(_BINOP_PREC.values()), max(_BINOP_PREC.values())
+
+# one token: an unsigned integer, a word, or any other single character.
+# ``\s`` matches what str.isspace does; digits and letters are ASCII only.
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]+)|(\S))")
 
 
-class _Token(NamedTuple):
-    kind: str  # INT, IDENT, SYM, EOF
-    text: str
-    offset: int  # byte offset into the source
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """(token, byte offset) pairs, closed by ("", length in bytes).
 
-
-_SYMBOLS = {"+": "+", "-": "-", "−": "-", "*": "*", "/": "/", "^": "^", "(": "(", ")": ")"}
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    byte = 0
-    while i < len(text):
-        ch = text[i]
-        width = len(ch.encode("utf-8"))
-        if ch.isspace():
-            i += 1
-            byte += width
-            continue
-        if ch in string.digits:
-            start = byte
-            j = i
-            while j < len(text) and text[j] in string.digits:
-                j += 1
-            tokens.append(_Token("INT", text[i:j], start))
-            byte += j - i  # ASCII digits are one byte each
-            i = j
-            continue
-        if ch in string.ascii_letters:
-            start = byte
-            j = i
-            while j < len(text) and text[j] in string.ascii_letters:
-                j += 1
-            word = text[i:j]
-            if word not in ("x", "sqrt"):
-                raise GfParseError(f"unknown identifier {word!r}", start)
-            tokens.append(_Token("IDENT", word, start))
-            byte += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token("SYM", _SYMBOLS[ch], byte))
-            i += 1
-            byte += width
-            continue
-        raise GfParseError(f"unexpected character {ch!r}", byte)
-    tokens.append(_Token("EOF", "", byte))
+    U+2212 reads as '-'.  A word other than x and sqrt, and a character
+    that is not an operator or a parenthesis, is an error.
+    """
+    tokens = []
+    byte = last = 0
+    for match in _TOKEN.finditer(text):
+        start = match.start(match.lastindex)
+        byte += len(text[last:start].encode("utf-8"))
+        last = start
+        token = match[match.lastindex]
+        if match[2] and token not in ("x", "sqrt"):
+            raise GfParseError(f"unknown identifier {token!r}", byte)
+        if match[3]:
+            token = "-" if token == "\u2212" else token
+            if token not in "+-*/^()":
+                token.encode("utf-8")  # a lone surrogate has no UTF-8: UnicodeEncodeError
+                raise GfParseError(f"unexpected character {token!r}", byte)
+        tokens.append((token, byte))
+    tokens.append(("", byte + len(text[last:].encode("utf-8"))))
     return tokens
 
 
-# ----------------------------------------------------------------------
-# recursive-descent parser
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def at_sym(self, *symbols: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "SYM" and tok.text in symbols
-
-    def expect_sym(self, symbol: str) -> None:
-        tok = self.peek()
-        if tok.kind != "SYM" or tok.text != symbol:
-            raise GfParseError(f"expected {symbol!r}", tok.offset)
-        self.advance()
-
-    def parse_expr(self) -> GfExpression:
-        if self.at_sym("-"):
-            self.advance()
-            node: GfExpression = BinOp("-", Lit(0), self.parse_term())
-        else:
-            node = self.parse_term()
-        while self.at_sym("+", "-"):
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> GfExpression:
-        node = self.parse_factor()
-        while self.at_sym("*", "/"):
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_factor())
-        return node
-
-    def parse_factor(self) -> GfExpression:
-        node = self.parse_base()
-        if self.at_sym("^"):
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "INT":
-                raise GfParseError(
-                    "exponent must be a non-negative integer literal", tok.offset
-                )
-            self.advance()
-            node = Pow(node, _parse_int(tok.text))
-        return node
-
-    def parse_base(self) -> GfExpression:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            return Lit(_parse_int(tok.text))
-        if tok.kind == "IDENT" and tok.text == "x":
-            self.advance()
-            return Var()
-        if tok.kind == "IDENT" and tok.text == "sqrt":
-            self.advance()
-            self.expect_sym("(")
-            arg = self.parse_expr()
-            self.expect_sym(")")
-            return Sqrt(arg)
-        if tok.kind == "SYM" and tok.text == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect_sym(")")
-            return node
-        found = repr(tok.text) if tok.kind != "EOF" else "end of input"
-        raise GfParseError(f"expected a value, found {found}", tok.offset)
-
-
 def parse_gf(text: str) -> GfExpression:
-    """Parse an expression string into its syntax tree."""
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise GfParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
+    """Parse an expression string into its syntax tree.
+
+    The whole text is tokenized before it is parsed, so a bad character or
+    word is reported ahead of any error of grammar.
+    """
+    tokens = _tokenize(text)[::-1]  # a stack: the next token is tokens[-1]
+    node = _binary(tokens, _LOWEST)
+    token, offset = tokens[-1]
+    if token:
+        raise GfParseError(f"unexpected trailing input {token!r}", offset)
     return node
+
+
+# The parsing functions below are passed the token stack rather than
+# nested in parse_gf: nested functions that call each other form a
+# reference cycle, garbage for the cyclic collector after every parse.
+
+
+def _binary(tokens: list[tuple[str, int]], prec: int) -> GfExpression:
+    """Operands joined by the operators of precedence ``prec``; a leading
+    '-' at the lowest level reads as ``0 - operand``."""
+    operand = (
+        partial(_factor, tokens) if prec == _HIGHEST else partial(_binary, tokens, prec + 1)
+    )
+    node = Lit(0) if prec == _LOWEST and tokens[-1][0] == "-" else operand()
+    while _BINOP_PREC.get(tokens[-1][0]) == prec:
+        node = BinOp(tokens.pop()[0], node, operand())
+    return node
+
+
+def _factor(tokens: list[tuple[str, int]]) -> GfExpression:
+    node = _base(tokens)
+    if tokens[-1][0] == "^":
+        tokens.pop()
+        token, offset = tokens.pop()
+        if not token.isdigit():
+            raise GfParseError("exponent must be a non-negative integer literal", offset)
+        node = Pow(node, _parse_int(token))
+    return node
+
+
+def _base(tokens: list[tuple[str, int]]) -> GfExpression:
+    token, offset = tokens.pop()
+    if token.isdigit():
+        return Lit(_parse_int(token))
+    if token == "x":
+        return Var()
+    if token == "sqrt":
+        _expect(tokens, "(")
+    elif token != "(":
+        found = repr(token) if token else "end of input"
+        raise GfParseError(f"expected a value, found {found}", offset)
+    node = _binary(tokens, _LOWEST)
+    _expect(tokens, ")")
+    return Sqrt(node) if token == "sqrt" else node
+
+
+def _expect(tokens: list[tuple[str, int]], symbol: str) -> None:
+    token, offset = tokens.pop()
+    if token != symbol:
+        raise GfParseError(f"expected {symbol!r}", offset)
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +208,6 @@ def parse_gf(text: str) -> GfExpression:
 
 _ATOM_PREC = 5
 _POW_PREC = 4
-_BINOP_PREC = {"*": 2, "/": 2, "+": 1, "-": 1}
 
 
 def format_gf(expression: GfExpression) -> str:

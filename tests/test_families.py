@@ -171,7 +171,7 @@ class TestCrossFamily:
 
     def test_inexact_step_raises(self, monkeypatch):
         bad_row = ((0, 1), (1, 0, 0), 1, 0, 0, (0, 1))
-        monkeypatch.setitem(families._ROWS, FAMILY_A, lambda a, b: bad_row)
+        monkeypatch.setattr(families, "_row", lambda params: bad_row)
         with pytest.raises(ArithmeticError, match="reversion term 2 is not an integer"):
             family_reversion_terms(FamilyParams(1, 1, FAMILY_A), 3)
 

@@ -63,6 +63,20 @@ class TestParse:
             ("1//x", 2, "expected a value, found '/'"),
             # offsets count bytes, and U+2212 is three of them
             ("1−y", 4, "unknown identifier 'y'"),
+            ("", 0, "expected a value, found end of input"),
+            # the whole text is tokenized before it is parsed
+            ("x x y", 4, "unknown identifier 'y'"),
+            # digits and letters are ASCII only
+            ("٣", 0, "unexpected character '٣'"),
+            ("xsqrt", 0, "unknown identifier 'xsqrt'"),
+            ("x^1_0", 3, "unexpected character '_'"),
+            ("sqrt x", 5, "expected '('"),
+            ("2^3^2", 3, "unexpected trailing input '^'"),
+            # a leading '-' only starts an expression
+            ("1*-x", 2, "expected a value, found '-'"),
+            ("--x", 1, "expected a value, found '-'"),
+            # U+2003 is whitespace of three bytes
+            ("1 + \u2003 é", 8, "unexpected character 'é'"),
         ],
     )
     def test_syntax_errors_carry_byte_offsets(self, text, offset, message):
@@ -87,6 +101,8 @@ class TestFormat:
             ("-x+1", "0-x+1"),
             ("(1+x)^2*(1-x)", "(1+x)^2*(1-x)"),
             ("2*x-x^2", "2*x-x^2"),
+            # U+00A0 is whitespace
+            ("1\xa0+x", "1+x"),
         ],
     )
     def test_known_forms(self, text, formatted):
