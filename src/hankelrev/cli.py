@@ -10,11 +10,14 @@ numeric output is exact decimal text at any magnitude.
 This module is the one place where results become text.  Transforms,
 reports and sweeps arrive holding ints, and each value is rendered with
 ``series._decimal`` only when it is printed (a sweep without ``--full``
-prints no passing row).  Within one report each distinct value is
-rendered once.  Report and sweep JSON is written straight from the check
-rows, byte for byte as ``json.dumps(..., indent=2)`` would print it, and a
-CSV line is its cells joined by commas, byte for byte as ``csv.writer``
-would write it.
+prints no passing row).  A report's claims are int columns; the writers
+walk its rows as plain ``(n, claim, lhs, rhs)`` tuples
+(``ConjectureReport.rows``), made as they are printed and kept nowhere,
+so neither ``verify`` nor ``sweep`` makes a ``Check``.  Within one report
+each distinct value is rendered once.  Report and sweep JSON is written
+straight from those rows, byte for byte as ``json.dumps(..., indent=2)``
+would print it, and a CSV line is its cells joined by commas, byte for
+byte as ``csv.writer`` would write it.
 
 Each job has one handler: ``prop9`` is ``verify --conjecture prop9`` under
 its own name, with ``--n`` for the depth, and one check refuses a command
@@ -36,7 +39,6 @@ import traceback
 from hankelrev.conjectures import (
     CONJECTURES,
     SWEEPABLE,
-    Check,
     ConjectureReport,
     SweepResult,
     sweep,
@@ -196,12 +198,12 @@ class _Decimals(dict):
         return text
 
 
-def _sides(check: Check, text: _Decimals) -> tuple[str, str, bool]:
-    """Both sides of a check as decimal text, and whether they are equal."""
-    lhs = text[check.lhs]
-    if check.passed:
+def _sides(lhs: int, rhs: int, text: _Decimals) -> tuple[str, str, bool]:
+    """Both sides of a row as decimal text, and whether they are equal."""
+    if lhs == rhs:
+        lhs = text[lhs]
         return lhs, lhs, True
-    return lhs, text[check.rhs], False
+    return text[lhs], text[rhs], False
 
 
 # JSON is written here as ``json.dumps(..., indent=2)`` writes it, byte for
@@ -232,10 +234,10 @@ def _report_json(report: ConjectureReport, pad: str) -> str:
     sep = "," + lead
     close = "\n" + pad + "    }"
     rows = []
-    for c in report.checks:
-        lhs, rhs, passed = _sides(c, text)
+    for n, claim, lhs, rhs in report.rows():
+        lhs, rhs, passed = _sides(lhs, rhs, text)
         rows.append(
-            f'{{{lead}"n": "{c.index}"{sep}"claim": {_json_string(c.claim)}{sep}"lhs": "{lhs}"'
+            f'{{{lead}"n": "{n}"{sep}"claim": {_json_string(claim)}{sep}"lhs": "{lhs}"'
             f'{sep}"rhs": "{rhs}"{sep}"pass": {"true" if passed else "false"}{close}'
         )
     params = report.params
@@ -256,10 +258,10 @@ def _report_csv(report: ConjectureReport) -> str:
     beta = "" if params is None else _decimal(params.beta)
     text = _Decimals()
     rows = []
-    for c in report.checks:
-        lhs, rhs, passed = _sides(c, text)
+    for n, claim, lhs, rhs in report.rows():
+        lhs, rhs, passed = _sides(lhs, rhs, text)
         rows.append([
-            report.conjecture_id, alpha, beta, str(report.depth), str(c.index), c.claim,
+            report.conjecture_id, alpha, beta, str(report.depth), str(n), claim,
             lhs, rhs, "true" if passed else "false",
         ])
     header = ["conjecture", "alpha", "beta", "depth", "n", "claim", "lhs", "rhs", "pass"]
@@ -283,13 +285,13 @@ def render_report(report: ConjectureReport, fmt: str) -> str:
     text = _Decimals()
     rows = []
     passed = 0
-    for c in report.checks:
-        lhs, rhs, ok = _sides(c, text)
+    for n, claim, lhs, rhs in report.rows():
+        lhs, rhs, ok = _sides(lhs, rhs, text)
         passed += ok
-        rows.append([str(c.index), c.claim, lhs, rhs, "ok" if ok else "FAIL"])
+        rows.append([str(n), claim, lhs, rhs, "ok" if ok else "FAIL"])
     lines.append(_align_table(["n", "claim", "lhs", "rhs", "status"], rows))
-    verdict = "all checks passed" if passed == len(report.checks) else "CHECKS FAILED"
-    lines.append(f"{verdict} ({passed}/{len(report.checks)})")
+    verdict = "all checks passed" if passed == len(rows) else "CHECKS FAILED"
+    lines.append(f"{verdict} ({passed}/{len(rows)})")
     return "\n".join(lines)
 
 

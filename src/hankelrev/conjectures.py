@@ -2,18 +2,20 @@
 
 Each verifier takes the relevant family sequence from the integer
 recurrences of :mod:`hankelrev.families` (``family_reversion_terms`` and
-``family_base_terms``), far enough for a depth-d Hankel triple, evaluates
-every claim in product form (no division, so zero values need no special
-casing), and returns a report whose check rows hold both sides as exact
-ints.  A row's ``passed`` and a report's ``all_pass`` are derived from
-those ints, and only :mod:`hankelrev.cli` turns them into text, when it
-prints them.  A claim is one ``(label, lhs, rhs)`` triple of functions
-of n, and one function, ``_rows``, turns claims into rows, n-major: at
-each n the claims in the order given.  Claims that reference index n+1
-of a depth-d transform are checked for n = 0..d-1; claims fully
-determined at index n run to n = d.  All of it is integer work, prop9
-included: T and T * T^t have int entries and det T is the product of
-T's diagonal.
+``family_base_terms``), far enough for a depth-d Hankel triple, and
+builds every claim in product form (no division, so zero values need no
+special casing) as two int columns, lhs and rhs over the claim's n, by
+slices and comprehensions over the transforms, the base terms and the
+power lists.  A report keeps those columns, grouped in blocks whose rows
+run n-major: at each n the block's claims in the order given.  Its
+``all_pass`` is one list comparison per claim.  Its rows are made only
+for output: :mod:`hankelrev.cli` walks them as plain ``(n, claim, lhs,
+rhs)`` tuples and turns them into text when it prints them, and the
+:class:`Check` tuple ``checks`` is built only when something reads it.
+Claims that reference index n+1 of a depth-d transform are checked for
+n = 0..d-1; claims fully determined at index n run to n = d.  All of it
+is integer work, prop9 included: T and T * T^t have int entries and
+det T is the product of T's diagonal.
 
 The built-in catalog:
 
@@ -45,9 +47,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from hankelrev.families import (
     FAMILY_A,
@@ -107,35 +109,99 @@ class Check:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
+class Claim(NamedTuple):
+    """One claimed identity as two int columns: lhs[k] == rhs[k] is
+    asserted at the k-th index of the block that holds the claim."""
+
+    label: str
+    lhs: list[int]
+    rhs: list[int]
+
+
+class Block(NamedTuple):
+    """Claims over the indices start, start + 1, ..., one column entry per
+    index; the rows are n-major: at each index, the claims in order."""
+
+    start: int
+    claims: tuple[Claim, ...]
+
+
+def _block(*claims: tuple[str, Iterable[int], Iterable[int]], start: int = 0) -> Block:
+    """A block of ``(label, lhs, rhs)`` claims, each side made a list;
+    every column must have the same length."""
+    block = Block(start, tuple([Claim(label, [*lhs], [*rhs]) for label, lhs, rhs in claims]))
+    length = len(block.claims[0].lhs)
+    for _, lhs, rhs in block.claims:
+        if len(lhs) != length or len(rhs) != length:
+            raise RuntimeError("the columns of a block differ in length")
+    return block
+
+
+@dataclass(frozen=True, init=False)
 class ConjectureReport:
+    """A verifier's result.
+
+    The rows are held as claim blocks of int columns (``blocks``):
+    ``all_pass`` compares each claim's two columns once, and :meth:`rows`
+    walks the rows without making a :class:`Check`.  ``checks`` holds the
+    same rows as Check values, made when it is first read.  A report can
+    also be built from rows, ``ConjectureReport(id, params, depth, checks,
+    notes)``; each row is then a block of its own.  Equality, hashing and
+    repr go by ``checks``, never by ``blocks``.
+    """
+
     conjecture_id: str
     params: FamilyParams | None
     depth: int
-    checks: tuple[Check, ...]
+    checks: tuple[Check, ...]  # the cached property below, unless given
     notes: tuple[str, ...] = ()
+    blocks: tuple[Block, ...] = field(default=(), repr=False, compare=False)
+
+    def __init__(
+        self,
+        conjecture_id: str,
+        params: FamilyParams | None,
+        depth: int,
+        checks: tuple[Check, ...] | None = None,
+        notes: tuple[str, ...] = (),
+        blocks: tuple[Block, ...] = (),
+    ) -> None:
+        fields = vars(self)  # frozen: set through the instance dict
+        if checks is not None:
+            fields["checks"] = checks
+            blocks = tuple(
+                Block(c.index, (Claim(c.claim, [c.lhs], [c.rhs]),)) for c in checks
+            )
+        fields.update(
+            conjecture_id=conjecture_id, params=params, depth=depth, notes=notes, blocks=blocks
+        )
+
+    @functools.cached_property
+    def checks(self) -> tuple[Check, ...]:
+        return tuple(Check(*row) for row in self.rows())
 
     @functools.cached_property
     def all_pass(self) -> bool:
-        """Whether every check passed, worked out on the first read only."""
-        return all(c.passed for c in self.checks)
+        """Whether every check passed: one comparison of columns per claim,
+        worked out on the first read only."""
+        return all(claim.lhs == claim.rhs for block in self.blocks for claim in block.claims)
 
-
-def _rows(
-    count: int, *claims: tuple[str, Callable[[int], int], Callable[[int], int]]
-) -> tuple[Check, ...]:
-    """Check rows for n = 0..count-1, n-major: at each n the claims in order.
-
-    A claim is ``(label, lhs, rhs)`` with lhs(n) == rhs(n) asserted.
-    """
-    return tuple(
-        Check(n, label, lhs(n), rhs(n)) for n in range(count) for label, lhs, rhs in claims
-    )
+    def rows(self) -> Iterator[tuple[int, str, int, int]]:
+        """(n, claim, lhs, rhs) for every row, in the order of ``checks``."""
+        for start, claims in self.blocks:
+            for k in range(len(claims[0].lhs)):
+                for label, lhs, rhs in claims:
+                    yield start + k, label, lhs[k], rhs[k]
 
 
 def _powers(x: int, count: int) -> list[int]:
     """x^0, ..., x^(count-1), each the last times x."""
     return list(accumulate(repeat(x, count - 1), operator.mul, initial=1))
+
+
+def _alternating(xs: Sequence[int]) -> list[int]:
+    """(-1)^(n+1) * xs[n] for each n."""
+    return [x if n & 1 else -x for n, x in enumerate(xs)]
 
 
 def _triangular_powers(x: int, count: int) -> list[int]:
@@ -174,35 +240,30 @@ def _reversion_triple(
 def verify_conjecture4(alpha: int, beta: int, depth: int) -> ConjectureReport:
     """Check the family A reversion claims to the given depth."""
     params, t = _reversion_triple("4", alpha, beta, depth)
-    a = family_base_terms(params, depth + 2)
-    checks = _rows(
-        depth + 1,
-        (CLAIM_C4_HSTAR, lambda n: t.h_star[n], _triangular_powers(beta, depth + 1).__getitem__),
-    ) + _rows(
-        depth,
-        (CLAIM_C4_H, lambda n: (-1) ** (n + 1) * t.h[n + 1], lambda n: a[n + 1] * t.h_star[n]),
-        (CLAIM_C4_HSS, lambda n: (-1) ** (n + 1) * t.h_star_star[n],
-         lambda n: a[n + 2] * t.h_star[n]),
-    )
-    return ConjectureReport("4", params, depth, checks)
+    a, h_star = family_base_terms(params, depth + 2), t.h_star[:depth]
+    return ConjectureReport("4", params, depth, blocks=(
+        _block((CLAIM_C4_HSTAR, t.h_star, _triangular_powers(beta, depth + 1))),
+        _block(
+            (CLAIM_C4_H, _alternating(t.h[1:]), map(operator.mul, a[1:], h_star)),
+            (CLAIM_C4_HSS, _alternating(t.h_star_star[:depth]), map(operator.mul, a[2:], h_star)),
+        ),
+    ))
 
 
 def verify_conjecture6(alpha: int, beta: int, depth: int) -> ConjectureReport:
     """Check the family B reversion claims to the given depth."""
     params, t = _reversion_triple("6", alpha, beta, depth)
     gap = alpha - beta
-    gaps, alphas = _powers(gap, depth + 1), _powers(alpha, depth + 1)
-    checks = _rows(
-        depth + 1,
-        (CLAIM_C6_HSTAR, lambda n: t.h_star[n],
-         _triangular_powers(alpha * gap, depth + 1).__getitem__),
-    ) + _rows(
-        depth,
-        (CLAIM_C6_H, lambda n: beta * t.h[n + 1],
-         lambda n: (gaps[n + 1] - alphas[n + 1]) * t.h_star[n]),
-        (CLAIM_C6_HSS, lambda n: t.h_star_star[n], lambda n: gaps[n + 1] * t.h_star[n]),
-    )
-    return ConjectureReport("6", params, depth, checks)
+    gaps, alphas = _powers(gap, depth + 1)[1:], _powers(alpha, depth + 1)[1:]
+    h_star = t.h_star[:depth]
+    return ConjectureReport("6", params, depth, blocks=(
+        _block((CLAIM_C6_HSTAR, t.h_star, _triangular_powers(alpha * gap, depth + 1))),
+        _block(
+            (CLAIM_C6_H, [beta * h for h in t.h[1:]],
+             [(g - a) * s for g, a, s in zip(gaps, alphas, h_star)]),
+            (CLAIM_C6_HSS, t.h_star_star[:depth], map(operator.mul, gaps, h_star)),
+        ),
+    ))
 
 
 def verify_conjecture8(alpha: int, depth: int) -> ConjectureReport:
@@ -212,19 +273,21 @@ def verify_conjecture8(alpha: int, depth: int) -> ConjectureReport:
     # alpha^(n^2-1) are alpha^(n(n+1)) times alpha^(n+1), and
     # alpha^((n-1)n) times alpha^(n-1)
     alphas, pronic = _powers(alpha, depth + 2), _triangular_powers(alpha * alpha, depth + 1)
-    checks = _rows(
-        depth + 1,
-        # at n = 0 the monomial's exponent n^2 - 1 is negative, but the
-        # factor -n kills the term; the expected value is 0
-        (CLAIM_C8_H, lambda n: t.h[n], lambda n: -n * alphas[n - 1] * pronic[n - 1] if n else 0),
-        (CLAIM_C8_HSTAR, lambda n: t.h_star[n], pronic.__getitem__),
-        (CLAIM_C8_HSS, lambda n: t.h_star_star[n], lambda n: alphas[n + 1] * pronic[n]),
-    ) + _rows(
-        depth,
-        (CLAIM_C8_H_RATIO, lambda n: t.h[n + 1], lambda n: -(n + 1) * alphas[n] * t.h_star[n]),
-        (CLAIM_C8_HSS_RATIO, lambda n: t.h_star_star[n], lambda n: alphas[n + 1] * t.h_star[n]),
-    )
-    return ConjectureReport("8", params, depth, checks)
+    h_star = t.h_star[:depth]
+    return ConjectureReport("8", params, depth, blocks=(
+        _block(
+            # at n = 0 the monomial's exponent n^2 - 1 is negative, but the
+            # factor -n kills the term; the expected value is 0
+            (CLAIM_C8_H, t.h,
+             [0, *(-n * alphas[n - 1] * pronic[n - 1] for n in range(1, depth + 1))]),
+            (CLAIM_C8_HSTAR, t.h_star, pronic),
+            (CLAIM_C8_HSS, t.h_star_star, map(operator.mul, alphas[1:], pronic)),
+        ),
+        _block(
+            (CLAIM_C8_H_RATIO, t.h[1:], [-(n + 1) * alphas[n] * s for n, s in enumerate(h_star)]),
+            (CLAIM_C8_HSS_RATIO, t.h_star_star[:depth], map(operator.mul, alphas[1:], h_star)),
+        ),
+    ))
 
 
 def verify_alpha_shift(alpha: int, beta: int, order: int) -> ConjectureReport:
@@ -243,14 +306,11 @@ def verify_alpha_shift(alpha: int, beta: int, order: int) -> ConjectureReport:
     shifted = family_reversion_terms(FamilyParams(alpha + 1, beta, FAMILY_A), order + 2)[1:]
     transformed = binomial_transform(here)
     depth = (order - 1) // 2
-    h_here = hankel_transform(here, depth)
-    h_transformed = hankel_transform(transformed, depth)
-    checks = _rows(
-        order + 1, (CLAIM_SHIFT_COEFF, lambda n: transformed[n], lambda n: shifted[n])
-    ) + _rows(
-        depth + 1, (CLAIM_SHIFT_HANKEL, lambda n: h_here[n], lambda n: h_transformed[n])
-    )
-    return ConjectureReport("alpha_shift", params, order, checks)
+    return ConjectureReport("alpha_shift", params, order, blocks=(
+        _block((CLAIM_SHIFT_COEFF, transformed, shifted)),
+        _block((CLAIM_SHIFT_HANKEL, hankel_transform(here, depth),
+                hankel_transform(transformed, depth))),
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -292,22 +352,22 @@ def prop9_verify(alpha: int, n: int) -> ConjectureReport:
     t = prop9_T_matrix(1, n)  # refuses a negative n
     alphas = _powers(alpha, 2 * n + 1)
     H = hankel_matrix(family_reversion_terms(params, 2 * n + 2)[1:], n)
-    products = tuple(
-        Check(
-            i,
-            CLAIM_P9_PRODUCT.format(i=i, j=j),
-            H[i][j],
-            alphas[i + j] * sum(t[i][k] * t[j][k] for k in range(min(i, j) + 1)),
-        )
+    # row i of H is a block at index i of one-entry claims, one per column j
+    blocks = [
+        _block(*(
+            (CLAIM_P9_PRODUCT.format(i=i, j=j), [H[i][j]],
+             [alphas[i + j] * sum(t[i][k] * t[j][k] for k in range(min(i, j) + 1))])
+            for j in range(n + 1)
+        ), start=i)
         for i in range(n + 1)
-        for j in range(n + 1)
-    )
+    ]
     det_t = math.prod(t[i][i] * alphas[i] for i in range(n + 1))
-    checks = products + (
-        Check(n, CLAIM_P9_DET, det_exact(H), alpha ** (n * (n + 1))),
-        Check(n, CLAIM_P9_DET_T, det_t, alpha ** math.comb(n + 1, 2)),
-    )
-    return ConjectureReport("prop9", params, n, checks)
+    blocks.append(_block(
+        (CLAIM_P9_DET, [det_exact(H)], [alpha ** (n * (n + 1))]),
+        (CLAIM_P9_DET_T, [det_t], [alpha ** math.comb(n + 1, 2)]),
+        start=n,
+    ))
+    return ConjectureReport("prop9", params, n, blocks=tuple(blocks))
 
 
 # ----------------------------------------------------------------------
@@ -326,29 +386,27 @@ def verify_anchors(depth: int = 6) -> ConjectureReport:
     cat = [catalan(k) for k in range(count + 1)]
     central = [math.comb(2 * k, k) for k in range(count)]
 
-    def transform(sequence: list[int]) -> Callable[[int], int]:
-        return hankel_transform(sequence, depth).__getitem__
-
-    anchors = [
-        (CLAIM_ANCHOR_CATALAN, transform(cat[:count]), lambda n: 1),
-        (CLAIM_ANCHOR_CATALAN_SHIFT, transform(cat[1 : count + 1]), lambda n: 1),
-        (CLAIM_ANCHOR_CENTRAL, transform(central), lambda n: 2**n),
+    transform = functools.partial(hankel_transform, depth=depth)
+    ns = range(depth + 1)
+    # claim-major: a block per anchor, all of its rows before the next one's
+    blocks = tuple(_block(anchor) for anchor in (
+        (CLAIM_ANCHOR_CATALAN, transform(cat[:count]), [1] * len(ns)),
+        (CLAIM_ANCHOR_CATALAN_SHIFT, transform(cat[1 : count + 1]), [1] * len(ns)),
+        (CLAIM_ANCHOR_CENTRAL, transform(central), [2**n for n in ns]),
         (
             CLAIM_ANCHOR_CENTRAL_ZERO,
             transform([0] + central[: count - 1]),
-            lambda n: -n * 2 ** (n - 1) if n else 0,
+            [-n * 2 ** (n - 1) if n else 0 for n in ns],
         ),
-        (CLAIM_ANCHOR_CATALAN_ZERO, transform([0] + cat[: count - 1]), lambda n: -n),
-        (CLAIM_ANCHOR_CATALAN_HEADLESS, transform([0] + cat[1:count]), lambda n: -n),
-    ]
-    # claim-major: all of one anchor's rows, then the next anchor's
-    checks = tuple(row for anchor in anchors for row in _rows(depth + 1, anchor))
+        (CLAIM_ANCHOR_CATALAN_ZERO, transform([0] + cat[: count - 1]), [-n for n in ns]),
+        (CLAIM_ANCHOR_CATALAN_HEADLESS, transform([0] + cat[1:count]), [-n for n in ns]),
+    ))
     notes = (
         "the transform of the head-zeroed Catalan sequence 0, 1, 2, 5, 14, ..."
         " is commonly quoted as n; exact computation gives -n at every depth"
         " checked here, and -n is the value asserted.",
     )
-    return ConjectureReport("anchors", None, depth, checks, notes)
+    return ConjectureReport("anchors", None, depth, notes=notes, blocks=blocks)
 
 
 # ----------------------------------------------------------------------

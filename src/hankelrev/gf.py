@@ -113,15 +113,22 @@ _LOWEST, _HIGHEST = min(_BINOP_PREC.values()), max(_BINOP_PREC.values())
 # ``\s`` matches what str.isspace does; digits and letters are ASCII only.
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]+)|(\S))")
 
+# the deepest nesting of parentheses taken: the parser spends four frames
+# of Python's recursion limit on each level, and evaluation recurses too
+_MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     """(token, byte offset) pairs, closed by ("", length in bytes).
 
-    U+2212 reads as '-'.  A word other than x and sqrt, and a character
-    that is not an operator or a parenthesis, is an error.
+    U+2212 reads as '-'.  A word other than x and sqrt, a character that
+    is not an operator or a parenthesis (a lone surrogate, which is how
+    Python decodes a byte of argv that is not UTF-8, included), and a '('
+    nested more than ``_MAX_NESTING`` deep are errors.  The text before
+    an offset has passed these checks, so it always has a UTF-8 length.
     """
     tokens = []
-    byte = last = 0
+    byte = last = depth = 0
     for match in _TOKEN.finditer(text):
         start = match.start(match.lastindex)
         byte += len(text[last:start].encode("utf-8"))
@@ -132,8 +139,13 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
         if match[3]:
             token = "-" if token == "\u2212" else token
             if token not in "+-*/^()":
-                token.encode("utf-8")  # a lone surrogate has no UTF-8: UnicodeEncodeError
                 raise GfParseError(f"unexpected character {token!r}", byte)
+            if token == "(":
+                depth += 1
+                if depth > _MAX_NESTING:
+                    raise GfParseError(f"parentheses nested more than {_MAX_NESTING} deep", byte)
+            elif token == ")":
+                depth -= 1
         tokens.append((token, byte))
     tokens.append(("", byte + len(text[last:].encode("utf-8"))))
     return tokens

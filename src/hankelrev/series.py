@@ -146,10 +146,12 @@ def _conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 
 
 def _ratio_terms(
-    p: Sequence[int], q: Sequence[int], k: int
+    p: Sequence[int], q: Sequence[int], k: int, slopes: bool = True
 ) -> list[tuple[int, int, int]]:
     """(i, S_(i-1) * R_0^(i-1), R_i * R_0^(i-1)) for i = 1..k where either
     is nonzero, with R = P*Q and S = P'Q - PQ' of integer lists P and Q.
+    Without ``slopes``, S is not formed: its field is 0, and the i listed
+    are those with R_i nonzero, all that a quotient reads.
 
     Both are summed over the nonzero pairs P_i * Q_j alone, since
     P'Q - PQ' = sum (i - j) * P_i * Q_j * x^(i+j-1), so the zeros of a
@@ -164,7 +166,7 @@ def _ratio_terms(
             if i + j > k:
                 break
             r[i + j] += a * b
-            if i != j:
+            if slopes and i != j:
                 s[i + j - 1] += (i - j) * a * b
     terms, scale = [], 1  # R_0^(i-1)
     for i in range(1, k + 1):
@@ -274,7 +276,7 @@ def _quotient(a: Sequence[int], b: Sequence[int], n: int) -> tuple[list[int], in
     b0 = b[0]
     a = [*a[: n + 1], *[0] * (n + 1 - len(a))]
     # at Q = 1 the third field of term k is B_k * B_0^(k-1)
-    terms = _ratio_terms(b, [1], n)
+    terms = _ratio_terms(b, [1], n, slopes=False)
     if not terms:
         return a, g * b0, 1
     out: list[int] = []

@@ -12,7 +12,9 @@ evaluates a g.f. expression on them, node by node at a working order, as
 draws sequences whose Hankel minors are known in closed form, and
 :func:`stieltjes_moments` builds the moments of a J-fraction, whose run
 :func:`continuants` follows.  The ``*_rhs_ref`` functions give the
-right-hand sides of the verifier reports from their closed forms.
+right-hand sides of the verifier reports from their closed forms, and
+:func:`report_checks_ref` gives their whole check rows with each side a
+function of n, one call per row.
 :func:`prop9_coeff_identity_1` and :func:`prop9_coeff_identity_2` check
 the two polynomial coefficient identities that prop9's factorization
 rests on, by expanding the polynomials term by term.
@@ -516,3 +518,123 @@ def prop9_rhs_ref(alpha: int, n: int) -> list[int]:
         for j in range(n + 1)
     ]
     return products + [alpha ** (n * (n + 1)), alpha ** math.comb(n + 1, 2)]
+
+
+# ----------------------------------------------------------------------
+# the verifier reports as per-n claims, as the verifiers stated them
+# before their claims became columns
+
+
+def _rows_ref(count: int, *claims) -> tuple:
+    """Check rows for n = 0..count-1, n-major, of ``(label, lhs, rhs)``
+    claims whose sides are functions of n."""
+    from hankelrev.conjectures import Check
+
+    return tuple(
+        Check(n, label, lhs(n), rhs(n)) for n in range(count) for label, lhs, rhs in claims
+    )
+
+
+def report_checks_ref(cid: str, alpha: int, beta: int, depth: int, order: int) -> tuple:
+    """The check rows of ``CONJECTURES[cid].verify(alpha, beta, depth, order)``
+    at an admissible point, each side a function of n evaluated per row; the
+    transforms and family terms come from the library."""
+    from hankelrev import conjectures as c
+    from hankelrev.families import FamilyParams, family_base_terms, family_reversion_terms
+    from hankelrev.hankel import (
+        binomial_transform,
+        det_exact,
+        hankel_matrix,
+        hankel_transform,
+        hankel_triple,
+    )
+
+    def triple(family: str):
+        params = FamilyParams(alpha, beta if family != "C" else 0, family)
+        return params, hankel_triple(family_reversion_terms(params, 2 * depth + 3), depth)
+
+    if cid == "4":
+        params, t = triple("A")
+        a = family_base_terms(params, depth + 2)
+        return _rows_ref(
+            depth + 1,
+            (c.CLAIM_C4_HSTAR, lambda n: t.h_star[n], lambda n: beta ** math.comb(n + 1, 2)),
+        ) + _rows_ref(
+            depth,
+            (c.CLAIM_C4_H, lambda n: (-1) ** (n + 1) * t.h[n + 1],
+             lambda n: a[n + 1] * t.h_star[n]),
+            (c.CLAIM_C4_HSS, lambda n: (-1) ** (n + 1) * t.h_star_star[n],
+             lambda n: a[n + 2] * t.h_star[n]),
+        )
+    if cid == "6":
+        _, t = triple("B")
+        gap = alpha - beta
+        return _rows_ref(
+            depth + 1,
+            (c.CLAIM_C6_HSTAR, lambda n: t.h_star[n],
+             lambda n: (alpha * gap) ** math.comb(n + 1, 2)),
+        ) + _rows_ref(
+            depth,
+            (c.CLAIM_C6_H, lambda n: beta * t.h[n + 1],
+             lambda n: (gap ** (n + 1) - alpha ** (n + 1)) * t.h_star[n]),
+            (c.CLAIM_C6_HSS, lambda n: t.h_star_star[n], lambda n: gap ** (n + 1) * t.h_star[n]),
+        )
+    if cid == "8":
+        _, t = triple("C")
+        return _rows_ref(
+            depth + 1,
+            (c.CLAIM_C8_H, lambda n: t.h[n], lambda n: -n * alpha ** (n * n - 1) if n else 0),
+            (c.CLAIM_C8_HSTAR, lambda n: t.h_star[n], lambda n: alpha ** (n * (n + 1))),
+            (c.CLAIM_C8_HSS, lambda n: t.h_star_star[n], lambda n: alpha ** ((n + 1) ** 2)),
+        ) + _rows_ref(
+            depth,
+            (c.CLAIM_C8_H_RATIO, lambda n: t.h[n + 1],
+             lambda n: -(n + 1) * alpha**n * t.h_star[n]),
+            (c.CLAIM_C8_HSS_RATIO, lambda n: t.h_star_star[n],
+             lambda n: alpha ** (n + 1) * t.h_star[n]),
+        )
+    if cid == "prop9":
+        params = FamilyParams(alpha, 0, "C")
+        H = hankel_matrix(family_reversion_terms(params, 2 * depth + 2)[1:], depth)
+        T = c.prop9_T_matrix(alpha, depth)
+        products = tuple(
+            c.Check(i, c.CLAIM_P9_PRODUCT.format(i=i, j=j), H[i][j],
+                    sum(T[i][k] * T[j][k] for k in range(depth + 1)))
+            for i in range(depth + 1)
+            for j in range(depth + 1)
+        )
+        det_t = math.prod(T[i][i] for i in range(depth + 1))
+        return products + (
+            c.Check(depth, c.CLAIM_P9_DET, det_exact(H), alpha ** (depth * (depth + 1))),
+            c.Check(depth, c.CLAIM_P9_DET_T, det_t, alpha ** math.comb(depth + 1, 2)),
+        )
+    if cid == "alpha_shift":
+        here = family_reversion_terms(FamilyParams(alpha, beta, "A"), order + 2)[1:]
+        shifted = family_reversion_terms(FamilyParams(alpha + 1, beta, "A"), order + 2)[1:]
+        transformed = binomial_transform(here)
+        half = (order - 1) // 2
+        h_here, h_transformed = hankel_transform(here, half), hankel_transform(transformed, half)
+        return _rows_ref(
+            order + 1, (c.CLAIM_SHIFT_COEFF, lambda n: transformed[n], lambda n: shifted[n])
+        ) + _rows_ref(
+            half + 1, (c.CLAIM_SHIFT_HANKEL, lambda n: h_here[n], lambda n: h_transformed[n])
+        )
+    if cid == "anchors":
+        count = 2 * depth + 1
+        cat = [_catalan_ref(k) for k in range(count + 1)]
+        central = [math.comb(2 * k, k) for k in range(count)]
+
+        def transform(sequence):
+            return hankel_transform(sequence, depth).__getitem__
+
+        anchors = [
+            (c.CLAIM_ANCHOR_CATALAN, transform(cat[:count]), lambda n: 1),
+            (c.CLAIM_ANCHOR_CATALAN_SHIFT, transform(cat[1 : count + 1]), lambda n: 1),
+            (c.CLAIM_ANCHOR_CENTRAL, transform(central), lambda n: 2**n),
+            (c.CLAIM_ANCHOR_CENTRAL_ZERO, transform([0] + central[: count - 1]),
+             lambda n: -n * 2 ** (n - 1) if n else 0),
+            (c.CLAIM_ANCHOR_CATALAN_ZERO, transform([0] + cat[: count - 1]), lambda n: -n),
+            (c.CLAIM_ANCHOR_CATALAN_HEADLESS, transform([0] + cat[1:count]), lambda n: -n),
+        ]
+        return tuple(row for anchor in anchors for row in _rows_ref(depth + 1, anchor))
+    raise ValueError(f"no reference for {cid!r}")

@@ -23,6 +23,7 @@ from hankelrev import (
     FAMILY_B,
     FAMILY_C,
     FamilyParams,
+    SWEEPABLE,
     SweepResult,
     prop9_verify,
     sweep,
@@ -156,6 +157,20 @@ class TestExpand:
         code, _, err = invoke(capsys, "expand", "--gf", "x^", "--order", "3")
         assert code == 2
         assert "syntax error at offset 2" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(" * 300 + "x" + ")" * 300, "offset 100: parentheses nested more than 100 deep"),
+            # the byte 0xff, as Python decodes it from argv
+            ("1+\udcff", "offset 2: unexpected character '\\udcff'"),
+        ],
+        ids=["300-parentheses", "lone-surrogate"],
+    )
+    def test_hostile_gf_is_a_usage_error(self, capsys, text, message):
+        code, out, err = invoke(capsys, "expand", "--gf", text, "--order", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: syntax error at {message}\n"
 
 
 class TestRevert:
@@ -781,6 +796,32 @@ class TestLazyRendering:
         assert code == 0
         # only the skipped points' coordinates become text
         assert rendered == coordinates
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_sweeps_and_reports_make_no_check_row(self, capsys, monkeypatch, fmt):
+        made = []
+        init = Check.__init__
+
+        def spy(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Check, "__init__", spy)
+        for cid in SWEEPABLE:
+            result = sweep(cid, (-2, 2), (-2, 2), 3)
+            assert result.reports and not result.counterexamples
+            cli._render_sweep(result, fmt, full=False)
+            cli._render_sweep(result, fmt, full=True)
+        for command in (
+            "verify --conjecture 8 --alpha 2 --depth 3",
+            "verify --conjecture anchors",
+            "prop9 --alpha 2 --n 3",
+            "sweep --conjecture 6 --alpha-range=-2:2 --beta-range=-2:2 --full",
+        ):
+            assert invoke(capsys, *command.split(), "--format", fmt)[0] == 0
+        assert made == []
+        # the rows are made when they are asked for
+        assert len(verify_conjecture8(2, 3).checks) == len(made) == 18
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     @pytest.mark.parametrize(

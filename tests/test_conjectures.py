@@ -48,6 +48,7 @@ from oracles import (
     prop9_coeff_identity_1,
     prop9_coeff_identity_2,
     prop9_rhs_ref,
+    report_checks_ref,
 )
 
 
@@ -286,6 +287,63 @@ class TestReportsAtDepth:
         report = prop9_verify(alpha, 12)
         assert [c.rhs for c in report.checks] == prop9_rhs_ref(alpha, 12)
         assert report.all_pass
+
+
+class TestColumns:
+    """Claims held as int columns, against the per-n rows of the reference."""
+
+    @pytest.mark.parametrize("cid", tuple(CONJECTURES))
+    def test_rows_and_verdict_match_the_per_n_reference(self, cid):
+        conjecture = CONJECTURES[cid]
+        alphas = range(-3, 4) if "alpha" in conjecture.parameters else [0]
+        betas = range(-3, 4) if "beta" in conjecture.parameters else [0]
+        for alpha in alphas:
+            for beta in betas:
+                if not conjecture.admissible(alpha, beta):
+                    continue
+                for depth in (1, 2, 5):
+                    report = conjecture.verify(alpha, beta, depth, 2 * depth + 1)
+                    ref = report_checks_ref(cid, alpha, beta, depth, 2 * depth + 1)
+                    assert list(report.rows()) == [(c.index, c.claim, c.lhs, c.rhs) for c in ref]
+                    assert report.checks == ref
+                    assert report.all_pass is all(c.passed for c in ref) is True
+
+    def test_a_failing_claim_fails_the_report_and_the_sweep(self, monkeypatch):
+        from hankelrev import conjectures
+
+        real = conjectures._triangular_powers
+
+        def off_by_one(x, count):
+            powers = real(x, count)
+            powers[-1] += 1
+            return powers
+
+        monkeypatch.setattr(conjectures, "_triangular_powers", off_by_one)
+        report = verify_conjecture4(-3, -5, 3)
+        assert not report.all_pass
+        failed = [(c.index, c.claim) for c in report.checks if not c.passed]
+        assert failed == [(3, CLAIM_C4_HSTAR)]
+        result = sweep("4", (1, 2), (1, 1), 3)
+        assert result.counterexamples == result.reports and len(result.reports) == 2
+        payload = json.loads(cli._render_sweep(result, "json", full=False))
+        assert payload["all_pass"] is False
+        for shown in payload["counterexamples"]:
+            assert [(c["n"], c["claim"]) for c in shown["checks"] if not c["pass"]] == [
+                ("3", CLAIM_C4_HSTAR)
+            ]
+
+    def test_columns_of_a_block_have_one_length(self):
+        from hankelrev.conjectures import _block
+
+        with pytest.raises(RuntimeError, match="differ in length"):
+            _block(("demo", [1, 2], [1, 2]), ("demo", [1], [1]))
+
+    def test_report_from_rows_walks_them_in_order(self):
+        rows = (Check(4, "b", 1, 1), Check(0, "a", 2, 3))
+        report = ConjectureReport("8", None, 1, rows)
+        assert report.checks is rows
+        assert list(report.rows()) == [(4, "b", 1, 1), (0, "a", 2, 3)]
+        assert not report.all_pass
 
 
 class TestRegistry:

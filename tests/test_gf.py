@@ -77,6 +77,13 @@ class TestParse:
             ("--x", 1, "expected a value, found '-'"),
             # U+2003 is whitespace of three bytes
             ("1 + \u2003 é", 8, "unexpected character 'é'"),
+            # how Python decodes the byte 0xff of argv: a lone surrogate
+            ("1+\udcff", 2, "unexpected character '\\udcff'"),
+            ("\u2212\ud800", 3, "unexpected character '\\ud800'"),
+            # the 101st '(' of 300 is one too deep, for the parser's
+            # recursion and for evaluation
+            ("(" * 300 + "x" + ")" * 300, 100, "parentheses nested more than 100 deep"),
+            ("sqrt(" * 101 + "x" + ")" * 101, 504, "parentheses nested more than 100 deep"),
         ],
     )
     def test_syntax_errors_carry_byte_offsets(self, text, offset, message):
@@ -84,6 +91,14 @@ class TestParse:
             parse_gf(text)
         assert exc.value.offset == offset
         assert str(exc.value) == f"syntax error at offset {offset}: {message}"
+
+    def test_nesting_up_to_the_limit_evaluates(self):
+        assert parse_gf("(" * 100 + "x" + ")" * 100) == Var()
+        assert expand_gf("1/(1-x*" * 100 + "x" + ")" * 100, 3).coefficient_strings() == [
+            "1", "1", "2", "5",
+        ]
+        # closing a level frees it: the depth is the nesting, not the count
+        assert parse_gf("+".join(["(x)"] * 300)) == parse_gf("+".join(["x"] * 300))
 
     def test_ast_validation(self):
         with pytest.raises(ValueError, match="literals are non-negative"):
