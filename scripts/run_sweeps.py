@@ -34,7 +34,7 @@ def main() -> int:
         )
         for report in result.counterexamples:
             failed = True
-            print(render_report(report, "json"))
+            render_report(report, "json")
     return 1 if failed else 0
 
 

@@ -10,14 +10,17 @@ numeric output is exact decimal text at any magnitude.
 This module is the one place where results become text.  Transforms,
 reports and sweeps arrive holding ints, and each value is rendered with
 ``series._decimal`` only when it is printed (a sweep without ``--full``
-prints no passing row).  A report's claims are int columns; the writers
-walk its rows as plain ``(n, claim, lhs, rhs)`` tuples
-(``ConjectureReport.rows``), made as they are printed and kept nowhere,
-so neither ``verify`` nor ``sweep`` makes a ``Check``.  Within one report
-each distinct value is rendered once.  Report and sweep JSON is written
-straight from those rows, byte for byte as ``json.dumps(..., indent=2)``
-would print it, and a CSV line is its cells joined by commas, byte for
-byte as ``csv.writer`` would write it.
+prints no passing row).  One generator walks a report's int columns and
+yields its rows as text, ``(n, claim, lhs, rhs, passed)``; it renders
+each distinct value once per report and makes no ``Check``.  Three
+writers print rows, an aligned table, CSV and JSON, for reports and
+sweeps and for the value tables of the other commands alike.  Each makes
+its line template once (the column widths, a report's fixed CSV prefix,
+the JSON text around a claim label) and writes each line to stdout as
+it makes it, rather than joining the whole output first.  JSON is byte for byte
+what ``json.dumps(..., indent=2)`` would print, and CSV what
+``csv.writer`` would write; only free text (ids, claim labels, OEIS
+names) is ever quoted.
 
 Each job has one handler: ``prop9`` is ``verify --conjecture prop9`` under
 its own name, with ``--n`` for the depth, and one check refuses a command
@@ -35,6 +38,8 @@ import json
 import os
 import sys
 import traceback
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import Any
 
 from hankelrev.conjectures import (
     CONJECTURES,
@@ -132,221 +137,215 @@ def _sequence_from_args(args: argparse.Namespace, extra: int) -> tuple[list[int]
 # rendering
 
 
-def _align_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines)
+class _Memo(dict):
+    """The values of a one-argument function, each computed at the first
+    lookup of its argument.  A report gets its own: rows repeat values
+    (prop9 at n has (n+1)^2 product rows over 2n+1 distinct H entries, and
+    conjecture 8's ratio rows repeat h and h**), and claims repeat labels."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function: Callable[[Any], str]) -> None:
+        self.function = function
+
+    def __missing__(self, key: Any) -> str:
+        value = self[key] = self.function(key)
+        return value
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    """CSV lines, a cell quoted only where it needs it, without the last newline.
-
-    The text is ``csv.writer``'s, but a line is its cells joined by commas.
-    Only a cell with a comma, a quote, CR, LF or NUL, or the lone empty cell
-    of a one-cell row, goes through the writer, whose rules for CR and NUL
-    differ between Python versions.  Decimal cells never do.
-    """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-
-    def quoted(cells: list[str]) -> str:
-        buffer.seek(0)
-        buffer.truncate()
-        writer.writerow(cells)
+def _csv_field(text: str) -> str:
+    """Free text (an id, a claim label, an OEIS name) as a CSV field, byte
+    for byte as ``csv.writer`` writes it: with a comma, a quote or LF, it
+    is quoted and its quotes doubled.  Text with CR or NUL goes through the
+    writer, whose rules for those differ between Python versions."""
+    if "\r" in text or "\0" in text:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([text])
         return buffer.getvalue()[:-1]
-
-    # five ``in`` scans of a cell run at memchr speed, four times faster
-    # than one regular-expression search on thousand-digit cells
-    lines = [
-        quoted(row) if row == [""]
-        else ",".join([
-            quoted([cell])
-            if "," in cell or '"' in cell or "\r" in cell or "\n" in cell or "\0" in cell
-            else cell
-            for cell in row
-        ])
-        for row in [header, *rows]
-    ]
-    return "\n".join(lines).rstrip("\n")
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _emit_values(values: list[str], fmt: str) -> None:
+def _write_table(header: Sequence[str], rows: list[Sequence[str]]) -> None:
+    """Columns two spaces apart, each as wide as its widest cell, and no
+    blanks at the end of a line."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    template = "  ".join([*(f"{{:{width}}}" for width in widths[:-1]), "{}"])
+    write = sys.stdout.write
+    for row in (header, *rows):
+        write(template.format(*row).rstrip() + "\n")
+
+
+def _write_csv(header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
+    """CSV lines of cells that need no quoting (free text has been through
+    :func:`_csv_field`)."""
+    write = sys.stdout.write
+    write(",".join(header) + "\n")
+    for row in rows:
+        write(",".join(row) + "\n")
+
+
+def _write_values(values: list[str], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(values))
     elif fmt == "csv":
         print(",".join(values))
     else:
-        rows = [[str(n), v] for n, v in enumerate(values)]
-        print(_align_table(["n", "value"], rows))
+        _write_table(("n", "value"), [(str(n), v) for n, v in enumerate(values)])
 
 
-class _Decimals(dict):
-    """Decimal text of ints, each distinct value rendered once.
+def _rendered_rows(report: ConjectureReport) -> Iterator[tuple[str, str, str, str, bool]]:
+    """(n, claim, lhs, rhs, passed) for each row of ``report.rows()``, in
+    its order, with n and both sides as decimal text.  A passing row's two
+    sides are one text, looked up once."""
+    text = _Memo(_decimal)
+    for start, claims in report.blocks:
+        for k in range(len(claims[0].lhs)):
+            n = str(start + k)
+            for label, lhs, rhs in claims:
+                left, right = lhs[k], rhs[k]
+                if left == right:
+                    left = text[left]
+                    yield n, label, left, left, True
+                else:
+                    yield n, label, text[left], text[right], False
 
-    One is made per rendered report: rows repeat values (prop9 at n has
-    (n+1)^2 product rows over 2n+1 distinct H entries, and conjecture 8's
-    ratio rows repeat h and h**).
-    """
 
-    def __missing__(self, value: int) -> str:
-        text = self[value] = _decimal(value)
-        return text
+def _parameters(report: ConjectureReport) -> tuple[str, str] | None:
+    """alpha and beta as decimal text, or None for a report without them."""
+    params = report.params
+    return None if params is None else (_decimal(params.alpha), _decimal(params.beta))
 
 
-def _sides(lhs: int, rhs: int, text: _Decimals) -> tuple[str, str, bool]:
-    """Both sides of a row as decimal text, and whether they are equal."""
-    if lhs == rhs:
-        lhs = text[lhs]
-        return lhs, lhs, True
-    return text[lhs], text[rhs], False
+def _report_table(report: ConjectureReport) -> None:
+    params = _parameters(report)
+    heading = f"conjecture {report.conjecture_id}"
+    if params is not None:
+        heading += f": alpha={params[0]} beta={params[1]}"
+    write = sys.stdout.write
+    write(f"{heading} depth={report.depth}\n")
+    for note in report.notes:
+        write(f"note: {note}\n")
+    status = ("FAIL", "ok")
+    rows = [(n, claim, lhs, rhs, status[ok]) for n, claim, lhs, rhs, ok in _rendered_rows(report)]
+    _write_table(("n", "claim", "lhs", "rhs", "status"), rows)
+    passed = len(rows) if report.all_pass else [row[4] for row in rows].count("ok")
+    verdict = "all checks passed" if passed == len(rows) else "CHECKS FAILED"
+    write(f"{verdict} ({passed}/{len(rows)})\n")
+
+
+def _report_csv(report: ConjectureReport) -> None:
+    alpha, beta = _parameters(report) or ("", "")
+    prefix = f"{_csv_field(report.conjecture_id)},{alpha},{beta},{report.depth},"
+    labels = _Memo(_csv_field)
+    ends = (",false\n", ",true\n")
+    write = sys.stdout.write
+    write("conjecture,alpha,beta,depth,n,claim,lhs,rhs,pass\n")
+    for n, claim, lhs, rhs, ok in _rendered_rows(report):
+        write(f"{prefix}{n},{labels[claim]},{lhs},{rhs}{ends[ok]}")
 
 
 # JSON is written here as ``json.dumps(..., indent=2)`` writes it, byte for
 # byte: with an indent, CPython skips its C encoder for a generator-based
 # Python one that took a third of a sweep's time.  Every value is a string
-# (escaped by json's own C routine), a decimal in quotes, true, false or null.
+# (escaped by json's own C routine), a decimal in quotes, true, false or
+# null.  A JSON writer starts at its opening bracket and stops after its
+# closing one; ``pad`` is the indent of the line that holds both.
 
 
-def _json_list(items: list[str], pad: str) -> str:
-    """A JSON array of rendered items whose opening bracket sits at indent pad."""
-    if not items:
-        return "[]"
-    inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+def _json_list(items: Iterable[Any], pad: str, write_item: Callable[[Any, str], None]) -> None:
+    """A JSON array; ``write_item(item, inner)`` writes each item, at indent inner."""
+    write = sys.stdout.write
+    inner = pad + "  "
+    lead = "[\n" + inner
+    for item in items:
+        write(lead)
+        write_item(item, inner)
+        lead = ",\n" + inner
+    write("[]" if lead[0] == "[" else "\n" + pad + "]")
 
 
-def _json_object(fields: dict[str, str], pad: str) -> str:
-    """A JSON object of rendered values under plain ASCII keys, opened at indent pad."""
-    inner = "\n" + pad + "  "
-    body = ("," + inner).join(f'"{key}": {value}' for key, value in fields.items())
-    return "{" + inner + body + "\n" + pad + "}"
+def _report_json(report: ConjectureReport, pad: str) -> None:
+    """The report as JSON; integers are decimal strings."""
+    params = _parameters(report)
+    alpha, beta = ("null", "null") if params is None else (f'"{params[0]}"', f'"{params[1]}"')
+    field = ",\n" + pad + "  "
+    write = sys.stdout.write
+    write(
+        f'{{\n{pad}  "conjecture": {_json_string(report.conjecture_id)}{field}"alpha": {alpha}'
+        f'{field}"beta": {beta}{field}"depth": "{report.depth}"{field}"checks": '
+    )
+    sep = ",\n" + pad + "      "  # between a row's fields: report, checks list, row
+    labels = _Memo(lambda label: f'{sep}"claim": {_json_string(label)}{sep}"lhs": "')
+    ends = (f'"{sep}"pass": false\n{pad}    }}', f'"{sep}"pass": true\n{pad}    }}')
+    lead, rest = f"[\n{pad}    {{{sep[1:]}", f",\n{pad}    {{{sep[1:]}"
+    for n, claim, lhs, rhs, ok in _rendered_rows(report):
+        write(f'{lead}"n": "{n}"{labels[claim]}{lhs}"{sep}"rhs": "{rhs}{ends[ok]}')
+        lead = rest
+    write("[]" if lead[0] == "[" else f"\n{pad}  ]")
+    write(f'{field}"all_pass": {"true" if report.all_pass else "false"}{field}"notes": ')
+    _json_list(report.notes, pad + "  ", lambda note, _: write(_json_string(note)))
+    write(f"\n{pad}}}")
 
 
-def _report_json(report: ConjectureReport, pad: str) -> str:
-    """The report as JSON opened at indent pad; integers are decimal strings."""
-    text = _Decimals()
-    lead = "\n" + pad + "      "  # a row's fields: report, checks list, row
-    sep = "," + lead
-    close = "\n" + pad + "    }"
-    rows = []
-    for n, claim, lhs, rhs in report.rows():
-        lhs, rhs, passed = _sides(lhs, rhs, text)
-        rows.append(
-            f'{{{lead}"n": "{n}"{sep}"claim": {_json_string(claim)}{sep}"lhs": "{lhs}"'
-            f'{sep}"rhs": "{rhs}"{sep}"pass": {"true" if passed else "false"}{close}'
+def render_report(report: ConjectureReport, fmt: str) -> None:
+    """Write a verification report to stdout in the requested format."""
+    if fmt == "json":
+        _report_json(report, "")
+        sys.stdout.write("\n")
+    elif fmt == "csv":
+        _report_csv(report)
+    else:
+        _report_table(report)
+
+
+def _point_json(point: FamilyParams, pad: str) -> None:
+    alpha, beta = _decimal(point.alpha), _decimal(point.beta)
+    sys.stdout.write(f'{{\n{pad}  "alpha": "{alpha}",\n{pad}  "beta": "{beta}"\n{pad}}}')
+
+
+def _render_sweep(result: SweepResult, fmt: str, full: bool) -> None:
+    """Write the sweep to stdout; with full, its JSON holds every report,
+    not just the counterexamples."""
+    write = sys.stdout.write
+    if fmt == "json":
+        write(
+            f'{{\n  "conjecture": {_json_string(result.conjecture_id)},\n  "depth": "{result.depth}"'
+            f',\n  "grid_points": "{len(result.grid)}",\n  "checked": "{len(result.reports)}"'
+            ',\n  "skipped": '
         )
-    params = report.params
-    return _json_object({
-        "conjecture": _json_string(report.conjecture_id),
-        "alpha": "null" if params is None else f'"{_decimal(params.alpha)}"',
-        "beta": "null" if params is None else f'"{_decimal(params.beta)}"',
-        "depth": f'"{report.depth}"',
-        "checks": _json_list(rows, pad + "  "),
-        "all_pass": "true" if report.all_pass else "false",
-        "notes": _json_list([_json_string(note) for note in report.notes], pad + "  "),
-    }, pad)
-
-
-def _report_csv(report: ConjectureReport) -> str:
-    params = report.params
-    alpha = "" if params is None else _decimal(params.alpha)
-    beta = "" if params is None else _decimal(params.beta)
-    text = _Decimals()
-    rows = []
-    for n, claim, lhs, rhs in report.rows():
-        lhs, rhs, passed = _sides(lhs, rhs, text)
-        rows.append([
-            report.conjecture_id, alpha, beta, str(report.depth), str(n), claim,
-            lhs, rhs, "true" if passed else "false",
-        ])
-    header = ["conjecture", "alpha", "beta", "depth", "n", "claim", "lhs", "rhs", "pass"]
-    return _csv_text(header, rows)
-
-
-def render_report(report: ConjectureReport, fmt: str) -> str:
-    """Render a verification report in the requested format."""
-    if fmt == "json":
-        return _report_json(report, "")
-    if fmt == "csv":
-        return _report_csv(report)
-    params = report.params
-    heading = f"conjecture {report.conjecture_id}"
-    if params is not None:
-        heading += f": alpha={_decimal(params.alpha)} beta={_decimal(params.beta)}"
-    heading += f" depth={report.depth}"
-    lines = [heading]
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    text = _Decimals()
-    rows = []
-    passed = 0
-    for n, claim, lhs, rhs in report.rows():
-        lhs, rhs, ok = _sides(lhs, rhs, text)
-        passed += ok
-        rows.append([str(n), claim, lhs, rhs, "ok" if ok else "FAIL"])
-    lines.append(_align_table(["n", "claim", "lhs", "rhs", "status"], rows))
-    verdict = "all checks passed" if passed == len(rows) else "CHECKS FAILED"
-    lines.append(f"{verdict} ({passed}/{len(rows)})")
-    return "\n".join(lines)
-
-
-def _sweep_json(result: SweepResult, full: bool) -> str:
-    """The sweep as JSON; with full, every report, not just the counterexamples."""
-    pad = "    "  # a report or skipped point is an item of a list under the sweep
-    skipped = [
-        _json_object({"alpha": f'"{_decimal(p.alpha)}"', "beta": f'"{_decimal(p.beta)}"'}, pad)
-        for p in result.skipped
-    ]
-    fields = {
-        "conjecture": _json_string(result.conjecture_id),
-        "depth": f'"{result.depth}"',
-        "grid_points": f'"{len(result.grid)}"',
-        "checked": f'"{len(result.reports)}"',
-        "skipped": _json_list(skipped, "  "),
-        "counterexamples": _json_list(
-            [_report_json(r, pad) for r in result.counterexamples], "  "
-        ),
-        "all_pass": "false" if result.counterexamples else "true",
-    }
-    if full:
-        fields["reports"] = _json_list([_report_json(r, pad) for r in result.reports], "  ")
-    return _json_object(fields, "")
-
-
-def _render_sweep(result: SweepResult, fmt: str, full: bool) -> str:
-    if fmt == "json":
-        return _sweep_json(result, full)
-    if fmt == "csv":
-        evaluated = {
+        _json_list(result.skipped, "  ", _point_json)
+        write(',\n  "counterexamples": ')
+        _json_list(result.counterexamples, "  ", _report_json)
+        write(f',\n  "all_pass": {"false" if result.counterexamples else "true"}')
+        if full:
+            write(',\n  "reports": ')
+            _json_list(result.reports, "  ", _report_json)
+        write("\n}\n")
+    elif fmt == "csv":
+        status = {
             (r.params.alpha, r.params.beta): "pass" if r.all_pass else "fail"
             for r in result.reports
             if r.params is not None
         }
-        rows = [
-            [
-                result.conjecture_id, _decimal(point.alpha), _decimal(point.beta),
-                str(result.depth), evaluated.get((point.alpha, point.beta), "skipped"),
-            ]
-            for point in result.grid
-        ]
-        return _csv_text(["conjecture", "alpha", "beta", "depth", "status"], rows)
-    lines = [
-        f"conjecture {result.conjecture_id}: depth={result.depth}"
-        f" grid={len(result.grid)} checked={len(result.reports)}"
-        f" skipped={len(result.skipped)}"
-        f" counterexamples={len(result.counterexamples)}"
-    ]
-    for report in result.counterexamples:
-        lines.append("")
-        lines.append(render_report(report, "table"))
-    if not result.counterexamples:
-        lines.append("no counterexamples")
-    return "\n".join(lines)
+        cid, depth = _csv_field(result.conjecture_id), str(result.depth)
+        _write_csv(("conjecture", "alpha", "beta", "depth", "status"), (
+            (cid, _decimal(p.alpha), _decimal(p.beta), depth, status.get((p.alpha, p.beta), "skipped"))
+            for p in result.grid
+        ))
+    else:
+        write(
+            f"conjecture {result.conjecture_id}: depth={result.depth}"
+            f" grid={len(result.grid)} checked={len(result.reports)}"
+            f" skipped={len(result.skipped)}"
+            f" counterexamples={len(result.counterexamples)}\n"
+        )
+        for report in result.counterexamples:
+            write("\n")
+            render_report(report, "table")
+        if not result.counterexamples:
+            write("no counterexamples\n")
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +358,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         series = expand_gf(args.gf, args.order)
     else:
         series = family_base_ogf(_family_params(args), args.order)
-    _emit_values(series.coefficient_strings(), args.format)
+    _write_values(series.coefficient_strings(), args.format)
     return 0
 
 
@@ -373,14 +372,14 @@ def _cmd_revert(args: argparse.Namespace) -> int:
             raise ValueError("order must be non-negative")
         terms = family_reversion_terms(params, args.order + 1)
         values = [_decimal(t) for t in terms]
-    _emit_values(values, args.format)
+    _write_values(values, args.format)
     return 0
 
 
 def _cmd_hankel(args: argparse.Namespace) -> int:
     terms, depth = _sequence_from_args(args, 1)
     transform = hankel_transform(terms, depth)
-    _emit_values([_decimal(v) for v in transform], args.format)
+    _write_values([_decimal(v) for v in transform], args.format)
     return 0
 
 
@@ -395,16 +394,15 @@ def _cmd_triple(args: argparse.Namespace) -> int:
             "h_star_star": [_decimal(v) for v in triple.h_star_star],
         }))
         return 0
-    header = ["n", "h", "h_star", "h_star_star"]
-    rows = [[_decimal(v) for v in row] for row in triple.rows()]
-    print(_csv_text(header, rows) if args.format == "csv" else _align_table(header, rows))
+    rows = [list(map(_decimal, row)) for row in triple.rows()]
+    (_write_csv if args.format == "csv" else _write_table)(("n", "h", "h_star", "h_star_star"), rows)
     return 0
 
 
 def _cmd_binomial(args: argparse.Namespace) -> int:
     terms = _parse_sequence(args.seq)
     result = inverse_binomial_transform(terms) if args.inverse else binomial_transform(terms)
-    _emit_values([_decimal(v) for v in result], args.format)
+    _write_values([_decimal(v) for v in result], args.format)
     return 0
 
 
@@ -414,7 +412,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if getattr(args, name) is None:
             raise ValueError(f"conjecture {args.conjecture} needs --{name}")
     report = conjecture.verify(args.alpha, args.beta, args.depth, args.order)
-    print(render_report(report, args.format))
+    render_report(report, args.format)
     return 0 if report.all_pass else 1
 
 
@@ -422,7 +420,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     alpha_range = _parse_range(args.alpha_range)
     beta_range = _parse_range(args.beta_range) if args.beta_range else None
     result = sweep(args.conjecture, alpha_range, beta_range, args.depth)
-    print(_render_sweep(result, args.format, args.full))
+    _render_sweep(result, args.format, args.full)
     return 0 if not result.counterexamples else 1
 
 
@@ -441,11 +439,12 @@ def _cmd_oeis(args: argparse.Namespace) -> int:
         entries = [{"id": i, "name": name, "matched_prefix_length": k} for i, k, name in rows]
         print(json.dumps(entries, indent=2))
     elif args.format == "csv":
-        print(_csv_text(["id", "matched_prefix_length", "name"], rows))
+        fields = [(_csv_field(i), k, _csv_field(name)) for i, k, name in rows]
+        _write_csv(("id", "matched_prefix_length", "name"), fields)
     elif not matches:
         print("no matches")
     else:
-        print(_align_table(["id", "matched", "name"], rows))
+        _write_table(("id", "matched", "name"), rows)
     return 0
 
 

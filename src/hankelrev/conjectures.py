@@ -9,9 +9,10 @@ slices and comprehensions over the transforms, the base terms and the
 power lists.  A report keeps those columns, grouped in blocks whose rows
 run n-major: at each n the block's claims in the order given.  Its
 ``all_pass`` is one list comparison per claim.  Its rows are made only
-for output: :mod:`hankelrev.cli` walks them as plain ``(n, claim, lhs,
-rhs)`` tuples and turns them into text when it prints them, and the
-:class:`Check` tuple ``checks`` is built only when something reads it.
+for output: :mod:`hankelrev.cli` walks the columns in row order and
+turns each row into text as it prints it, ``rows()`` gives them as plain
+``(n, claim, lhs, rhs)`` tuples, and the :class:`Check` tuple ``checks``
+is built only when something reads it.
 Claims that reference index n+1 of a depth-d transform are checked for
 n = 0..d-1; claims fully determined at index n run to n = d.  All of it
 is integer work, prop9 included: T and T * T^t have int entries and

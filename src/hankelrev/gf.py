@@ -327,11 +327,21 @@ def _eval(e: GfExpression, w: int) -> _Value:
     if isinstance(e, BinOp):
         if e.op == "/":
             return _eval_quotient(e.left, e.right, w)
-        left = _eval(e.left, w)
-        right = _eval(e.right, w)
-        if e.op == "*":
-            return _mul(left, right)
-        return _add(left, right, 1 if e.op == "+" else -1)
+        # a chain such as x+x+...+x is a left-deep tree, one node per
+        # operand: it is folded in a loop, left operand first, as recursion
+        # would, but without a frame per operand
+        chain = []
+        while isinstance(e, BinOp) and e.op != "/":
+            chain.append(e)
+            e = e.left
+        value = _eval(e, w)
+        for node in reversed(chain):
+            right = _eval(node.right, w)
+            if node.op == "*":
+                value = _mul(value, right)
+            else:
+                value = _add(value, right, 1 if node.op == "+" else -1)
+        return value
     raise TypeError(f"not a generating-function expression node: {e!r}")
 
 
@@ -372,11 +382,18 @@ def _eval_quotient(num: GfExpression, den: GfExpression, w: int) -> _Value:
 
 
 def _has_sqrt(e: GfExpression) -> bool:
-    if isinstance(e, Sqrt):
-        return True
-    if isinstance(e, BinOp):
-        return _has_sqrt(e.left) or _has_sqrt(e.right)
-    return isinstance(e, Pow) and _has_sqrt(e.base)
+    """Whether ``e`` holds a sqrt, by a walk with a stack: a chain of
+    operators is as deep as it has operands."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Sqrt):
+            return True
+        if isinstance(e, BinOp):
+            stack += (e.left, e.right)
+        elif isinstance(e, Pow):
+            stack.append(e.base)
+    return False
 
 
 def _vanishes(e: GfExpression) -> bool:

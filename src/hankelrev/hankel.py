@@ -223,9 +223,12 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
     while True:
         h = row[0]
         if h:
-            minor, remainder = divmod(minor * h, denom)
-            if remainder:
-                raise ArithmeticError("inexact Chebyshev division")
+            if s is not None:  # every row so far took the integral step: D = 1
+                minor *= h
+            else:
+                minor, remainder = divmod(minor * h, denom)
+                if remainder:
+                    raise ArithmeticError("inexact Chebyshev division")
             minors.append(minor)
             last = len(minors) > depth
             if last and not riders:

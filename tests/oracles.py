@@ -17,11 +17,18 @@ right-hand sides of the verifier reports from their closed forms, and
 function of n, one call per row.
 :func:`prop9_coeff_identity_1` and :func:`prop9_coeff_identity_2` check
 the two polynomial coefficient identities that prop9's factorization
-rests on, by expanding the polynomials term by term.
+rests on, by expanding the polynomials term by term.  The ``*_text_ref``
+functions are the CLI's writers as they were before it streamed rendered
+rows: each builds the whole text, cell by cell, and
+:func:`align_table_ref` and :func:`csv_text_ref` lay out the table and
+CSV cells.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -638,3 +645,185 @@ def report_checks_ref(cid: str, alpha: int, beta: int, depth: int, order: int) -
         ]
         return tuple(row for anchor in anchors for row in _rows_ref(depth + 1, anchor))
     raise ValueError(f"no reference for {cid!r}")
+
+
+# ----------------------------------------------------------------------
+# the CLI's writers as they were before the rendered-row stream: each
+# builds its whole output as one string, cell by cell
+
+
+def align_table_ref(header: list[str], rows: list[list[str]]) -> str:
+    """Columns padded to their widest cell, two spaces apart."""
+    widths = [len(h) for h in header]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
+    for row in rows:
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    return "\n".join(lines)
+
+
+def csv_text_ref(header: list[str], rows: list[list[str]]) -> str:
+    """CSV lines, a cell quoted only where it needs it, without the last
+    newline: ``csv.writer``'s text, each cell that could need quoting
+    written through the writer on its own."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def quoted(cells: list[str]) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(cells)
+        return buffer.getvalue()[:-1]
+
+    lines = [
+        quoted(row) if row == [""]
+        else ",".join([
+            quoted([cell])
+            if "," in cell or '"' in cell or "\r" in cell or "\n" in cell or "\0" in cell
+            else cell
+            for cell in row
+        ])
+        for row in [header, *rows]
+    ]
+    return "\n".join(lines).rstrip("\n")
+
+
+def values_text_ref(values: list[str], fmt: str) -> str:
+    """A value table (``expand``, ``revert``, ``hankel``, ``binomial``)."""
+    if fmt == "json":
+        return json.dumps(values)
+    if fmt == "csv":
+        return ",".join(values)
+    return align_table_ref(["n", "value"], [[str(n), v] for n, v in enumerate(values)])
+
+
+def _sides_ref(row) -> tuple[str, str, str, str, bool]:
+    from hankelrev.series import _decimal
+
+    n, claim, lhs, rhs = row
+    return str(n), claim, _decimal(lhs), _decimal(rhs), lhs == rhs
+
+
+def _json_list_ref(items: list[str], pad: str) -> str:
+    """A JSON array of rendered items whose opening bracket sits at indent pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _json_object_ref(fields: dict[str, str], pad: str) -> str:
+    """A JSON object of rendered values under plain ASCII keys, opened at indent pad."""
+    inner = "\n" + pad + "  "
+    body = ("," + inner).join(f'"{key}": {value}' for key, value in fields.items())
+    return "{" + inner + body + "\n" + pad + "}"
+
+
+def _report_json_ref(report, pad: str) -> str:
+    from hankelrev.series import _decimal
+
+    string = json.encoder.encode_basestring_ascii
+    lead = "\n" + pad + "      "
+    sep = "," + lead
+    close = "\n" + pad + "    }"
+    rows = []
+    for n, claim, lhs, rhs, passed in map(_sides_ref, report.rows()):
+        rows.append(
+            f'{{{lead}"n": "{n}"{sep}"claim": {string(claim)}{sep}"lhs": "{lhs}"'
+            f'{sep}"rhs": "{rhs}"{sep}"pass": {"true" if passed else "false"}{close}'
+        )
+    params = report.params
+    return _json_object_ref({
+        "conjecture": string(report.conjecture_id),
+        "alpha": "null" if params is None else f'"{_decimal(params.alpha)}"',
+        "beta": "null" if params is None else f'"{_decimal(params.beta)}"',
+        "depth": f'"{report.depth}"',
+        "checks": _json_list_ref(rows, pad + "  "),
+        "all_pass": "true" if report.all_pass else "false",
+        "notes": _json_list_ref([string(note) for note in report.notes], pad + "  "),
+    }, pad)
+
+
+def report_text_ref(report, fmt: str) -> str:
+    """A verification report as ``hankelrev verify`` prints it, but for
+    the last newline."""
+    from hankelrev.series import _decimal
+
+    params = report.params
+    if fmt == "json":
+        return _report_json_ref(report, "")
+    rows = [_sides_ref(row) for row in report.rows()]
+    if fmt == "csv":
+        alpha = "" if params is None else _decimal(params.alpha)
+        beta = "" if params is None else _decimal(params.beta)
+        header = ["conjecture", "alpha", "beta", "depth", "n", "claim", "lhs", "rhs", "pass"]
+        return csv_text_ref(header, [
+            [report.conjecture_id, alpha, beta, str(report.depth), n, claim, lhs, rhs,
+             "true" if passed else "false"]
+            for n, claim, lhs, rhs, passed in rows
+        ])
+    heading = f"conjecture {report.conjecture_id}"
+    if params is not None:
+        heading += f": alpha={_decimal(params.alpha)} beta={_decimal(params.beta)}"
+    heading += f" depth={report.depth}"
+    lines = [heading] + [f"note: {note}" for note in report.notes]
+    table = [[n, claim, lhs, rhs, "ok" if passed else "FAIL"] for n, claim, lhs, rhs, passed in rows]
+    lines.append(align_table_ref(["n", "claim", "lhs", "rhs", "status"], table))
+    passed = sum(row[-1] for row in rows)
+    verdict = "all checks passed" if passed == len(rows) else "CHECKS FAILED"
+    lines.append(f"{verdict} ({passed}/{len(rows)})")
+    return "\n".join(lines)
+
+
+def sweep_text_ref(result, fmt: str, full: bool) -> str:
+    """A sweep as ``hankelrev sweep`` prints it, but for the last newline."""
+    from hankelrev.series import _decimal
+
+    if fmt == "json":
+        pad = "    "
+        skipped = [
+            _json_object_ref({"alpha": f'"{_decimal(p.alpha)}"', "beta": f'"{_decimal(p.beta)}"'}, pad)
+            for p in result.skipped
+        ]
+        fields = {
+            "conjecture": json.encoder.encode_basestring_ascii(result.conjecture_id),
+            "depth": f'"{result.depth}"',
+            "grid_points": f'"{len(result.grid)}"',
+            "checked": f'"{len(result.reports)}"',
+            "skipped": _json_list_ref(skipped, "  "),
+            "counterexamples": _json_list_ref(
+                [_report_json_ref(r, pad) for r in result.counterexamples], "  "
+            ),
+            "all_pass": "false" if result.counterexamples else "true",
+        }
+        if full:
+            fields["reports"] = _json_list_ref([_report_json_ref(r, pad) for r in result.reports], "  ")
+        return _json_object_ref(fields, "")
+    if fmt == "csv":
+        evaluated = {
+            (r.params.alpha, r.params.beta): "pass" if r.all_pass else "fail"
+            for r in result.reports
+            if r.params is not None
+        }
+        rows = [
+            [
+                result.conjecture_id, _decimal(point.alpha), _decimal(point.beta),
+                str(result.depth), evaluated.get((point.alpha, point.beta), "skipped"),
+            ]
+            for point in result.grid
+        ]
+        return csv_text_ref(["conjecture", "alpha", "beta", "depth", "status"], rows)
+    lines = [
+        f"conjecture {result.conjecture_id}: depth={result.depth}"
+        f" grid={len(result.grid)} checked={len(result.reports)}"
+        f" skipped={len(result.skipped)}"
+        f" counterexamples={len(result.counterexamples)}"
+    ]
+    for report in result.counterexamples:
+        lines.append("")
+        lines.append(report_text_ref(report, "table"))
+    if not result.counterexamples:
+        lines.append("no counterexamples")
+    return "\n".join(lines)

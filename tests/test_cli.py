@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hankelrev import (
+    CONJECTURES,
     Check,
     ConjectureReport,
     FAMILY_A,
@@ -35,6 +37,7 @@ from hankelrev import cli, conjectures, series
 from hankelrev.cli import render_report, run
 from hankelrev.conjectures import CLAIM_C8_H, CLAIM_C8_HSS, CLAIM_C8_HSTAR
 from hankelrev.series import _decimal
+from oracles import align_table_ref, csv_text_ref, report_text_ref, sweep_text_ref, values_text_ref
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -53,6 +56,14 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def printed(write, *args):
+    """What a writer of the CLI (``render_report``, ``_render_sweep``) prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write(*args)
+    return out.getvalue()
 
 
 # every report command in every format; tests/reports.txt holds the output
@@ -171,6 +182,22 @@ class TestExpand:
         code, out, err = invoke(capsys, "expand", "--gf", text, "--order", "1")
         assert (code, out) == (2, "")
         assert err == f"error: syntax error at {message}\n"
+
+
+class TestOperatorChains:
+    # the parser builds a chain as a left-deep tree, one node per operand:
+    # 3000 operands are three times Python's default recursion limit
+    @pytest.mark.parametrize("gf, short", [
+        ("+".join(["x"] * 3000), "3000*x"),
+        ("-".join(["x"] * 3000), "-2998*x"),
+        ("*".join(["x"] + ["2"] * 2999), f"{2**2999}*x"),
+        # a divisor that holds a sqrt is walked to find it
+        ("x/(" + "+".join(["x"] * 2999) + "+sqrt(1+x)-1)", "x/(2999*x+sqrt(1+x)-1)"),
+    ], ids=["sum", "difference", "product", "sqrt-divisor"])
+    def test_long_chain_exits_0(self, capsys, gf, short):
+        code, out, err = invoke(capsys, "expand", f"--gf={gf}", "--order", "4", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == invoke(capsys, "expand", f"--gf={short}", "--order", "4", "--format", "csv")[1]
 
 
 class TestRevert:
@@ -690,7 +717,7 @@ def _sweeps(draw):
 
 class TestSerialization:
     def test_report_json_uses_decimal_strings(self):
-        payload = json.loads(render_report(verify_conjecture4(-3, -5, 2), "json"))
+        payload = json.loads(printed(render_report, verify_conjecture4(-3, -5, 2), "json"))
         assert payload["conjecture"] == "4"
         assert payload["alpha"] == "-3"
         assert payload["beta"] == "-5"
@@ -703,17 +730,17 @@ class TestSerialization:
 
     def test_report_json_roundtrips(self):
         report = verify_conjecture8(2, 2)
-        text = render_report(report, "json")
+        text = printed(render_report, report, "json")
         assert json.loads(text) == report_payload(report)
-        assert text == json.dumps(report_payload(report), indent=2)
+        assert text == json.dumps(report_payload(report), indent=2) + "\n"
 
     def test_anchor_report_has_null_parameters(self):
-        payload = json.loads(render_report(verify_anchors(2), "json"))
+        payload = json.loads(printed(render_report, verify_anchors(2), "json"))
         assert payload["alpha"] is None
         assert payload["beta"] is None
 
     def test_report_csv_shape(self):
-        text = render_report(verify_conjecture8(2, 1), "csv")
+        text = printed(render_report, verify_conjecture8(2, 1), "csv")
         lines = text.splitlines()
         assert lines[0] == "conjecture,alpha,beta,depth,n,claim,lhs,rhs,pass"
         assert lines[1].startswith("8,2,0,1,0,")
@@ -722,12 +749,12 @@ class TestSerialization:
     def test_failing_check_serializes_false(self):
         bad = Check(1, "demo", 5, 7)
         report = ConjectureReport("8", FamilyParams(1, 0, FAMILY_C), 1, (bad,))
-        assert json.loads(render_report(report, "json"))["checks"][0]["pass"] is False
-        assert render_report(report, "csv").splitlines()[1].endswith(",false")
+        assert json.loads(printed(render_report, report, "json"))["checks"][0]["pass"] is False
+        assert printed(render_report, report, "csv").splitlines()[1].endswith(",false")
 
     def test_sweep_json_counts(self):
         result = sweep("4", (-1, 1), (-1, 1), 2)
-        payload = json.loads(cli._render_sweep(result, "json", full=False))
+        payload = json.loads(printed(cli._render_sweep, result, "json", False))
         assert payload["grid_points"] == "9"
         assert payload["checked"] == "6"
         assert payload["skipped"] == [
@@ -737,37 +764,153 @@ class TestSerialization:
         ]
         assert payload["all_pass"] is True
         assert "reports" not in payload
-        with_reports = json.loads(cli._render_sweep(result, "json", full=True))
+        with_reports = json.loads(printed(cli._render_sweep, result, "json", True))
         assert len(with_reports.pop("reports")) == 6
         assert with_reports == payload
 
-    @given(
-        st.lists(_CSV_CELLS, max_size=4),
-        st.lists(st.lists(_CSV_CELLS, max_size=4), max_size=4),
-    )
-    def test_csv_text_is_what_csv_writer_writes(self, header, rows):
+    @given(st.lists(_CSV_CELLS, min_size=2, max_size=4))
+    def test_csv_field_is_what_csv_writer_writes(self, row):
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
         try:
-            writer.writerow(header)
-            writer.writerows(rows)
+            csv.writer(buffer, lineterminator="\n").writerow(row)
         except csv.Error:  # Python 3.10 refuses a NUL without an escapechar
             with pytest.raises(csv.Error):
-                cli._csv_text(header, rows)
+                [cli._csv_field(cell) for cell in row]
             return
-        assert cli._csv_text(header, rows) == buffer.getvalue().rstrip("\n")
+        assert ",".join(map(cli._csv_field, row)) + "\n" == buffer.getvalue()
 
     @given(_REPORTS)
     def test_report_json_is_indented_json_of_its_values(self, report):
-        text = render_report(report, "json")
-        assert text == json.dumps(json.loads(text), indent=2)
+        text = printed(render_report, report, "json")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
         assert json.loads(text) == report_payload(report)
 
     @given(_sweeps(), st.booleans())
     def test_sweep_json_is_indented_json_of_its_values(self, result, full):
-        text = cli._render_sweep(result, "json", full)
-        assert text == json.dumps(json.loads(text), indent=2)
+        text = printed(cli._render_sweep, result, "json", full)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
         assert json.loads(text) == sweep_payload(result, full)
+
+
+# a label that csv.writer must quote, JSON must escape and a table prints as is
+_HOSTILE_LABEL = 'a,b "c"\nd'
+
+
+class TestWriterOracle:
+    """The streaming writers print what the writers that built each output
+    as one string (``tests/oracles.py``) printed, byte for byte."""
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("command, verify", [
+        ("verify --conjecture 4 --alpha=-3 --beta=-5 --depth 6", lambda: verify_conjecture4(-3, -5, 6)),
+        ("verify --conjecture 6 --alpha 2 --beta 5 --depth 5",
+         lambda: CONJECTURES["6"].verify(2, 5, 5, None)),
+        ("verify --conjecture 8 --alpha=-7 --depth 8", lambda: verify_conjecture8(-7, 8)),
+        ("verify --conjecture alpha_shift --alpha 1 --beta 2 --order 9",
+         lambda: CONJECTURES["alpha_shift"].verify(1, 2, None, 9)),
+        ("verify --conjecture anchors --depth 5", lambda: verify_anchors(5)),
+        ("prop9 --alpha 3 --n 5", lambda: prop9_verify(3, 5)),
+    ])
+    def test_every_set(self, capsys, fmt, command, verify):
+        report = verify()
+        assert invoke(capsys, *command.split(), "--format", fmt) == (
+            0, report_text_ref(report, fmt) + "\n", ""
+        )
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_failing_claim(self, capsys, monkeypatch, fmt):
+        real = conjectures._triangular_powers
+
+        def off_by_one(x, count):
+            powers = real(x, count)
+            powers[-1] += 1
+            return powers
+
+        monkeypatch.setattr(conjectures, "_triangular_powers", off_by_one)
+        report = verify_conjecture4(-3, -5, 3)
+        command = "verify --conjecture 4 --alpha=-3 --beta=-5 --depth 3 --format"
+        out = report_text_ref(report, fmt) + "\n"
+        assert invoke(capsys, *command.split(), fmt) == (1, out, "")
+        assert "CHECKS FAILED (9/10)" in report_text_ref(report, "table")
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_row_built_report_with_hostile_text(self, fmt):
+        huge = 10**5000 + 1  # past CPython's int->str limit
+        checks = (
+            Check(0, _HOSTILE_LABEL, 1, 1),
+            Check(1, _HOSTILE_LABEL, -2, 3),
+            Check(1, "plain", huge, huge),
+            Check(7, "a\rb\x00", 5, 5),
+        )
+        notes = (_HOSTILE_LABEL, "second note")
+        for params in (FamilyParams(-(10**40), 3, FAMILY_A), None):
+            report = ConjectureReport('x,"y"', params, 2, checks, notes)
+            try:
+                expected = report_text_ref(report, fmt) + "\n"
+            except csv.Error:  # Python 3.10 refuses a NUL without an escapechar
+                with pytest.raises(csv.Error):
+                    printed(render_report, report, fmt)
+                continue
+            assert printed(render_report, report, fmt) == expected
+        empty = ConjectureReport("0", None, 0, (), ())
+        assert printed(render_report, empty, fmt) == report_text_ref(empty, fmt) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_anchor_notes(self, fmt):
+        report = verify_anchors(3)
+        assert report.notes
+        assert printed(render_report, report, fmt) == report_text_ref(report, fmt) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_sweep_with_counterexamples(self, capsys, monkeypatch, fmt, full):
+        real = conjectures._triangular_powers
+
+        def off_at_beta_one(x, count):
+            powers = real(x, count)
+            if x == 1:
+                powers[-1] += 1
+            return powers
+
+        monkeypatch.setattr(conjectures, "_triangular_powers", off_at_beta_one)
+        result = sweep("4", (-1, 2), (-1, 1), 3)
+        assert result.counterexamples and len(result.counterexamples) < len(result.reports)
+        assert result.skipped
+        command = "sweep --conjecture 4 --alpha-range=-1:2 --beta-range=-1:1 --depth 3 --format"
+        expected = sweep_text_ref(result, fmt, full) + "\n"
+        assert invoke(capsys, *command.split(), fmt, *["--full"] * full) == (1, expected, "")
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        "expand --gf 1/(2-x) --order 12",  # Fractions
+        "revert --gf 2*x+x^2 --order 6",  # negative Fractions
+        "binomial --seq 1,2,3,-4,5 --inverse",  # negatives
+        "hankel --seq 1,1,2,5,14,42,132",  # values narrower than the header
+        "expand --gf x --order 0",  # one value, narrower than the header
+    ])
+    def test_value_tables(self, capsys, fmt, argv):
+        values = invoke(capsys, *argv.split(), "--format", "csv")[1].rstrip("\n").split(",")
+        assert invoke(capsys, *argv.split(), "--format", fmt) == (
+            0, values_text_ref(values, fmt) + "\n", ""
+        )
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_triple_tables(self, capsys, fmt):
+        # the cells of WORKED_TABLE; 0, 1 and -3 are narrower than their headers
+        rows = [line.split(",") for line in WORKED_TABLE.splitlines()]
+        layout = csv_text_ref if fmt == "csv" else align_table_ref
+        argv = "triple --family A --alpha=-3 --beta=-5 --depth 5 --format"
+        assert invoke(capsys, *argv.split(), fmt) == (0, layout(rows[0], rows[1:]) + "\n", "")
+
+    @given(
+        st.lists(_TEXT, min_size=1, max_size=4).flatmap(lambda header: st.tuples(
+            st.just(header),
+            st.lists(st.lists(_TEXT, min_size=len(header), max_size=len(header)), max_size=4),
+        ))
+    )
+    def test_table_layout(self, table):
+        header, rows = table
+        assert printed(cli._write_table, header, rows) == align_table_ref(header, rows) + "\n"
 
 
 @pytest.fixture
@@ -810,8 +953,8 @@ class TestLazyRendering:
         for cid in SWEEPABLE:
             result = sweep(cid, (-2, 2), (-2, 2), 3)
             assert result.reports and not result.counterexamples
-            cli._render_sweep(result, fmt, full=False)
-            cli._render_sweep(result, fmt, full=True)
+            printed(cli._render_sweep, result, fmt, False)
+            printed(cli._render_sweep, result, fmt, True)
         for command in (
             "verify --conjecture 8 --alpha 2 --depth 3",
             "verify --conjecture anchors",

@@ -1,7 +1,9 @@
 """Verifier reports, parameter sweeps, and the matrix factorization checks."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 from fractions import Fraction
@@ -54,6 +56,14 @@ from oracles import (
 
 def checks_for(report, claim):
     return [c for c in report.checks if c.claim == claim]
+
+
+def sweep_json(result):
+    """The JSON that ``hankelrev sweep`` prints for the result."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._render_sweep(result, "json", False)
+    return out.getvalue()
 
 
 class TestConjecture4:
@@ -325,7 +335,7 @@ class TestColumns:
         assert failed == [(3, CLAIM_C4_HSTAR)]
         result = sweep("4", (1, 2), (1, 1), 3)
         assert result.counterexamples == result.reports and len(result.reports) == 2
-        payload = json.loads(cli._render_sweep(result, "json", full=False))
+        payload = json.loads(sweep_json(result))
         assert payload["all_pass"] is False
         for shown in payload["counterexamples"]:
             assert [(c["n"], c["claim"]) for c in shown["checks"] if not c["pass"]] == [
@@ -434,7 +444,7 @@ class TestSweep:
         monkeypatch.setattr(conjectures, "verify_conjecture8", failing)
         result = sweep("8", (1, 2), depth=2)
         assert len(result.counterexamples) == 2
-        assert not json.loads(cli._render_sweep(result, "json", full=False))["all_pass"]
+        assert not json.loads(sweep_json(result))["all_pass"]
 
 
 class TestReportValues:
