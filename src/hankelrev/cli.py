@@ -49,7 +49,7 @@ from hankelrev.conjectures import (
     sweep,
 )
 from hankelrev.families import FamilyParams, family_base_ogf, family_reversion_terms
-from hankelrev.gf import expand_gf
+from hankelrev.gf import eval_gf, expand_gf, parse_gf
 from hankelrev.hankel import (
     binomial_transform,
     hankel_transform,
@@ -364,14 +364,15 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 def _cmd_revert(args: argparse.Namespace) -> int:
     _require_one_source(args)
+    source = parse_gf(args.gf) if args.gf else _family_params(args)
+    if args.order < 0:
+        raise ValueError("order must be non-negative")
     if args.gf:
-        values = expand_gf(args.gf, args.order).revert().coefficient_strings()
+        # expanded to x^1 at least: reversibility is read off that coefficient
+        series = eval_gf(source, max(args.order, 1)).revert()
+        values = series.coefficient_strings()[: args.order + 1]
     else:
-        params = _family_params(args)
-        if args.order < 0:
-            raise ValueError("order must be non-negative")
-        terms = family_reversion_terms(params, args.order + 1)
-        values = [_decimal(t) for t in terms]
+        values = [_decimal(t) for t in family_reversion_terms(source, args.order + 1)]
     _write_values(values, args.format)
     return 0
 

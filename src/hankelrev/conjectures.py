@@ -6,13 +6,14 @@ recurrences of :mod:`hankelrev.families` (``family_reversion_terms`` and
 builds every claim in product form (no division, so zero values need no
 special casing) as two int columns, lhs and rhs over the claim's n, by
 slices and comprehensions over the transforms, the base terms and the
-power lists.  A report keeps those columns, grouped in blocks whose rows
-run n-major: at each n the block's claims in the order given.  Its
-``all_pass`` is one list comparison per claim.  Its rows are made only
-for output: :mod:`hankelrev.cli` walks the columns in row order and
-turns each row into text as it prints it, ``rows()`` gives them as plain
-``(n, claim, lhs, rhs)`` tuples, and the :class:`Check` tuple ``checks``
-is built only when something reads it.
+power lists.  A report is built from those columns, as tuples, grouped
+in blocks whose rows run n-major: at each n the block's claims in the
+order given.  It is a frozen value, equal to another report with the same
+fields, blocks included.  Its ``all_pass`` is one tuple comparison per
+claim.  Its rows are made only for output: :mod:`hankelrev.cli` walks the
+columns in row order and turns each row into text as it prints it,
+``rows()`` gives them as plain ``(n, claim, lhs, rhs)`` tuples, and the
+:class:`Check` tuple ``checks`` is built only when something reads it.
 Claims that reference index n+1 of a depth-d transform are checked for
 n = 0..d-1; claims fully determined at index n run to n = d.  All of it
 is integer work, prop9 included: T and T * T^t have int entries and
@@ -48,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -115,8 +116,8 @@ class Claim(NamedTuple):
     asserted at the k-th index of the block that holds the claim."""
 
     label: str
-    lhs: list[int]
-    rhs: list[int]
+    lhs: tuple[int, ...]
+    rhs: tuple[int, ...]
 
 
 class Block(NamedTuple):
@@ -128,9 +129,9 @@ class Block(NamedTuple):
 
 
 def _block(*claims: tuple[str, Iterable[int], Iterable[int]], start: int = 0) -> Block:
-    """A block of ``(label, lhs, rhs)`` claims, each side made a list;
+    """A block of ``(label, lhs, rhs)`` claims, each side made a tuple;
     every column must have the same length."""
-    block = Block(start, tuple([Claim(label, [*lhs], [*rhs]) for label, lhs, rhs in claims]))
+    block = Block(start, tuple([Claim(label, tuple(lhs), tuple(rhs)) for label, lhs, rhs in claims]))
     length = len(block.claims[0].lhs)
     for _, lhs, rhs in block.claims:
         if len(lhs) != length or len(rhs) != length:
@@ -138,44 +139,21 @@ def _block(*claims: tuple[str, Iterable[int], Iterable[int]], start: int = 0) ->
     return block
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ConjectureReport:
-    """A verifier's result.
+    """A verifier's result: its rows, held as claim blocks of int columns.
 
-    The rows are held as claim blocks of int columns (``blocks``):
     ``all_pass`` compares each claim's two columns once, and :meth:`rows`
     walks the rows without making a :class:`Check`.  ``checks`` holds the
-    same rows as Check values, made when it is first read.  A report can
-    also be built from rows, ``ConjectureReport(id, params, depth, checks,
-    notes)``; each row is then a block of its own.  Equality, hashing and
-    repr go by ``checks``, never by ``blocks``.
+    same rows as Check values, made when it is first read.  Equality,
+    hashing and repr come from the fields, so they go by blocks.
     """
 
     conjecture_id: str
     params: FamilyParams | None
     depth: int
-    checks: tuple[Check, ...]  # the cached property below, unless given
+    blocks: tuple[Block, ...]
     notes: tuple[str, ...] = ()
-    blocks: tuple[Block, ...] = field(default=(), repr=False, compare=False)
-
-    def __init__(
-        self,
-        conjecture_id: str,
-        params: FamilyParams | None,
-        depth: int,
-        checks: tuple[Check, ...] | None = None,
-        notes: tuple[str, ...] = (),
-        blocks: tuple[Block, ...] = (),
-    ) -> None:
-        fields = vars(self)  # frozen: set through the instance dict
-        if checks is not None:
-            fields["checks"] = checks
-            blocks = tuple(
-                Block(c.index, (Claim(c.claim, [c.lhs], [c.rhs]),)) for c in checks
-            )
-        fields.update(
-            conjecture_id=conjecture_id, params=params, depth=depth, notes=notes, blocks=blocks
-        )
 
     @functools.cached_property
     def checks(self) -> tuple[Check, ...]:

@@ -325,60 +325,64 @@ def _eval(e: GfExpression, w: int) -> _Value:
     if isinstance(e, Pow):
         return _power(_eval(e.base, w), e.exponent, w)
     if isinstance(e, BinOp):
-        if e.op == "/":
-            return _eval_quotient(e.left, e.right, w)
-        # a chain such as x+x+...+x is a left-deep tree, one node per
-        # operand: it is folded in a loop, left operand first, as recursion
-        # would, but without a frame per operand
+        # a chain such as x+x+...+x or x/x/.../x is a left-deep tree, one
+        # node per operand: it is folded in a loop, left operand first, as
+        # recursion would, but without a frame per operand.  On the way down
+        # each divisor other than a bare sqrt is evaluated first, and its
+        # valuation v adds v to the order of everything to its left; one
+        # that fails counts as v = 0 and raises on the way up, after its
+        # numerator, so the numerator's errors come first
         chain = []
-        while isinstance(e, BinOp) and e.op != "/":
-            chain.append(e)
+        while isinstance(e, BinOp):
+            right = None  # evaluated on the way up
+            if e.op == "/" and not isinstance(e.right, Sqrt):
+                try:
+                    right = _divisor(e.right, w)
+                except ValueError as error:
+                    right = error
+            chain.append((e, w, right))
+            if isinstance(right, tuple):
+                w += right[1]
             e = e.left
         value = _eval(e, w)
-        for node in reversed(chain):
-            right = _eval(node.right, w)
-            if node.op == "*":
-                value = _mul(value, right)
+        for node, w, right in reversed(chain):
+            if isinstance(right, ValueError):
+                raise right
+            if right is not None:
+                value = _over(value, *right)
+            elif node.op == "/":  # the quotient by sqrt(f) is the product with f^(-1/2)
+                value = _mul(value, _root_of(_eval(node.right.arg, w), w, -1))
+            elif node.op == "*":
+                value = _mul(value, _eval(node.right, w))
             else:
-                value = _add(value, right, 1 if node.op == "+" else -1)
+                value = _add(value, _eval(node.right, w), 1 if node.op == "+" else -1)
         return value
     raise TypeError(f"not a generating-function expression node: {e!r}")
 
 
-def _eval_quotient(num: GfExpression, den: GfExpression, w: int) -> _Value:
-    """``num / den``, with the errors of ``num`` raised before those of ``den``.
+def _divisor(den: GfExpression, w: int) -> tuple[_Value, int]:
+    """A divisor other than a bare sqrt, and its valuation v.
 
-    The quotient by ``sqrt(f)`` is the product with f^(-1/2), one run of
-    the power recurrence.  Any other divisor is evaluated first, to find
-    its valuation v.  A divisor that holds a sqrt is probed at x^0 first;
-    if it vanishes there, it is evaluated once, through x^(w + _REACH).
-    Otherwise it is evaluated through x^w, and once more through
-    x^(w + _REACH) if it is a series with no nonzero coefficient through
-    x^w.  Either way a series divisor is then evaluated once more through
-    x^(w + v) if it is shorter than that, and cut back to x^(w + v) if it
-    is longer.  The numerator is then evaluated once, through x^(w + v).  If the divisor fails, the numerator is evaluated
-    before its error is raised.
+    A divisor that holds a sqrt is probed at x^0 first; if it vanishes
+    there, it is evaluated once, through x^(w + _REACH).  Otherwise it is
+    evaluated through x^w, and once more through x^(w + _REACH) if it is a
+    series with no nonzero coefficient through x^w.  Either way a series
+    divisor is then evaluated once more through x^(w + v) if it is shorter
+    than that, and cut back to x^(w + v) if it is longer.
     """
-    if isinstance(den, Sqrt):
-        left = _eval(num, w)
-        return _mul(left, _root_of(_eval(den.arg, w), w, -1))
-    try:
-        reach = w + _REACH if _has_sqrt(den) and _vanishes(den) else w
-        right = _eval(den, reach)
+    reach = w + _REACH if _has_sqrt(den) and _vanishes(den) else w
+    right = _eval(den, reach)
+    v = _valuation(right)
+    if v is None and isinstance(right, _Series) and reach == w:
+        right = _eval(den, w + _REACH)
         v = _valuation(right)
-        if v is None and isinstance(right, _Series) and reach == w:
-            right = _eval(den, w + _REACH)
-            v = _valuation(right)
-        if v is None:
-            raise ValueError("non-invertible series")
-        if isinstance(right, _Series):
-            # the quotient runs to the length of its divisor, so a widened
-            # divisor is cut back to x^(w + v)
-            right = _eval(den, w + v) if len(right.z) <= w + v else _series(right, w + v)
-    except ValueError:
-        _eval(num, w)
-        raise
-    return _over(_eval(num, w + v), right, v)
+    if v is None:
+        raise ValueError("non-invertible series")
+    if isinstance(right, _Series):
+        # the quotient runs to the length of its divisor, so a widened
+        # divisor is cut back to x^(w + v)
+        right = _eval(den, w + v) if len(right.z) <= w + v else _series(right, w + v)
+    return right, v
 
 
 def _has_sqrt(e: GfExpression) -> bool:

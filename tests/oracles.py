@@ -14,7 +14,8 @@ draws sequences whose Hankel minors are known in closed form, and
 :func:`continuants` follows.  The ``*_rhs_ref`` functions give the
 right-hand sides of the verifier reports from their closed forms, and
 :func:`report_checks_ref` gives their whole check rows with each side a
-function of n, one call per row.
+function of n, one call per row; :func:`row_blocks` puts rows into claim
+blocks, one block per row, to build a report from.
 :func:`prop9_coeff_identity_1` and :func:`prop9_coeff_identity_2` check
 the two polynomial coefficient identities that prop9's factorization
 rests on, by expanding the polynomials term by term.  The ``*_text_ref``
@@ -645,6 +646,14 @@ def report_checks_ref(cid: str, alpha: int, beta: int, depth: int, order: int) -
         ]
         return tuple(row for anchor in anchors for row in _rows_ref(depth + 1, anchor))
     raise ValueError(f"no reference for {cid!r}")
+
+
+def row_blocks(checks) -> tuple:
+    """Claim blocks that hold ``checks`` in order: one block of one claim
+    per row, so a report built from them has exactly these rows."""
+    from hankelrev.conjectures import Block, Claim
+
+    return tuple(Block(c.index, (Claim(c.claim, (c.lhs,), (c.rhs,)),)) for c in checks)
 
 
 # ----------------------------------------------------------------------

@@ -35,9 +35,16 @@ from hankelrev import (
 )
 from hankelrev import cli, conjectures, series
 from hankelrev.cli import render_report, run
-from hankelrev.conjectures import CLAIM_C8_H, CLAIM_C8_HSS, CLAIM_C8_HSTAR
+from hankelrev.conjectures import CLAIM_C8_H, CLAIM_C8_HSS, CLAIM_C8_HSTAR, Block, Claim
 from hankelrev.series import _decimal
-from oracles import align_table_ref, csv_text_ref, report_text_ref, sweep_text_ref, values_text_ref
+from oracles import (
+    align_table_ref,
+    csv_text_ref,
+    report_text_ref,
+    row_blocks,
+    sweep_text_ref,
+    values_text_ref,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -199,6 +206,19 @@ class TestOperatorChains:
         assert (code, err) == (0, "")
         assert out == invoke(capsys, "expand", f"--gf={short}", "--order", "4", "--format", "csv")[1]
 
+    @pytest.mark.parametrize("gf, code, out, err", [
+        ("/".join(["1"] * 3000), 0, "1,0,0\n", ""),
+        # each divisor x raises the order of everything to its left by one
+        ("x^3000/" + "/".join(["x"] * 3000), 0, "1,0,0\n", ""),
+        # the numerator's error comes before those of its divisors
+        ("sqrt(4)/" + "/".join(["0"] * 3000), 2, "", "error: sqrt requires unit constant term\n"),
+        ("1/" + "/".join(["0"] * 3000), 2, "", "error: non-invertible series\n"),
+    ], ids=["ones", "powers-of-x", "numerator-error", "zero-divisors"])
+    def test_long_quotient_chain(self, capsys, gf, code, out, err):
+        assert invoke(capsys, "expand", f"--gf={gf}", "--order", "2", "--format", "csv") == (
+            code, out, err
+        )
+
 
 class TestRevert:
     def test_gf(self, capsys):
@@ -248,6 +268,22 @@ class TestRevert:
         )
         assert code == 2
         assert "error: series not reversible" in err
+
+    def test_gf_at_order_0_is_read_off_x(self, capsys):
+        # an order-0 expansion has no x^1 coefficient to check; the family
+        # A series at alpha = beta = 1 is x/(1+x+x^2)
+        family = invoke(capsys, "revert", "--family", "A", "--alpha", "1", "--beta", "1",
+                        "--order", "0")
+        gf = invoke(capsys, "revert", "--gf", "x/(1+x+x^2)", "--order", "0")
+        assert family == gf == (0, "n  value\n0  0\n", "")
+
+    @pytest.mark.parametrize("gf, order, message", [
+        ("x^2", "0", "series not reversible"),
+        ("1+x", "0", "series not reversible"),
+        ("x", "-1", "order must be non-negative"),
+    ])
+    def test_gf_refused_at_low_order(self, capsys, gf, order, message):
+        assert invoke(capsys, "revert", "--gf", gf, "--order", order) == (2, "", f"error: {message}\n")
 
 
 class TestHankel:
@@ -362,7 +398,7 @@ class TestVerify:
             conjecture_id="8",
             params=FamilyParams(2, 0, FAMILY_C),
             depth=1,
-            checks=(Check(0, "demo claim", 1, 2),),
+            blocks=row_blocks([Check(0, "demo claim", 1, 2)]),
         )
         monkeypatch.setattr(conjectures, "verify_conjecture8", lambda a, d: failing)
         code, out, _ = invoke(
@@ -599,7 +635,7 @@ class TestSweep:
             conjecture_id="8",
             params=point,
             depth=1,
-            checks=(Check(0, "demo claim", 1, 2),),
+            blocks=row_blocks([Check(0, "demo claim", 1, 2)]),
         )
         result = SweepResult(
             conjecture_id="8",
@@ -690,10 +726,16 @@ _PARAMS = st.builds(FamilyParams, _VALUES, _VALUES, st.sampled_from([FAMILY_A, F
 
 
 @st.composite
-def _checks(draw):
-    lhs = draw(_VALUES)
-    rhs = draw(st.one_of(st.just(lhs), _VALUES))
-    return Check(draw(st.integers(0, 10**6)), draw(_TEXT), lhs, rhs)
+def _blocks(draw):
+    """A block of one to three claims over zero to three indices; each rhs
+    entry is its lhs entry or a value of its own."""
+    count = draw(st.integers(0, 3))
+    claims = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = draw(st.lists(_VALUES, min_size=count, max_size=count))
+        rhs = [draw(st.one_of(st.just(x), _VALUES)) for x in lhs]
+        claims.append(Claim(draw(_TEXT), tuple(lhs), tuple(rhs)))
+    return Block(draw(st.integers(0, 10**6)), tuple(claims))
 
 
 _REPORTS = st.builds(
@@ -701,7 +743,7 @@ _REPORTS = st.builds(
     _TEXT,
     st.none() | _PARAMS,
     st.integers(0, 10**6),
-    st.lists(_checks(), max_size=4).map(tuple),
+    st.lists(_blocks(), max_size=3).map(tuple),
     st.lists(_TEXT, max_size=3).map(tuple),
 )
 
@@ -748,7 +790,7 @@ class TestSerialization:
 
     def test_failing_check_serializes_false(self):
         bad = Check(1, "demo", 5, 7)
-        report = ConjectureReport("8", FamilyParams(1, 0, FAMILY_C), 1, (bad,))
+        report = ConjectureReport("8", FamilyParams(1, 0, FAMILY_C), 1, row_blocks([bad]))
         assert json.loads(printed(render_report, report, "json"))["checks"][0]["pass"] is False
         assert printed(render_report, report, "csv").splitlines()[1].endswith(",false")
 
@@ -834,7 +876,7 @@ class TestWriterOracle:
         assert "CHECKS FAILED (9/10)" in report_text_ref(report, "table")
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-    def test_row_built_report_with_hostile_text(self, fmt):
+    def test_report_with_hostile_text(self, fmt):
         huge = 10**5000 + 1  # past CPython's int->str limit
         checks = (
             Check(0, _HOSTILE_LABEL, 1, 1),
@@ -844,7 +886,7 @@ class TestWriterOracle:
         )
         notes = (_HOSTILE_LABEL, "second note")
         for params in (FamilyParams(-(10**40), 3, FAMILY_A), None):
-            report = ConjectureReport('x,"y"', params, 2, checks, notes)
+            report = ConjectureReport('x,"y"', params, 2, row_blocks(checks), notes)
             try:
                 expected = report_text_ref(report, fmt) + "\n"
             except csv.Error:  # Python 3.10 refuses a NUL without an escapechar

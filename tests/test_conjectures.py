@@ -51,6 +51,7 @@ from oracles import (
     prop9_coeff_identity_2,
     prop9_rhs_ref,
     report_checks_ref,
+    row_blocks,
 )
 
 
@@ -348,11 +349,17 @@ class TestColumns:
         with pytest.raises(RuntimeError, match="differ in length"):
             _block(("demo", [1, 2], [1, 2]), ("demo", [1], [1]))
 
-    def test_report_from_rows_walks_them_in_order(self):
-        rows = (Check(4, "b", 1, 1), Check(0, "a", 2, 3))
-        report = ConjectureReport("8", None, 1, rows)
-        assert report.checks is rows
-        assert list(report.rows()) == [(4, "b", 1, 1), (0, "a", 2, 3)]
+    def test_rows_walk_the_blocks_in_the_order_given(self):
+        from hankelrev.conjectures import _block
+
+        blocks = (
+            _block(("b", [1, 5], [1, 5]), ("c", [2, 6], [2, 7]), start=4),
+            _block(("a", [2], [3])),
+        )
+        report = ConjectureReport("8", None, 1, blocks)
+        rows = [(4, "b", 1, 1), (4, "c", 2, 2), (5, "b", 5, 5), (5, "c", 6, 7), (0, "a", 2, 3)]
+        assert list(report.rows()) == rows
+        assert report.checks == tuple(Check(*row) for row in rows)
         assert not report.all_pass
 
 
@@ -439,7 +446,7 @@ class TestSweep:
 
         def failing(alpha, depth):
             bad = Check(0, "demo", 1, 2)
-            return ConjectureReport("8", FamilyParams(alpha, 0, FAMILY_C), depth, (bad,))
+            return ConjectureReport("8", FamilyParams(alpha, 0, FAMILY_C), depth, row_blocks([bad]))
 
         monkeypatch.setattr(conjectures, "verify_conjecture8", failing)
         result = sweep("8", (1, 2), depth=2)
@@ -451,16 +458,35 @@ class TestReportValues:
     def test_passed_and_all_pass_are_derived_from_the_sides(self):
         good, bad = Check(0, "demo", 3, 3), Check(1, "demo", 1, 2)
         assert (good.passed, bad.passed) == (True, False)
-        assert ConjectureReport("8", None, 1, (good,)).all_pass
-        assert not ConjectureReport("8", None, 1, (good, bad)).all_pass
+        assert ConjectureReport("8", None, 1, row_blocks([good])).all_pass
+        assert not ConjectureReport("8", None, 1, row_blocks([good, bad])).all_pass
         assert [f.name for f in dataclasses.fields(Check)] == ["index", "claim", "lhs", "rhs"]
         assert "all_pass" not in {f.name for f in dataclasses.fields(ConjectureReport)}
 
     def test_all_pass_is_worked_out_once_and_leaves_equality_alone(self):
-        report = ConjectureReport("8", None, 1, (Check(0, "demo", 1, 2),))
-        twin = ConjectureReport("8", None, 1, (Check(0, "demo", 1, 2),))
+        report = ConjectureReport("8", None, 1, row_blocks([Check(0, "demo", 1, 2)]))
+        twin = ConjectureReport("8", None, 1, row_blocks([Check(0, "demo", 1, 2)]))
         assert not report.all_pass
         # the cached value sits in the instance, outside the dataclass fields
         assert vars(report)["all_pass"] is False
         assert "all_pass" not in vars(twin)
         assert report == twin and hash(report) == hash(twin) and repr(report) == repr(twin)
+
+    @pytest.mark.parametrize("cid", list(CONJECTURES))
+    def test_reports_compare_and_hash_by_their_columns(self, cid):
+        report = CONJECTURES[cid].verify(2, 3, 3, 5)
+        twin = CONJECTURES[cid].verify(2, 3, 3, 5)
+        assert report is not twin
+        assert report == twin and hash(report) == hash(twin)
+        # one entry of one column changed: the first rhs entry of the first claim
+        block, *rest = report.blocks
+        first, *claims = block.claims
+        first = first._replace(rhs=(first.rhs[0] + 1, *first.rhs[1:]))
+        other = dataclasses.replace(report, blocks=(block._replace(claims=(first, *claims)), *rest))
+        assert other != report and not other.all_pass
+
+    def test_a_report_is_built_from_blocks_only(self):
+        names = [f.name for f in dataclasses.fields(ConjectureReport)]
+        assert names == ["conjecture_id", "params", "depth", "blocks", "notes"]
+        with pytest.raises(TypeError):
+            ConjectureReport("8", None, 1, checks=(Check(0, "demo", 1, 2),))
