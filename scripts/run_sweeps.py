@@ -11,13 +11,14 @@ import time
 
 from hankelrev import SWEEPABLE, sweep
 from hankelrev.cli import render_report
+from hankelrev.conjectures import DEFAULT_DEPTH
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lo", type=int, default=-5, help="grid lower bound")
     parser.add_argument("--hi", type=int, default=5, help="grid upper bound")
-    parser.add_argument("--depth", type=int, default=6)
+    parser.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     args = parser.parse_args()
 
     bounds = (args.lo, args.hi)

@@ -9,7 +9,9 @@ core never touches the network.
 from hankelrev.conjectures import (
     CONJECTURES,
     SWEEPABLE,
+    Block,
     Check,
+    Claim,
     ConjectureReport,
     SweepResult,
     prop9_T_matrix,
@@ -58,8 +60,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinOp",
+    "Block",
     "CONJECTURES",
     "Check",
+    "Claim",
     "ConjectureReport",
     "FAMILY_A",
     "FAMILY_B",

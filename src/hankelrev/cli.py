@@ -43,6 +43,7 @@ from typing import Any
 
 from hankelrev.conjectures import (
     CONJECTURES,
+    DEFAULT_DEPTH,
     SWEEPABLE,
     ConjectureReport,
     SweepResult,
@@ -58,7 +59,6 @@ from hankelrev.hankel import (
 )
 from hankelrev.series import _decimal, _parse_int
 
-DEFAULT_DEPTH = 6
 DEFAULT_SHIFT_ORDER = 10
 
 _json_string = json.encoder.encode_basestring_ascii

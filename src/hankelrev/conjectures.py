@@ -71,6 +71,10 @@ from hankelrev.hankel import (
     hankel_triple,
 )
 
+# the depth that a verification, a sweep and the command line take when
+# none is given
+DEFAULT_DEPTH = 6
+
 # claim labels are stable strings: reports are regression artifacts and
 # downstream tooling matches on them
 CLAIM_C4_HSTAR = "h_star[n] == beta^binom(n+1,2)"
@@ -353,7 +357,7 @@ def prop9_verify(alpha: int, n: int) -> ConjectureReport:
 # classical anchors
 
 
-def verify_anchors(depth: int = 6) -> ConjectureReport:
+def verify_anchors(depth: int = DEFAULT_DEPTH) -> ConjectureReport:
     """Hankel transforms of classical sequences with known values.
 
     Includes the head-zeroed Catalan sequence 0, 1, 2, 5, 14, ... whose
@@ -458,7 +462,7 @@ def sweep(
     conjecture_id: str | int,
     alpha_range: tuple[int, int],
     beta_range: tuple[int, int] | None = None,
-    depth: int = 6,
+    depth: int = DEFAULT_DEPTH,
 ) -> SweepResult:
     """Run one verifier over an integer parameter grid.
 

@@ -81,9 +81,10 @@ def _row(params: FamilyParams) -> tuple:
 
 
 def family_base_ogf(params: FamilyParams, order: int) -> PowerSeries:
-    """Expansion of the family's base o.g.f."""
-    num, den, *_ = _row(params)
-    return PowerSeries.from_rational(num, den, order)
+    """Expansion of the family's base o.g.f., from :func:`family_base_terms`."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    return PowerSeries._from_numerators(family_base_terms(params, order + 1), 1, 1)
 
 
 def family_base_terms(params: FamilyParams, count: int) -> list[int]:

@@ -347,20 +347,6 @@ def _root(p: Sequence[int], q: Sequence[int], n: int, sign: int = 1) -> tuple[li
     return _power_coefficients(terms, sign, 2, n), 4 * p[0] * q[0]
 
 
-def _ratio_series(
-    num: Sequence[Scalar], den: Sequence[Scalar], n: int
-) -> "PowerSeries":
-    """Coefficients 0..n of num/den for coefficient lists of ints or
-    Fractions with den[0] != 0: :func:`_quotient` on their integer
-    numerators."""
-    a, da = _common(num)
-    b, db = _common(den)
-    z, d, r = _quotient(a, b, n)
-    if db != 1:
-        z = [c * db for c in z]
-    return PowerSeries._from_numerators(z, da * d, r)
-
-
 def _scalar(c: Scalar) -> Scalar:
     return c if type(c) is int else Fraction(c)
 
@@ -430,7 +416,12 @@ class PowerSeries:
             raise ValueError("zero constant denominator")
         if order < 0:
             raise ValueError("order must be non-negative")
-        return _ratio_series([_scalar(c) for c in numerator], den, order)
+        a, da = _common([_scalar(c) for c in numerator])
+        b, db = _common(den)
+        z, d, r = _quotient(a, b, order)
+        if db != 1:
+            z = [c * db for c in z]
+        return cls._from_numerators(z, da * d, r)
 
     # ------------------------------------------------------------------
     # queries
@@ -529,7 +520,7 @@ class PowerSeries:
         form = _rational_form(b, sum(map(bool, b[1:])))  # B = P/Q
         on_x_over_f = False
         if form is None:
-            x_over_f = _ratio_series([d], b, n - 1)._values
+            x_over_f = _quotients(*_quotient([d], b, n - 1))
             on_x_over_f = sum(map(bool, x_over_f)) < sum(map(bool, b))
             if on_x_over_f:
                 b, d = _common(x_over_f)

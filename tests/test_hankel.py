@@ -398,11 +398,9 @@ class TestChebyshevRecurrence:
         "transform, terms, depth, message",
         [
             # the minor of a 1x1 block
-            (hankel_transform, [4, 9, 3, 6, 8, 2, 1], 3, "inexact Chebyshev division"),
+            (hankel_transform, [4, 9, 3, 6, 8, 2, 1], 3, "inexact look-ahead division"),
             # the minor after a block: H_2 of 0, 7, 0, 1, 0, 4, 0 is zero
             (hankel_transform, [0, 7, 0, 1, 0, 4, 0], 3, "inexact look-ahead division"),
-            # a continuant step: the minor divisions stay exact here
-            (hankel_triple, [0, 9, 7, 9, 4, 5, 5], 2, "inexact continuant division"),
         ],
     )
     def test_inexact_division_raises(self, monkeypatch, transform, terms, depth, message):
@@ -506,14 +504,15 @@ class TestIntegralStep:
         assert gcds == []
         assert_triple_equals_det_exact(triple, terms)
 
-    def test_switch_to_the_general_step_mid_run(self, monkeypatch):
-        # the last four terms make the last rows' coefficients fractions
+    def test_switch_to_the_look_ahead_step_mid_run(self, monkeypatch):
+        # the last four terms make the last rows' coefficients fractions:
+        # the riders stop there, and u and u[2:] get runs of their own
         depth = 10
         terms = family_reversion_terms(FamilyParams(-3, -5, FAMILY_A), 2 * depth + 3)
         terms[-4:] = [t + 1 for t in terms[-4:]]
-        gcds = count_gcds(monkeypatch)
+        runs = count_calls(monkeypatch, "_leading_minors")
         triple = hankel_triple(terms, depth)
-        assert 0 < len(gcds) < depth
+        assert len(runs) == 3
         assert_triple_equals_det_exact(triple, terms)
 
     @given(FAMILY_POINTS, st.integers(0, 6))
@@ -583,16 +582,17 @@ class TestQuotientStep:
         assert_transforms_agree(terms, depth)
         if variant == "fraction":
             # the run on m meets the fraction at row k <= depth and leaves
-            # the integral step there
+            # the integral step there, so the riders stop short
             with pytest.MonkeyPatch.context() as patch:
-                gcds = count_gcds(patch)
-                hankel_triple(terms, depth)
-            assert gcds
+                runs = count_calls(patch, "_leading_minors")
+                triple = hankel_triple(terms, depth)
+            assert len(runs) == 3
+            assert_triple_equals_det_exact(triple, terms)
 
 
 class TestHugeParameters:
-    """Closed forms at |alpha|, |beta| around 10^30 and 10^100, where the step
-    multipliers have thousands of bits before their gcd is divided out."""
+    """Closed forms at |alpha|, |beta| around 10^30 and 10^100, where the
+    minors have thousands of bits."""
 
     @pytest.mark.parametrize("alpha", [10**100 + 1, -(10**100) + 7], ids=["1e100+1", "-1e100+7"])
     def test_family_c_to_depth_24(self, monkeypatch, alpha):

@@ -15,6 +15,15 @@ def test_public_names_resolve_once():
         assert hasattr(hankelrev, name), name
 
 
+def test_a_report_from_package_level_blocks():
+    from hankelrev import Block, Check, Claim, ConjectureReport
+
+    block = Block(1, (Claim("n == n", (1, 2), (1, 3)),))
+    report = ConjectureReport("demo", None, 2, (block,))
+    assert report.checks == (Check(1, "n == n", 1, 1), Check(2, "n == n", 2, 3))
+    assert not report.all_pass
+
+
 def test_readme_library_example_runs(capsys):
     section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)

@@ -763,7 +763,7 @@ class TestRadicalRevert:
         def refuse(*args):
             raise AssertionError("revert divided")
 
-        monkeypatch.setattr(series, "_ratio_series", refuse)
+        monkeypatch.setattr(series, "_quotient", refuse)
         monkeypatch.setattr(series, "_radical_revert", refuse)
         assert list(f.revert().coeffs) == expected
 
