@@ -27,10 +27,14 @@ when they are asked for.  Division by an expression that vanishes at 0
 (for example ``(1-sqrt(1-4*x))/(2*x)``) is supported by cancelling the
 common power of x.  The divisor is evaluated first, so its valuation v is
 known and the numerator is evaluated once, v further than the quotient
-needs.  A divisor with a sqrt in it that vanishes at 0 is evaluated once,
-``_REACH`` coefficients past the order it was asked for, and cut back to
-v past it; a divisor whose valuation lies past that is reported as
-non-invertible.
+needs.  A series divisor with no nonzero coefficient through the order it
+was asked for is evaluated once more, ``_REACH`` coefficients past it; a
+divisor whose valuation lies past that is reported as non-invertible.
+Each divisor's valuation is found once per evaluation and kept by node
+identity: a series divisor of valuation v >= 1 runs once more, v past its
+order, and each later evaluation of it, when an outer quotient widens,
+goes there at once.  So divisors nested k deep cost about k evaluations
+of the innermost one, not 2^k.
 """
 
 from __future__ import annotations
@@ -295,7 +299,7 @@ def eval_gf(expression: GfExpression, order: int) -> PowerSeries:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    series = _series(_eval(expression, order), order)
+    series = _series(_eval(expression, order, {}), order)
     return PowerSeries._from_numerators(series.z, series.d, series.r)
 
 
@@ -304,7 +308,7 @@ def expand_gf(text: str, order: int) -> PowerSeries:
     return eval_gf(parse_gf(text), order)
 
 
-def _eval(e: GfExpression, w: int) -> _Value:
+def _eval(e: GfExpression, w: int, valuations: dict[int, int | None]) -> _Value:
     """The value of ``e``, determined through x^w.
 
     A subtree without sqrt is an exact :class:`_Rational`, never truncated,
@@ -315,15 +319,17 @@ def _eval(e: GfExpression, w: int) -> _Value:
     :func:`eval_gf` is done.  Every series returned determines at least
     its coefficients through x^w: a quotient by a divisor of valuation v
     takes its numerator, and a series divisor, through x^(w+v).
+    ``valuations`` holds the valuation of each divisor found so far in
+    this evaluation, by node identity (see :func:`_divisor`).
     """
     if isinstance(e, Lit):
         return _Rational([e.value], [1])
     if isinstance(e, Var):
         return _Rational([0, 1], [1])
     if isinstance(e, Sqrt):
-        return _root_of(_eval(e.arg, w), w, 1)
+        return _root_of(_eval(e.arg, w, valuations), w, 1)
     if isinstance(e, Pow):
-        return _power(_eval(e.base, w), e.exponent, w)
+        return _power(_eval(e.base, w, valuations), e.exponent, w)
     if isinstance(e, BinOp):
         # a chain such as x+x+...+x or x/x/.../x is a left-deep tree, one
         # node per operand: it is folded in a loop, left operand first, as
@@ -337,76 +343,56 @@ def _eval(e: GfExpression, w: int) -> _Value:
             right = None  # evaluated on the way up
             if e.op == "/" and not isinstance(e.right, Sqrt):
                 try:
-                    right = _divisor(e.right, w)
+                    right = _divisor(e.right, w, valuations)
                 except ValueError as error:
                     right = error
             chain.append((e, w, right))
             if isinstance(right, tuple):
                 w += right[1]
             e = e.left
-        value = _eval(e, w)
+        value = _eval(e, w, valuations)
         for node, w, right in reversed(chain):
             if isinstance(right, ValueError):
                 raise right
             if right is not None:
                 value = _over(value, *right)
             elif node.op == "/":  # the quotient by sqrt(f) is the product with f^(-1/2)
-                value = _mul(value, _root_of(_eval(node.right.arg, w), w, -1))
+                value = _mul(value, _root_of(_eval(node.right.arg, w, valuations), w, -1))
             elif node.op == "*":
-                value = _mul(value, _eval(node.right, w))
+                value = _mul(value, _eval(node.right, w, valuations))
             else:
-                value = _add(value, _eval(node.right, w), 1 if node.op == "+" else -1)
+                value = _add(value, _eval(node.right, w, valuations), 1 if node.op == "+" else -1)
         return value
     raise TypeError(f"not a generating-function expression node: {e!r}")
 
 
-def _divisor(den: GfExpression, w: int) -> tuple[_Value, int]:
+def _divisor(den: GfExpression, w: int, valuations: dict[int, int | None]) -> tuple[_Value, int]:
     """A divisor other than a bare sqrt, and its valuation v.
 
-    A divisor that holds a sqrt is probed at x^0 first; if it vanishes
-    there, it is evaluated once, through x^(w + _REACH).  Otherwise it is
-    evaluated through x^w, and once more through x^(w + _REACH) if it is a
-    series with no nonzero coefficient through x^w.  Either way a series
-    divisor is then evaluated once more through x^(w + v) if it is shorter
-    than that, and cut back to x^(w + v) if it is longer.
+    The first time a divisor comes up in an evaluation it is evaluated
+    through x^w, and once more through x^(w + _REACH) if it is a series
+    with no nonzero coefficient through x^w.  Its valuation v is then
+    stored in ``valuations``; None, where none is found, is stored as
+    unknown, and raises.  A series divisor of valuation v >= 1 is
+    evaluated once more, through x^(w + v), or cut back to x^(w + v) if
+    it was widened: the quotient runs to the length of its divisor.  Each
+    later time, v is known, and the divisor is evaluated once, through
+    x^(w + v).  So a divisor nested k deep in others runs about k times,
+    not 2^k.
     """
-    reach = w + _REACH if _has_sqrt(den) and _vanishes(den) else w
-    right = _eval(den, reach)
-    v = _valuation(right)
-    if v is None and isinstance(right, _Series) and reach == w:
-        right = _eval(den, w + _REACH)
-        v = _valuation(right)
+    v = valuations.get(id(den))
     if v is None:
-        raise ValueError("non-invertible series")
-    if isinstance(right, _Series):
-        # the quotient runs to the length of its divisor, so a widened
-        # divisor is cut back to x^(w + v)
-        right = _eval(den, w + v) if len(right.z) <= w + v else _series(right, w + v)
-    return right, v
-
-
-def _has_sqrt(e: GfExpression) -> bool:
-    """Whether ``e`` holds a sqrt, by a walk with a stack: a chain of
-    operators is as deep as it has operands."""
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Sqrt):
-            return True
-        if isinstance(e, BinOp):
-            stack += (e.left, e.right)
-        elif isinstance(e, Pow):
-            stack.append(e.base)
-    return False
-
-
-def _vanishes(e: GfExpression) -> bool:
-    """Whether ``e`` is 0 at x^0.  An expression whose evaluation there
-    fails is reported as not vanishing, so the full evaluation raises."""
-    try:
-        return not any(_coefficients(_eval(e, 0))[:1])
-    except ValueError:
-        return False
+        right = _eval(den, w, valuations)
+        if _valuation(right) is None and isinstance(right, _Series):
+            right = _eval(den, w + _REACH, valuations)
+        v = valuations[id(den)] = _valuation(right)
+        if v is None:
+            raise ValueError("non-invertible series")
+        if isinstance(right, _Rational):
+            return right, v
+        if len(right.z) > w + v:
+            return _series(right, w + v), v
+    return _eval(den, w + v, valuations), v
 
 
 def _coefficients(value: _Value) -> list[int]:

@@ -31,14 +31,13 @@ R * Y' = e * S * Y, so Z_k = R_0^k * Y_k obeys
 with one term per nonzero R_i or S_(i-1).  At Q = 1 this is J.C.P.
 Miller's recurrence for a power of a series (Knuth, TAOCP vol. 2,
 section 4.7).  :func:`_root` takes e = 1/2 or -1/2.  Reversion takes the
-powers e = -m of Lagrange inversion on the form P/Q of f/x with the
-fewest terms: f/x itself, 1/(x/f), or, when f/x is rational, short P and
-Q found by Berlekamp-Massey (:func:`_berlekamp_massey`).  A form of
-length L has at most 2L - 1 terms, so that search, run on f/x before
-anything else, stops once 2L - 1 reaches the term count of f/x.
-Reverting a rational f to order n then costs O(n^2 * deg PQ) products,
-not the n^3/6 of a dense f/x and x/f.  Other inputs keep their
-recurrence and add only the abandoned search.  The quadratic class,
+powers e = -m of Lagrange inversion on one form P/Q of f/x: short P and
+Q found by Berlekamp-Massey (:func:`_berlekamp_massey`) when f/x is
+rational within the truncation, else f/x itself over Q = 1.  A form of
+length L has at most 2L - 1 terms, so that search stops once 2L - 1
+reaches the term count of f/x.  Reverting a rational f to order n then
+costs O(n^2 * deg PQ) products, not the n^3/6 of a dense f/x.  Other
+inputs keep their recurrence and add only the abandoned search.  The quadratic class,
 f = x * P/Q with deg(x * P) <= 2 and deg Q <= 2, which holds the bases
 of all three families, skips Lagrange inversion: there u solves a
 quadratic, so one square root of a polynomial of degree 2 and one
@@ -465,17 +464,13 @@ class PowerSeries:
     def revert(self) -> "PowerSeries":
         """Compositional inverse of a series with f0 = 0 and f1 != 0.
 
-        Both paths below start from a form of f/x.  With B/d the integer
+        Both paths below start from one form of f/x.  With B/d the integer
         numerators of f/x, :func:`_rational_form` looks for a short
-        B = P/Q mod x^n by Berlekamp-Massey.  Only if it gives up is x/f
-        formed, by one division, and B/d replaced by the numerators of x/f
-        when those have fewer nonzero coefficients (f/x on a tie); the form
-        is then (B, 1).  That makes three candidate forms of f/x: f/x
-        itself, 1/(x/f), and a short P/Q when f/x is rational.  Each gives
-        x/f = w * N/D for integer lists N and D divided by their content
-        and trimmed of trailing zeros, and a rational w = w_n / w_d, with
-        (N, D) = (Q, P) for f/x and (P, Q) for x/f.  So u solves
-        A(u) = x * C(u) for A = w_d * t * D(t) and C = w_n * N(t).
+        B = P/Q mod x^n by Berlekamp-Massey; if it gives up, the form is
+        (B, 1).  Either gives x/f = w * N/D for N = Q and D = P divided by
+        their content and trimmed of trailing zeros, and a rational
+        w = w_n / w_d.  So u solves A(u) = x * C(u) for A = w_d * t * D(t)
+        and C = w_n * N(t).
 
         When deg A <= 2 and deg C <= 2, as for the bases of all three
         families in :mod:`hankelrev.families`, that is a quadratic in u, and
@@ -498,15 +493,14 @@ class PowerSeries:
         likewise (N/N_0)^m.  So each division by k is exact, and it is
         checked.
 
-        The form with the fewest terms wins.  (B, 1) has one term per
-        nonzero B_i, i >= 1, and its weights are Miller's,
-        ((e+1) i - k) * B_i * B_0^(i-1) with e = -m for f/x and e = m for
-        x/f.  A Berlekamp-Massey form of length L has at most 2L - 1 terms,
-        so the search stops once 2L - 1 reaches the term count of (f/x, 1),
-        and if it finishes, it wins.  A form with s terms costs about
-        s * n^2 / 2 products to order n: O(n^2 * deg PQ) for a rational f,
-        against n^3/6 for a dense f/x and x/f, which is still the cost of
-        a dense f that is not rational.
+        (B, 1) has one term per nonzero B_i, i >= 1, and its weights are
+        Miller's, ((1 - m) i - k) * B_i * B_0^(i-1).  A Berlekamp-Massey
+        form of length L has at most 2L - 1 terms, so the search stops once
+        2L - 1 reaches the term count of (B, 1), and if it finishes, its
+        form is taken.  A form with s terms costs about s * n^2 / 2
+        products to order n: O(n^2 * deg PQ) for a rational f, against
+        n^3/6 for a dense f/x, which is still the cost of a dense f that is
+        not rational.
 
         The result u satisfies compose(f, u) = compose(u, f) = x through the
         truncation order; the test suite checks that postcondition with an
@@ -517,17 +511,10 @@ class PowerSeries:
             raise ValueError("series not reversible")
         n = self.order
         b, d = _common(f[1:])  # f/x, with an invertible constant term
-        form = _rational_form(b, sum(map(bool, b[1:])))  # B = P/Q
-        on_x_over_f = False
-        if form is None:
-            x_over_f = _quotients(*_quotient([d], b, n - 1))
-            on_x_over_f = sum(map(bool, x_over_f)) < sum(map(bool, b))
-            if on_x_over_f:
-                b, d = _common(x_over_f)
-            form = (b, [1])
-        # x/f = w * num/den: B/d itself, or its reciprocal
-        (num, gn), (den, gd) = map(_primitive, form if on_x_over_f else form[::-1])
-        wn, wd = (gn, gd * d) if on_x_over_f else (gn * d, gd)
+        form = _rational_form(b, sum(map(bool, b[1:]))) or (b, [1])  # B = P/Q
+        # x/f = w * num/den for f/x = B/d
+        (den, gd), (num, gn) = map(_primitive, form)
+        wn, wd = gn * d, gd
         g = math.gcd(wn, wd)
         wn, wd = wn // g, wd // g
         for poly in (num, den):

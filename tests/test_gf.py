@@ -356,16 +356,16 @@ class TestSinglePass:
         assert power_runs == [(-1, 2, 400)]
 
     def test_series_divisor_runs_the_numerator_once(self, power_runs):
-        # a probe at order 0 shows that the divisor vanishes at 0, so its
-        # root runs once, at 100 + 64; the numerator's root runs once, at 101
+        # the divisor's root runs at 100, which shows its valuation 1, and
+        # once more at 101; the numerator's root runs once, at 101
         s = expand_gf("sqrt(1+x)*x/(1-sqrt(1-4*x))", 100)
         assert s.order == 100
-        assert power_runs == [(1, 2, 0), (1, 2, 164), (1, 2, 101)]
+        assert power_runs == [(1, 2, 100), (1, 2, 101), (1, 2, 101)]
 
     def test_divisor_without_a_zero_head_takes_no_widening(self, power_runs):
         s = expand_gf("x/(1+sqrt(1-4*x))", 100)
         assert s.order == 100
-        assert power_runs == [(1, 2, 0), (1, 2, 100)]
+        assert power_runs == [(1, 2, 100)]
 
     def test_divisor_whose_probe_fails_raises_its_own_error(self, power_runs):
         with pytest.raises(ValueError, match="sqrt requires unit constant term"):
@@ -391,8 +391,27 @@ class TestSinglePass:
         assert orders[-2:] == runs
 
     def test_zero_series_divisor_fails_after_one_widening(self, power_runs):
-        # the divisor's two roots run in the probe at 0, then once at 100 + 64
+        # the divisor's two roots run at 100, then once more at 100 + 64
         with pytest.raises(ValueError, match="non-invertible series"):
             expand_gf("1/(sqrt(1-4*x)-sqrt(1-4*x))", 100)
         assert len(power_runs) <= 4
-        assert power_runs == [(1, 2, 0), (1, 2, 0), (1, 2, 164), (1, 2, 164)]
+        assert power_runs == [(1, 2, 100)] * 2 + [(1, 2, 164)] * 2
+
+    @pytest.mark.parametrize("k", [10, 20, 40])
+    def test_nested_divisors_take_linear_runs(self, power_runs, k):
+        # each divisor's valuation is found once per evaluation: divisors
+        # of valuation 0 take no second run, and the root under k + 1
+        # divisors of valuation 1 runs once per evaluation of its divisor,
+        # k + 2 times
+        expand_gf("1/(" * k + "1+sqrt(1-4*x)" + ")" * k, 4)
+        assert len(power_runs) == 1
+        power_runs.clear()
+        expand_gf("x/(" + "x^2/(" * k + "1-sqrt(1-4*x)" + ")" * (k + 1), 4)
+        assert len(power_runs) == k + 2
+
+    def test_deepest_nested_divisors(self):
+        # 100 levels of parentheses, as deep as the parser takes
+        deep = expand_gf("x/(" + "x^2/(" * 98 + "1-sqrt(1-4*x)" + ")" * 99, 4)
+        assert deep.coefficient_strings() == ["1/2", "-1/2", "-1/2", "-1", "-5/2"]
+        deep = expand_gf("1/(" * 99 + "1+sqrt(1-4*x)" + ")" * 99, 4)
+        assert deep.coefficient_strings() == ["1/2", "1/2", "1", "5/2", "7"]
