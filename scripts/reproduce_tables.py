@@ -8,6 +8,7 @@ C power table, and the classical transforms the suite anchors against.
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 from hankelrev import (
     FAMILY_A,
@@ -42,8 +43,8 @@ def print_triple(table: TripleTable) -> None:
 def print_power_table(alpha: int, depth: int) -> None:
     report = verify_conjecture8(alpha, depth)
     print(f"family C reversion, alpha={alpha}: all_pass={report.all_pass}")
-    for check in report.checks[: depth + 1]:
-        print(f"  n={check.index} {check.claim}: {check.lhs}")
+    for n, claim, lhs, _ in islice(report.rows(), depth + 1):
+        print(f"  n={n} {claim}: {lhs}")
     print()
 
 

@@ -42,14 +42,12 @@ from hankelrev.gf import (
     Var,
     eval_gf,
     expand_gf,
-    format_gf,
     parse_gf,
 )
 from hankelrev.hankel import (
     HankelTriple,
     binomial_transform,
     det_exact,
-    hankel_matrix,
     hankel_transform,
     hankel_triple,
     inverse_binomial_transform,
@@ -87,8 +85,6 @@ __all__ = [
     "family_base_ogf",
     "family_base_terms",
     "family_reversion_terms",
-    "format_gf",
-    "hankel_matrix",
     "hankel_transform",
     "hankel_triple",
     "inverse_binomial_transform",

@@ -59,8 +59,6 @@ from hankelrev.hankel import (
 )
 from hankelrev.series import _decimal, _parse_int
 
-DEFAULT_SHIFT_ORDER = 10
-
 _json_string = json.encoder.encode_basestring_ascii
 
 
@@ -412,7 +410,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for name in conjecture.parameters:
         if getattr(args, name) is None:
             raise ValueError(f"conjecture {args.conjecture} needs --{name}")
-    report = conjecture.verify(args.alpha, args.beta, args.depth, args.order)
+    report = conjecture.verify(args.alpha, args.beta, args.depth)
     render_report(report, args.format)
     return 0 if report.all_pass else 1
 
@@ -516,12 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_parse_int, help="family parameter alpha")
     p.add_argument("--beta", type=_parse_int, help="family parameter beta")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="check depth")
-    p.add_argument(
-        "--order",
-        type=int,
-        default=DEFAULT_SHIFT_ORDER,
-        help="series order for alpha_shift",
-    )
     _add_format(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -546,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format(p)
     # verify under its own name: no --beta, and --n for the depth
-    p.set_defaults(handler=_cmd_verify, conjecture="prop9", beta=None, order=None)
+    p.set_defaults(handler=_cmd_verify, conjecture="prop9", beta=None)
 
     p = sub.add_parser("oeis", help="identify a sequence prefix")
     p.add_argument("--seq", required=True, help="comma-separated integers, or - for stdin")

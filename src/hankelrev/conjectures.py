@@ -66,7 +66,6 @@ from hankelrev.hankel import (
     HankelTriple,
     binomial_transform,
     det_exact,
-    hankel_matrix,
     hankel_transform,
     hankel_triple,
 )
@@ -192,9 +191,10 @@ def _triangular_powers(x: int, count: int) -> list[int]:
     return list(accumulate(accumulate(repeat(x, count - 1), operator.mul), operator.mul, initial=1))
 
 
-def _require_depth(depth: int) -> None:
+def _require_depth(depth: int) -> int:
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    return depth
 
 
 def _params(cid: str, alpha: int, beta: int = 0) -> FamilyParams:
@@ -334,7 +334,8 @@ def prop9_verify(alpha: int, n: int) -> ConjectureReport:
     params = _params("prop9", alpha)
     t = prop9_T_matrix(1, n)  # refuses a negative n
     alphas = _powers(alpha, 2 * n + 1)
-    H = hankel_matrix(family_reversion_terms(params, 2 * n + 2)[1:], n)
+    m = family_reversion_terms(params, 2 * n + 2)[1:]
+    H = [m[i : i + n + 1] for i in range(n + 1)]
     # row i of H is a block at index i of one-entry claims, one per column j
     blocks = [
         _block(*(
@@ -400,16 +401,17 @@ class Conjecture(NamedTuple):
     """One identity set: its family, the parameters it needs, those of them
     that must be nonzero, and how to call its verifier.
 
-    ``verify(alpha, beta, depth, order)`` passes on the values the verifier
-    takes and looks it up by module name at call time, so a patched module
-    attribute reaches every caller.
+    ``verify(alpha, beta, depth)`` passes on the values the verifier takes
+    and looks it up by module name at call time, so a patched module
+    attribute reaches every caller.  alpha_shift runs at series order
+    2 * depth + 1, so that its Hankel claims reach index depth.
     """
 
     id: str
     family: str | None
     parameters: tuple[str, ...]
     nonzero: tuple[str, ...]
-    verify: Callable[[int, int, int, int], ConjectureReport]
+    verify: Callable[[int, int, int], ConjectureReport]
 
     def admissible(self, alpha: int, beta: int) -> bool:
         """Whether the verifier accepts the point: no ``nonzero`` parameter is 0."""
@@ -420,17 +422,17 @@ class Conjecture(NamedTuple):
 
 CONJECTURES: dict[str, Conjecture] = {c.id: c for c in (
     Conjecture("4", FAMILY_A, ("alpha", "beta"), ("beta",),
-               lambda a, b, depth, order: verify_conjecture4(a, b, depth)),
+               lambda a, b, depth: verify_conjecture4(a, b, depth)),
     Conjecture("6", FAMILY_B, ("alpha", "beta"), ("alpha", "beta"),
-               lambda a, b, depth, order: verify_conjecture6(a, b, depth)),
+               lambda a, b, depth: verify_conjecture6(a, b, depth)),
     Conjecture("8", FAMILY_C, ("alpha",), ("alpha",),
-               lambda a, b, depth, order: verify_conjecture8(a, depth)),
+               lambda a, b, depth: verify_conjecture8(a, depth)),
     Conjecture("prop9", FAMILY_C, ("alpha",), ("alpha",),
-               lambda a, b, depth, order: prop9_verify(a, depth)),
+               lambda a, b, depth: prop9_verify(a, depth)),
     Conjecture("alpha_shift", FAMILY_A, ("alpha", "beta"), ("beta",),
-               lambda a, b, depth, order: verify_alpha_shift(a, b, order)),
+               lambda a, b, depth: verify_alpha_shift(a, b, 2 * _require_depth(depth) + 1)),
     Conjecture("anchors", None, (), (),
-               lambda a, b, depth, order: verify_anchors(depth)),
+               lambda a, b, depth: verify_anchors(depth)),
 )}
 
 # the sets with parameters to sweep, in table order
@@ -494,7 +496,7 @@ def sweep(
             if not conjecture.admissible(a, b):
                 skipped.append(point)
                 continue
-            reports.append(conjecture.verify(a, b, depth, 2 * depth + 1))
+            reports.append(conjecture.verify(a, b, depth))
     counterexamples = tuple(r for r in reports if not r.all_pass)
     return SweepResult(
         conjecture_id=cid,

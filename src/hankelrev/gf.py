@@ -1,4 +1,4 @@
-"""Parsing, printing, and exact evaluation of generating-function expressions.
+"""Parsing and exact evaluation of generating-function expressions.
 
 Grammar::
 
@@ -10,10 +10,10 @@ Grammar::
 '^' binds tightest, then '*' and '/', then '+' and '-'; operators of equal
 precedence associate left; a leading '-' reads as ``0 - term``.  The
 binary precedences are stated once, in ``_BINOP_PREC``: the parser has one
-level per precedence in it, and the printer parenthesizes by it.  Lexing
-is one regular expression (``_TOKEN``): whitespace is insignificant,
-integers and words are ASCII, and U+2212 is accepted as a minus sign.
-Syntax errors report the byte offset of the offending input.
+level per precedence in it.  Lexing is one regular expression
+(``_TOKEN``): whitespace is insignificant, integers and words are ASCII,
+and U+2212 is accepted as a minus sign.  Syntax errors report the byte
+offset of the offending input.
 
 Evaluation is exact: :func:`eval_gf` expands an expression to a requested
 truncation order in one pass.  A subtree without sqrt evaluates to a
@@ -46,7 +46,7 @@ from functools import partial
 from itertools import zip_longest
 from typing import Union
 
-from hankelrev.series import PowerSeries, _conv, _decimal, _parse_int, _quotient, _root
+from hankelrev.series import PowerSeries, _conv, _parse_int, _quotient, _root
 
 
 class GfParseError(ValueError):
@@ -109,7 +109,7 @@ GfExpression = Union[Lit, Var, BinOp, Pow, Sqrt]
 # ----------------------------------------------------------------------
 # parser
 
-# the binary operators by precedence, read by the parser and the printer
+# the binary operators by precedence, one parser level each
 _BINOP_PREC = {"*": 2, "/": 2, "+": 1, "-": 1}
 _LOWEST, _HIGHEST = min(_BINOP_PREC.values()), max(_BINOP_PREC.values())
 
@@ -217,35 +217,6 @@ def _expect(tokens: list[tuple[str, int]], symbol: str) -> None:
     token, offset = tokens.pop()
     if token != symbol:
         raise GfParseError(f"expected {symbol!r}", offset)
-
-
-# ----------------------------------------------------------------------
-# printer
-
-_ATOM_PREC = 5
-_POW_PREC = 4
-
-
-def format_gf(expression: GfExpression) -> str:
-    """Print an expression; ``parse_gf(format_gf(e))`` is structurally ``e``."""
-    return _format(expression, 0)
-
-
-def _format(e: GfExpression, min_prec: int) -> str:
-    if isinstance(e, Lit):
-        return _decimal(e.value)
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Sqrt):
-        return f"sqrt({_format(e.arg, 0)})"
-    if isinstance(e, Pow):
-        text = f"{_format(e.base, _ATOM_PREC)}^{_decimal(e.exponent)}"
-        return f"({text})" if _POW_PREC < min_prec else text
-    prec = _BINOP_PREC[e.op]
-    # the right operand needs strictly higher precedence to survive
-    # left-associative reparsing
-    text = f"{_format(e.left, prec)}{e.op}{_format(e.right, prec + 1)}"
-    return f"({text})" if prec < min_prec else text
 
 
 # ----------------------------------------------------------------------

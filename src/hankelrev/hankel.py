@@ -1,4 +1,4 @@
-"""Hankel matrices, exact integer determinants, and binomial transforms.
+"""Hankel transforms, exact integer determinants, and binomial transforms.
 
 Sequences are plain lists of arbitrary-precision ints, and so are the
 results: :mod:`hankelrev.cli` renders them as text.  No rationals
@@ -47,7 +47,11 @@ h**_n / h*_n, which are small where a_k and b_k are.  The integral step
 carries these at a few integer operations per row, with no condition
 such as h**_{n-1} != 0, and the run multiplies them out into h and h**
 once, at its end.  They ride only while the integral step holds: where
-it ends short of the depth, u and u[2:] get runs of their own.
+it ends short of the depth, u and u[2:] get runs of their own.  A
+transform of u alone with u_0 = 0, as of every reversion, rides h the
+same way on the run of u[1:]: the run of u would start on a zero head
+and take the look-ahead step at every row.  That run of u[1:] stops
+where the riders do, and only then does u get a run of its own.
 
 :func:`det_exact`, Bareiss fraction-free elimination with row swaps, is
 not on the transform path.  It is prop9's independent determinant and
@@ -63,19 +67,6 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
-
-
-def hankel_matrix(terms: Sequence[int], n: int) -> list[list[int]]:
-    """The (n+1) x (n+1) matrix with entry (i, j) = terms[i + j]."""
-    if n < 0:
-        raise ValueError("matrix index must be non-negative")
-    needed = 2 * n + 1
-    if len(terms) < needed:
-        raise ValueError(
-            f"hankel matrix of index {n} needs at least {needed} terms,"
-            f" got {len(terms)}"
-        )
-    return [[operator.index(terms[i + j]) for j in range(n + 1)] for i in range(n + 1)]
 
 
 def det_exact(matrix: Sequence[Sequence[int]]) -> int:
@@ -140,7 +131,9 @@ def _rescale(riders: Sequence[list[int]], minors: list[int]) -> None:
         seq[:] = map(operator.mul, [1, 1, *minors], seq)
 
 
-def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> list[int]:
+def _leading_minors(
+    terms: Sequence[int], depth: int, *riders: list[int], ride_only: bool = False
+) -> list[int]:
     """Leading principal minors of orders 1 to ``depth + 1`` of the
     index-``depth`` Hankel matrix of ``terms``, by Han's H-fraction.
 
@@ -194,7 +187,8 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
     multiplies the ratios out into the continuants X_k = h*_{k-1} Y_k.
     The riders read r[1] of the last row, so they need ``2 * depth + 2``
     terms.  At the first row the integral step cannot take they stop,
-    short of ``depth + 3`` entries, and are of no further use.
+    short of ``depth + 3`` entries, and are of no further use; with
+    ``ride_only`` the run stops there too.
     """
     row = [operator.index(t) for t in terms[: 2 * depth + (2 if riders else 1)]]
     prev = [1] + [0] * len(row)  # E_{-1}
@@ -219,6 +213,8 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
                     return minors
                 prev, row = row, [x - a * y - b * z for x, y, z in zip(row[2:], row[1:], prev[2:])]
                 continue
+        if ride_only:
+            return minors
         riders, s = (), None
         k = next((i for i, x in enumerate(row) if x), len(row))
         if k:
@@ -252,20 +248,31 @@ def _leading_minors(terms: Sequence[int], depth: int, *riders: list[int]) -> lis
         prev, row = row, nxt
 
 
+def _require_terms(name: str, terms: Sequence[int], depth: int, needed: int) -> None:
+    """Refuse a negative depth, and fewer than ``needed`` terms."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    if len(terms) < needed:
+        raise ValueError(f"{name} of depth {depth} needs at least {needed} terms, got {len(terms)}")
+
+
 def hankel_transform(terms: Sequence[int], depth: int) -> list[int]:
     """Determinants of the Hankel matrices of index 0..depth.
 
-    One look-ahead run gives them all, zero minors and a zero head
-    included (see :func:`_leading_minors`).
+    One run gives them all, zero minors included (see
+    :func:`_leading_minors`).  Where ``terms[0]`` is 0 and depth >= 1, they
+    are first sought as the continuant h that rides on the run of
+    ``terms[1:]`` to depth - 1, with (X_{-1}, X_0) = (1, 0), as in
+    :func:`hankel_triple`.  That run stops at its first row that the
+    integral step cannot take, and then ``terms`` gets a run of its own.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
     needed = 2 * depth + 1
-    if len(terms) < needed:
-        raise ValueError(
-            f"hankel transform of depth {depth} needs at least {needed} terms,"
-            f" got {len(terms)}"
-        )
+    _require_terms("hankel transform", terms, depth, needed)
+    if depth and not operator.index(terms[0]):
+        h = [1, 0]  # (X_{-1}, X_0)
+        _leading_minors(terms[1:needed], depth - 1, h, ride_only=True)
+        if len(h) == depth + 2:
+            return h[1:]
     return _leading_minors(terms, depth)
 
 
@@ -299,14 +306,7 @@ def hankel_triple(terms: Sequence[int], depth: int) -> HankelTriple:
     integral step (a fraction a_k or b_k, or a zero minor), the riders
     stop, and ``terms`` and ``terms[2:]`` get runs of their own.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    needed = 2 * depth + 3
-    if len(terms) < needed:
-        raise ValueError(
-            f"hankel triple of depth {depth} needs at least {needed} terms,"
-            f" got {len(terms)}"
-        )
+    _require_terms("hankel triple", terms, depth, 2 * depth + 3)
     h, h_star_star = [1, operator.index(terms[0])], [0, 1]  # (X_{-1}, X_0)
     h_star = _leading_minors(terms[1:], depth, h, h_star_star)
     if len(h_star_star) > depth + 2:

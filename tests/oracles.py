@@ -8,7 +8,10 @@ the library's common-denominator kernel; :func:`compose_ref` substitutes
 one series into another, which checks reversion both ways, and
 :func:`pad` builds such a list from a polynomial.  :func:`eval_gf_ref`
 evaluates a g.f. expression on them, node by node at a working order, as
-``hankelrev.gf`` did before it evaluated on integers.  :func:`h_fractions`
+``hankelrev.gf`` did before it evaluated on integers, and
+:func:`format_gf_ref` prints one with every operation parenthesized for
+the parser to read back.  :func:`hankel_matrix_ref` lays out the Hankel
+matrices that the determinant oracles take.  :func:`h_fractions`
 draws sequences whose Hankel minors are known in closed form, and
 :func:`stieltjes_moments` builds the moments of a J-fraction, whose run
 :func:`continuants` follows.  The ``*_rhs_ref`` functions give the
@@ -37,7 +40,12 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from hankelrev.gf import BinOp, Lit, Pow, Sqrt, Var
-from hankelrev.series import PowerSeries
+from hankelrev.series import PowerSeries, _decimal
+
+
+def hankel_matrix_ref(terms: Sequence[int], n: int) -> list[list[int]]:
+    """The (n+1) x (n+1) matrix with entry (i, j) = terms[i + j]."""
+    return [list(terms[i : i + n + 1]) for i in range(n + 1)]
 
 
 def det_cofactor(matrix: Sequence[Sequence[int]]) -> int:
@@ -188,6 +196,20 @@ def binomial_ogf_horner_ref(f: Sequence[Fraction]) -> list[Fraction]:
 class _NeedPrecisionRef(Exception):
     def __init__(self, extra: int):
         self.extra = max(1, extra)
+
+
+def format_gf_ref(e) -> str:
+    """A g.f. expression as text with every operation in parentheses, so
+    that ``parse_gf`` reads it back as ``e`` whatever the precedences."""
+    if isinstance(e, Lit):
+        return _decimal(e.value)
+    if isinstance(e, Var):
+        return "x"
+    if isinstance(e, Sqrt):
+        return f"sqrt({format_gf_ref(e.arg)})"
+    if isinstance(e, Pow):
+        return f"({format_gf_ref(e.base)}^{_decimal(e.exponent)})"
+    return f"({format_gf_ref(e.left)}{e.op}{format_gf_ref(e.right)})"
 
 
 def eval_gf_ref(expression, order: int, passes: int = 8) -> PowerSeries:
@@ -543,16 +565,15 @@ def _rows_ref(count: int, *claims) -> tuple:
     )
 
 
-def report_checks_ref(cid: str, alpha: int, beta: int, depth: int, order: int) -> tuple:
-    """The check rows of ``CONJECTURES[cid].verify(alpha, beta, depth, order)``
-    at an admissible point, each side a function of n evaluated per row; the
+def report_checks_ref(cid: str, alpha: int, beta: int, depth: int) -> tuple:
+    """The check rows of ``CONJECTURES[cid].verify(alpha, beta, depth)`` at
+    an admissible point, each side a function of n evaluated per row; the
     transforms and family terms come from the library."""
     from hankelrev import conjectures as c
     from hankelrev.families import FamilyParams, family_base_terms, family_reversion_terms
     from hankelrev.hankel import (
         binomial_transform,
         det_exact,
-        hankel_matrix,
         hankel_transform,
         hankel_triple,
     )
@@ -603,7 +624,7 @@ def report_checks_ref(cid: str, alpha: int, beta: int, depth: int, order: int) -
         )
     if cid == "prop9":
         params = FamilyParams(alpha, 0, "C")
-        H = hankel_matrix(family_reversion_terms(params, 2 * depth + 2)[1:], depth)
+        H = hankel_matrix_ref(family_reversion_terms(params, 2 * depth + 2)[1:], depth)
         T = c.prop9_T_matrix(alpha, depth)
         products = tuple(
             c.Check(i, c.CLAIM_P9_PRODUCT.format(i=i, j=j), H[i][j],
@@ -617,15 +638,15 @@ def report_checks_ref(cid: str, alpha: int, beta: int, depth: int, order: int) -
             c.Check(depth, c.CLAIM_P9_DET_T, det_t, alpha ** math.comb(depth + 1, 2)),
         )
     if cid == "alpha_shift":
-        here = family_reversion_terms(FamilyParams(alpha, beta, "A"), order + 2)[1:]
-        shifted = family_reversion_terms(FamilyParams(alpha + 1, beta, "A"), order + 2)[1:]
+        # series order 2 * depth + 1: the rows run to n = 2 * depth + 1
+        here = family_reversion_terms(FamilyParams(alpha, beta, "A"), 2 * depth + 3)[1:]
+        shifted = family_reversion_terms(FamilyParams(alpha + 1, beta, "A"), 2 * depth + 3)[1:]
         transformed = binomial_transform(here)
-        half = (order - 1) // 2
-        h_here, h_transformed = hankel_transform(here, half), hankel_transform(transformed, half)
+        h_here, h_transformed = hankel_transform(here, depth), hankel_transform(transformed, depth)
         return _rows_ref(
-            order + 1, (c.CLAIM_SHIFT_COEFF, lambda n: transformed[n], lambda n: shifted[n])
+            2 * depth + 2, (c.CLAIM_SHIFT_COEFF, lambda n: transformed[n], lambda n: shifted[n])
         ) + _rows_ref(
-            half + 1, (c.CLAIM_SHIFT_HANKEL, lambda n: h_here[n], lambda n: h_transformed[n])
+            depth + 1, (c.CLAIM_SHIFT_HANKEL, lambda n: h_here[n], lambda n: h_transformed[n])
         )
     if cid == "anchors":
         count = 2 * depth + 1

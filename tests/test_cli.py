@@ -83,7 +83,7 @@ REPORT_COMMANDS = [
         "verify --conjecture 6 --alpha 3 --beta 3 --depth 3",
         "verify --conjecture 6 --alpha 2 --beta 5 --depth 3",
         "verify --conjecture 8 --alpha 7 --depth 3",
-        "verify --conjecture alpha_shift --alpha 1 --beta 2 --order 7",
+        "verify --conjecture alpha_shift --alpha 1 --beta 2 --depth 3",
         "verify --conjecture anchors --depth 3",
         "prop9 --alpha=-3 --n 4",
         "sweep --conjecture 4 --alpha-range=0:1 --beta-range=0:1 --depth 2 --full",
@@ -846,10 +846,10 @@ class TestWriterOracle:
     @pytest.mark.parametrize("command, verify", [
         ("verify --conjecture 4 --alpha=-3 --beta=-5 --depth 6", lambda: verify_conjecture4(-3, -5, 6)),
         ("verify --conjecture 6 --alpha 2 --beta 5 --depth 5",
-         lambda: CONJECTURES["6"].verify(2, 5, 5, None)),
+         lambda: CONJECTURES["6"].verify(2, 5, 5)),
         ("verify --conjecture 8 --alpha=-7 --depth 8", lambda: verify_conjecture8(-7, 8)),
-        ("verify --conjecture alpha_shift --alpha 1 --beta 2 --order 9",
-         lambda: CONJECTURES["alpha_shift"].verify(1, 2, None, 9)),
+        ("verify --conjecture alpha_shift --alpha 1 --beta 2 --depth 4",
+         lambda: CONJECTURES["alpha_shift"].verify(1, 2, 4)),
         ("verify --conjecture anchors --depth 5", lambda: verify_anchors(5)),
         ("prop9 --alpha 3 --n 5", lambda: prop9_verify(3, 5)),
     ])
@@ -1218,6 +1218,22 @@ class TestUsage:
     )
     def test_negative_size_names_the_option(self, capsys, argv, message):
         assert invoke(capsys, *argv) == (2, "", f"error: {message} must be non-negative\n")
+
+    @pytest.mark.parametrize("cid", ["4", "6", "8", "alpha_shift", "anchors"])
+    def test_verify_depth_below_one_exits_2(self, capsys, cid):
+        argv = ("verify", "--conjecture", cid, "--alpha", "1", "--beta", "1", "--depth", "0")
+        assert invoke(capsys, *argv) == (2, "", "error: depth must be at least 1\n")
+
+    def test_verify_sizes_alpha_shift_by_depth_alone(self, capsys):
+        # --order is gone: a depth d runs alpha_shift at series order 2d + 1
+        argv = ("verify", "--conjecture", "alpha_shift", "--alpha", "1", "--beta", "2")
+        code, _, err = invoke(capsys, *argv, "--order", "7")
+        assert code == 2 and "unrecognized arguments: --order 7" in err
+        shown = invoke(capsys, *argv, "--depth", "3", "--format", "csv")
+        assert shown[1].splitlines()[-1] == (
+            "alpha_shift,1,2,7,3,hankel(u*)[n] == hankel(binomial(u*))[n],64,64,true"
+        )
+        assert invoke(capsys, *argv) == invoke(capsys, *argv, "--depth", "6")
 
     @pytest.mark.parametrize(
         "argv",

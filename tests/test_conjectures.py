@@ -313,8 +313,8 @@ class TestColumns:
                 if not conjecture.admissible(alpha, beta):
                     continue
                 for depth in (1, 2, 5):
-                    report = conjecture.verify(alpha, beta, depth, 2 * depth + 1)
-                    ref = report_checks_ref(cid, alpha, beta, depth, 2 * depth + 1)
+                    report = conjecture.verify(alpha, beta, depth)
+                    ref = report_checks_ref(cid, alpha, beta, depth)
                     assert list(report.rows()) == [(c.index, c.claim, c.lhs, c.rhs) for c in ref]
                     assert report.checks == ref
                     assert report.all_pass is all(c.passed for c in ref) is True
@@ -379,18 +379,21 @@ class TestRegistry:
         for a in range(-2, 3):
             for b in range(-2, 3):
                 try:
-                    conjecture.verify(a, b, 1, 3)
+                    conjecture.verify(a, b, 1)
                     accepted = True
                 except ValueError:
                     accepted = False
                 assert conjecture.admissible(a, b) == accepted, (a, b)
 
     def test_verify_passes_the_sizes_each_verifier_takes(self):
-        assert CONJECTURES["4"].verify(2, 3, 2, 9).depth == 2
-        assert CONJECTURES["8"].verify(2, None, 2, 9).depth == 2
-        assert CONJECTURES["prop9"].verify(2, None, 2, 9).depth == 2
-        assert CONJECTURES["alpha_shift"].verify(2, 3, 2, 9).depth == 9
-        assert CONJECTURES["anchors"].verify(None, None, 2, 9).depth == 2
+        assert CONJECTURES["4"].verify(2, 3, 2).depth == 2
+        assert CONJECTURES["8"].verify(2, None, 2).depth == 2
+        assert CONJECTURES["prop9"].verify(2, None, 2).depth == 2
+        # alpha_shift runs at series order 2 * depth + 1, and reports it
+        assert CONJECTURES["alpha_shift"].verify(2, 3, 2) == verify_alpha_shift(2, 3, 5)
+        assert CONJECTURES["anchors"].verify(None, None, 2).depth == 2
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            CONJECTURES["alpha_shift"].verify(2, 3, 0)
 
 
 class TestSweep:
@@ -474,8 +477,8 @@ class TestReportValues:
 
     @pytest.mark.parametrize("cid", list(CONJECTURES))
     def test_reports_compare_and_hash_by_their_columns(self, cid):
-        report = CONJECTURES[cid].verify(2, 3, 3, 5)
-        twin = CONJECTURES[cid].verify(2, 3, 3, 5)
+        report = CONJECTURES[cid].verify(2, 3, 3)
+        twin = CONJECTURES[cid].verify(2, 3, 3)
         assert report is not twin
         assert report == twin and hash(report) == hash(twin)
         # one entry of one column changed: the first rhs entry of the first claim

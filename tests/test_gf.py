@@ -1,4 +1,4 @@
-"""Generating-function expression parsing, formatting, and expansion."""
+"""Generating-function expression parsing and expansion."""
 
 import math
 import sys
@@ -18,11 +18,10 @@ from hankelrev import (
     Var,
     eval_gf,
     expand_gf,
-    format_gf,
     parse_gf,
 )
 from hankelrev import gf, series
-from oracles import eval_gf_ref
+from oracles import eval_gf_ref, format_gf_ref
 
 
 class TestParse:
@@ -50,6 +49,10 @@ class TestParse:
 
     def test_unicode_minus_is_plain_minus(self):
         assert parse_gf("1−x") == parse_gf("1-x")
+
+    def test_unicode_whitespace_is_insignificant(self):
+        # U+00A0 is whitespace
+        assert parse_gf("1\xa0+x") == parse_gf("1+x")
 
     @pytest.mark.parametrize(
         "text,offset,message",
@@ -107,23 +110,6 @@ class TestParse:
             Pow(Var(), -2)
 
 
-class TestFormat:
-    @pytest.mark.parametrize(
-        "text,formatted",
-        [
-            ("x/(1-3*x-5*x^2)", "x/(1-3*x-5*x^2)"),
-            ("(1-sqrt(1-4*x))/2", "(1-sqrt(1-4*x))/2"),
-            ("-x+1", "0-x+1"),
-            ("(1+x)^2*(1-x)", "(1+x)^2*(1-x)"),
-            ("2*x-x^2", "2*x-x^2"),
-            # U+00A0 is whitespace
-            ("1\xa0+x", "1+x"),
-        ],
-    )
-    def test_known_forms(self, text, formatted):
-        assert format_gf(parse_gf(text)) == formatted
-
-
 def expressions(roots, max_leaves):
     """Expression trees over 0..9 and x, with ``roots(children)`` for sqrt."""
     atoms = st.one_of(st.integers(0, 9).map(Lit), st.just(Var()))
@@ -157,14 +143,14 @@ def unit_root_expressions():
 class TestRoundtrip:
     @given(gf_expressions())
     def test_parse_inverts_format(self, expression):
-        assert parse_gf(format_gf(expression)) == expression
+        assert parse_gf(format_gf_ref(expression)) == expression
 
     def test_literals_past_the_digit_limit(self):
         # CPython converts at most 4300 digits between int and str by default
         big = 10**5000 + 12345
         expression = BinOp("*", Lit(big), Pow(BinOp("-", Lit(1), Var()), 10**4999))
-        text = format_gf(expression)
-        assert text == f"{'1' + '0' * 4995 + '12345'}*(1-x)^1{'0' * 4999}"
+        text = format_gf_ref(expression)
+        assert text == f"({'1' + '0' * 4995 + '12345'}*((1-x)^1{'0' * 4999}))"
         assert parse_gf(text) == expression
 
     @pytest.mark.skipif(
@@ -176,7 +162,7 @@ class TestRoundtrip:
         try:
             text = "3" * 2000 + "*x"
             assert parse_gf(text) == BinOp("*", Lit((10**2000 - 1) // 3), Var())
-            assert format_gf(parse_gf(text)) == text
+            assert format_gf_ref(parse_gf(text)) == f"({text})"
             assert sys.get_int_max_str_digits() == 640
         finally:
             sys.set_int_max_str_digits(before)

@@ -1,4 +1,4 @@
-"""Hankel matrices, exact determinants, and sequence transforms."""
+"""Exact determinants, Hankel transforms, and sequence transforms."""
 
 import math
 import operator
@@ -21,7 +21,6 @@ from hankelrev import (
     det_exact,
     family_base_terms,
     family_reversion_terms,
-    hankel_matrix,
     hankel_transform,
     hankel_triple,
     inverse_binomial_transform,
@@ -34,6 +33,7 @@ from oracles import (
     det_cofactor,
     det_gauss,
     h_fractions,
+    hankel_matrix_ref,
     inverse_binomial_transform_ref,
     stieltjes_moments,
 )
@@ -51,25 +51,6 @@ def square_matrices(max_dim=5, bound=9):
             max_size=n,
         )
     )
-
-
-class TestHankelMatrix:
-    def test_layout(self):
-        assert hankel_matrix([1, 1, 2, 5, 14], 2) == [
-            [1, 1, 2],
-            [1, 2, 5],
-            [2, 5, 14],
-        ]
-
-    def test_insufficient_terms(self):
-        with pytest.raises(
-            ValueError, match=r"hankel matrix of index 3 needs at least 7 terms, got 5"
-        ):
-            hankel_matrix([1, 2, 3, 4, 5], 3)
-
-    def test_negative_index(self):
-        with pytest.raises(ValueError, match="matrix index must be non-negative"):
-            hankel_matrix([1], -1)
 
 
 class TestDeterminant:
@@ -145,10 +126,10 @@ class TestDeterminant:
 
     def test_large_hankel_stays_exact(self):
         terms = [math.comb(2 * n, n) for n in range(17)]
-        assert det_exact(hankel_matrix(terms, 8)) == 2 ** 8
+        assert det_exact(hankel_matrix_ref(terms, 8)) == 2 ** 8
         # factorial entries grow fast enough that any float shortcut would break
         facts = [math.factorial(n) for n in range(11)]
-        assert det_exact(hankel_matrix(facts, 5)) == 1194393600
+        assert det_exact(hankel_matrix_ref(facts, 5)) == 1194393600
 
 
 class TestHankelTransform:
@@ -174,14 +155,16 @@ class TestHankelTransform:
 
 def per_index(terms, depth):
     """The transform the slow way: one det_exact per index."""
-    return [det_exact(hankel_matrix(terms, n)) for n in range(depth + 1)]
+    return [det_exact(hankel_matrix_ref(terms, n)) for n in range(depth + 1)]
 
 
 def count_calls(monkeypatch, name):
     """Record the first argument's length at each call of hankel.<name>."""
     calls = []
     real = getattr(hankel, name)
-    monkeypatch.setattr(hankel, name, lambda m, *rest: calls.append(len(m)) or real(m, *rest))
+    monkeypatch.setattr(
+        hankel, name, lambda m, *rest, **kw: calls.append(len(m)) or real(m, *rest, **kw)
+    )
     return calls
 
 
@@ -190,7 +173,7 @@ def no_det_exact(matrix):
 
 
 def oracle_transform(terms, depth):
-    return [det_gauss(hankel_matrix(terms, n)) for n in range(depth + 1)]
+    return [det_gauss(hankel_matrix_ref(terms, n)) for n in range(depth + 1)]
 
 
 def assert_transforms_agree(terms, depth):
@@ -281,17 +264,20 @@ class TestOnePassDifferential:
         monkeypatch.setattr(hankel, "det_exact", no_det_exact)
         runs = count_calls(monkeypatch, "_leading_minors")
         assert hankel_transform(terms, depth) == expected
-        assert runs == [2 * depth + 1]
+        # h rides on the run of terms[1 : 2 * depth + 1], which reaches depth - 1
+        assert runs == [2 * depth]
 
-    def test_nested_zero_heads_take_one_run(self, monkeypatch):
+    def test_nested_zero_heads_fall_back_to_one_run(self, monkeypatch):
         alternating = [k % 2 for k in range(13)]
         expected = per_index(alternating, 6)
         monkeypatch.setattr(hankel, "det_exact", no_det_exact)
         runs = count_calls(monkeypatch, "_leading_minors")
-        # every shift by two is zero-headed again; one run skips each block
+        # every shift by two is zero-headed again: the run of terms[1:]
+        # leaves the integral step, so h does not ride, and one run of
+        # terms skips each block
         assert hankel_transform([0] * 13, 6) == [0] * 7
         assert hankel_transform(alternating, 6) == expected
-        assert runs == [13, 13]
+        assert runs == [12, 13, 12, 13]
 
     @pytest.mark.parametrize(
         "family, alpha, beta",
@@ -399,8 +385,11 @@ class TestChebyshevRecurrence:
         [
             # the minor of a 1x1 block
             (hankel_transform, [4, 9, 3, 6, 8, 2, 1], 3, "inexact look-ahead division"),
-            # the minor after a block: H_2 of 0, 7, 0, 1, 0, 4, 0 is zero
+            # a zero head: the run of terms[1:], on which h would ride,
+            # takes the look-ahead step from its row 1 on
             (hankel_transform, [0, 7, 0, 1, 0, 4, 0], 3, "inexact look-ahead division"),
+            # the minor after a block: H_2 of 0, 7, 0, 1, 0, 4, 0 is zero
+            (hankel._leading_minors, [0, 7, 0, 1, 0, 4, 0], 3, "inexact look-ahead division"),
         ],
     )
     def test_inexact_division_raises(self, monkeypatch, transform, terms, depth, message):
@@ -588,6 +577,49 @@ class TestQuotientStep:
                 triple = hankel_triple(terms, depth)
             assert len(runs) == 3
             assert_triple_equals_det_exact(triple, terms)
+
+
+class TestZeroHeadRoute:
+    """A zero-headed transform is the continuant h that rides on the run of
+    terms[1:], or, where that run leaves the integral step, the run of terms
+    itself: either way, exactly the minors of the run of terms."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 7, 20])
+    def test_family_reversions(self, depth):
+        # alpha = beta in family B falls back: h* of terms[1:] is 1, 0, ...
+        for family in (FAMILY_A, FAMILY_B, FAMILY_C):
+            for alpha in range(-4, 5):
+                for beta in range(-4, 5) if family != FAMILY_C else [0]:
+                    params = FamilyParams(alpha, beta, family)
+                    terms = family_reversion_terms(params, 2 * depth + 1)
+                    assert terms[0] == 0
+                    assert hankel_transform(terms, depth) == hankel._leading_minors(terms, depth)
+
+    @pytest.mark.parametrize("variant, runs", [("zero head", 1), ("fraction", 2), ("zero b", 2)])
+    @given(data=st.data())
+    def test_j_fraction_moments_ride_or_fall_back(self, variant, runs, data):
+        terms, a, _ = data.draw(j_fraction_runs(variant))
+        terms[0] = 0
+        depth = len(a)  # the run of terms[1:] meets every a_k and b_k
+        expected = hankel._leading_minors(terms, depth)
+        assert expected == per_index(terms, depth)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_calls(patch, "_leading_minors")
+            assert hankel_transform(terms, depth) == expected
+        assert len(calls) == runs
+
+    def test_a_run_that_only_rides_stops_where_the_riders_do(self):
+        # 1, 0, 1, 0, ... has b_0 = b_1 = 1 and b_2 = 0: a zero head at row 2
+        h = [1, 0]
+        assert hankel._leading_minors([1, 0] * 10, 9, h, ride_only=True) == [1, 1]
+        assert h == [1, 0, -1, 0]
+        assert hankel._leading_minors([1, 0] * 10, 9) == [1, 1] + [0] * 8
+
+    @given(st.lists(st.integers(-9, 9), min_size=0, max_size=24))
+    def test_random_tails(self, tail):
+        terms = [0, *tail]
+        depth = (len(terms) - 1) // 2
+        assert hankel_transform(terms, depth) == hankel._leading_minors(terms, depth)
 
 
 class TestHugeParameters:

@@ -41,3 +41,10 @@ def test_power_series_is_a_value_type():
         "truncate", "shift_down", "compose", "sqrt",
     )
     assert [name for name in removed if hasattr(hankelrev.PowerSeries, name)] == []
+
+
+def test_printer_and_hankel_matrix_are_gone():
+    # expression text is its own canonical form, and a Hankel matrix is one
+    # comprehension; tests/oracles.py holds format_gf_ref and hankel_matrix_ref
+    removed = ("format_gf", "hankel_matrix")
+    assert [name for name in removed if hasattr(hankelrev, name)] == []
