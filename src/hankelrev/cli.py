@@ -10,11 +10,12 @@ numeric output is exact decimal text at any magnitude.
 This module is the one place where results become text.  Transforms,
 reports and sweeps arrive holding ints, and each value is rendered with
 ``series._decimal`` only when it is printed (a sweep without ``--full``
-prints no passing row).  One generator walks a report's int columns and
-yields its rows as text, ``(n, claim, lhs, rhs, passed)``; it renders
-each distinct value once per report and makes no ``Check``.  Three
-writers print rows, an aligned table, CSV and JSON, for reports and
-sweeps and for the value tables of the other commands alike.  Each makes
+prints no passing row).  One generator walks ``report.rows()``, in the
+order the report gives, and yields its rows as text,
+``(n, claim, lhs, rhs, passed)``; it renders each distinct value once
+per report and makes no ``Check``.  Three writers print rows, an
+aligned table, CSV and JSON, for reports and sweeps and for the value
+tables of the other commands alike.  Each makes
 its line template once (the column widths, a report's fixed CSV prefix,
 the JSON text around a claim label) and writes each line to stdout as
 it makes it, rather than joining the whole output first.  JSON is byte for byte
@@ -198,16 +199,12 @@ def _rendered_rows(report: ConjectureReport) -> Iterator[tuple[str, str, str, st
     its order, with n and both sides as decimal text.  A passing row's two
     sides are one text, looked up once."""
     text = _Memo(_decimal)
-    for start, claims in report.blocks:
-        for k in range(len(claims[0].lhs)):
-            n = str(start + k)
-            for label, lhs, rhs in claims:
-                left, right = lhs[k], rhs[k]
-                if left == right:
-                    left = text[left]
-                    yield n, label, left, left, True
-                else:
-                    yield n, label, text[left], text[right], False
+    for n, label, left, right in report.rows():
+        if left == right:
+            left = text[left]
+            yield str(n), label, left, left, True
+        else:
+            yield str(n), label, text[left], text[right], False
 
 
 def _parameters(report: ConjectureReport) -> tuple[str, str] | None:
@@ -407,9 +404,10 @@ def _cmd_binomial(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     conjecture = CONJECTURES[args.conjecture]
-    for name in conjecture.parameters:
-        if getattr(args, name) is None:
-            raise ValueError(f"conjecture {args.conjecture} needs --{name}")
+    for name in ("alpha", "beta"):
+        if (getattr(args, name) is None) == (name in conjecture.parameters):
+            verb = "needs" if name in conjecture.parameters else "takes no"
+            raise ValueError(f"conjecture {args.conjecture} {verb} --{name}")
     report = conjecture.verify(args.alpha, args.beta, args.depth)
     render_report(report, args.format)
     return 0 if report.all_pass else 1

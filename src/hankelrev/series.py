@@ -11,13 +11,13 @@ Quotients, square roots and reversion run on integer numerators over one
 common denominator (:func:`_common`, :func:`_conv`), so the inner loops
 multiply and add plain ints and each output coefficient is read once.  A
 quotient by an integer list is the fraction-free recurrence of
-:func:`_quotient`, and a square root or its inverse one run of
-:func:`_root`; both give integers Z_j with coefficient j equal to
-Z_j / (d * r^j).  :func:`_quotients` reads each by one checked exact
-division: an int where it divides, a reduced Fraction elsewhere.  A
-series holds those values and builds its Fractions only when ``coeffs``
-is read, so an integral series goes from :mod:`hankelrev.gf` through
-reversion to printed text without a Fraction.
+:func:`_quotient`, which forms its own weights from the divisor, and a
+square root or its inverse one run of :func:`_root`; both give integers
+Z_j with coefficient j equal to Z_j / (d * r^j).  :func:`_quotients`
+reads each by one checked exact division: an int where it divides, a
+reduced Fraction elsewhere.  A series holds those values and builds its
+Fractions only when ``coeffs`` is read, so an integral series goes from
+:mod:`hankelrev.gf` through reversion to printed text without a Fraction.
 :meth:`PowerSeries.from_rational`, :meth:`PowerSeries.revert`,
 :func:`_radical_revert` and the evaluator of :mod:`hankelrev.gf` all
 expand a ratio P/Q or a root of one through these.  Square roots and
@@ -144,13 +144,9 @@ def _conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def _ratio_terms(
-    p: Sequence[int], q: Sequence[int], k: int, slopes: bool = True
-) -> list[tuple[int, int, int]]:
+def _ratio_terms(p: Sequence[int], q: Sequence[int], k: int) -> list[tuple[int, int, int]]:
     """(i, S_(i-1) * R_0^(i-1), R_i * R_0^(i-1)) for i = 1..k where either
     is nonzero, with R = P*Q and S = P'Q - PQ' of integer lists P and Q.
-    Without ``slopes``, S is not formed: its field is 0, and the i listed
-    are those with R_i nonzero, all that a quotient reads.
 
     Both are summed over the nonzero pairs P_i * Q_j alone, since
     P'Q - PQ' = sum (i - j) * P_i * Q_j * x^(i+j-1), so the zeros of a
@@ -165,7 +161,7 @@ def _ratio_terms(
             if i + j > k:
                 break
             r[i + j] += a * b
-            if slopes and i != j:
+            if i != j:
                 s[i + j - 1] += (i - j) * a * b
     terms, scale = [], 1  # R_0^(i-1)
     for i in range(1, k + 1):
@@ -267,22 +263,22 @@ def _quotient(a: Sequence[int], b: Sequence[int], n: int) -> tuple[list[int], in
 
         T_m = a_m * B_0^m - sum_{k>=1, B_k != 0} B_k * B_0^(k-1) * T_{m-k},
 
-    so d = g * B_0 and r = B_0: O(n * deg b) products.  Taking the content
-    out keeps a divisor like 10^100 * (1 + x) from scaling every T_m, and a
-    constant divisor costs nothing: T = a, d = b_0, r = 1.
+    so d = g * B_0 and r = B_0: O(n * deg b) products, with each weight
+    B_k * B_0^(k-1) formed once per call.  Taking the content out keeps a
+    divisor like 10^100 * (1 + x) from scaling every T_m, and a constant
+    divisor costs nothing: T = a, d = b_0, r = 1.
     """
     b, g = _primitive(b)
     b0 = b[0]
     a = [*a[: n + 1], *[0] * (n + 1 - len(a))]
-    # at Q = 1 the third field of term k is B_k * B_0^(k-1)
-    terms = _ratio_terms(b, [1], n, slopes=False)
-    if not terms:
+    weights = [(k, c * b0 ** (k - 1)) for k, c in enumerate(b[1 : n + 1], 1) if c]
+    if not weights:
         return a, g * b0, 1
     out: list[int] = []
     b0_power = 1  # B_0^m
     for m, am in enumerate(a):
         t = am * b0_power
-        for k, _, w in terms:
+        for k, w in weights:
             if k > m:
                 break
             t -= w * out[m - k]

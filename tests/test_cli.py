@@ -421,6 +421,17 @@ class TestVerify:
         assert code == 2
         assert "error: conjecture 4 needs --beta" in err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("--conjecture", "8", "--alpha", "2", "--beta", "9"), "8 takes no --beta"),
+            (("--conjecture", "anchors", "--alpha", "5"), "anchors takes no --alpha"),
+            (("--conjecture", "anchors", "--beta", "7"), "anchors takes no --beta"),
+        ],
+    )
+    def test_parameter_the_set_does_not_take_exits_2(self, capsys, argv, name):
+        assert invoke(capsys, "verify", *argv) == (2, "", f"error: conjecture {name}\n")
+
     def test_unknown_conjecture_exits_2(self, capsys):
         code, _, err = invoke(capsys, "verify", "--conjecture", "5", "--alpha", "1")
         assert code == 2
@@ -1221,7 +1232,8 @@ class TestUsage:
 
     @pytest.mark.parametrize("cid", ["4", "6", "8", "alpha_shift", "anchors"])
     def test_verify_depth_below_one_exits_2(self, capsys, cid):
-        argv = ("verify", "--conjecture", cid, "--alpha", "1", "--beta", "1", "--depth", "0")
+        given = [arg for name in CONJECTURES[cid].parameters for arg in (f"--{name}", "1")]
+        argv = ("verify", "--conjecture", cid, *given, "--depth", "0")
         assert invoke(capsys, *argv) == (2, "", "error: depth must be at least 1\n")
 
     def test_verify_sizes_alpha_shift_by_depth_alone(self, capsys):
