@@ -81,10 +81,13 @@ def _row(params: FamilyParams) -> tuple:
 
 
 def family_base_ogf(params: FamilyParams, order: int) -> PowerSeries:
-    """Expansion of the family's base o.g.f., from :func:`family_base_terms`."""
+    """Expansion of the family's base o.g.f., from :func:`family_base_terms`;
+    it keeps its numerator and denominator for
+    :meth:`hankelrev.series.PowerSeries.revert`."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    return PowerSeries._from_numerators(family_base_terms(params, order + 1), 1, 1)
+    form = _row(params)[:2]
+    return PowerSeries._from_numerators(family_base_terms(params, order + 1), 1, 1, form)
 
 
 def family_base_terms(params: FamilyParams, count: int) -> list[int]:

@@ -230,15 +230,15 @@ _REACH = 64
 class _Rational:
     """An exact rational function p/q, as integer coefficient lists with the
     constant term first: no trailing zeros (p = [] is 0), q[0] > 0, and the
-    content of p and q together divided out."""
+    content of p and q together divided out.  Common polynomial factors
+    are not cancelled.  q comes with no trailing zeros: it is [1], the q
+    of a value, or a product of two lists that end in nonzero entries."""
 
     __slots__ = ("p", "q")
 
     def __init__(self, p: list[int], q: list[int]):
         while p and not p[-1]:
             p.pop()
-        while not q[-1]:
-            q.pop()
         g = math.gcd(*p, *q)
         if q[0] < 0:
             g = -g
@@ -266,12 +266,15 @@ def eval_gf(expression: GfExpression, order: int) -> PowerSeries:
     The tree is evaluated once on integers (see :func:`_eval`).  The
     series keeps the integer numerators of the result: each coefficient is
     read once, as an int where it is one, and becomes a Fraction only
-    when ``coeffs`` is read.
+    when ``coeffs`` is read.  A rational result also keeps its exact P/Q
+    for :meth:`hankelrev.series.PowerSeries.revert`.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    series = _series(_eval(expression, order, {}), order)
-    return PowerSeries._from_numerators(series.z, series.d, series.r)
+    value = _eval(expression, order, {})
+    series = _series(value, order)
+    form = (value.p, value.q) if isinstance(value, _Rational) else None
+    return PowerSeries._from_numerators(series.z, series.d, series.r, form)
 
 
 def expand_gf(text: str, order: int) -> PowerSeries:

@@ -31,13 +31,12 @@ R * Y' = e * S * Y, so Z_k = R_0^k * Y_k obeys
 with one term per nonzero R_i or S_(i-1).  At Q = 1 this is J.C.P.
 Miller's recurrence for a power of a series (Knuth, TAOCP vol. 2,
 section 4.7).  :func:`_root` takes e = 1/2 or -1/2.  Reversion takes the
-powers e = -m of Lagrange inversion on one form P/Q of f/x: short P and
-Q found by Berlekamp-Massey (:func:`_berlekamp_massey`) when f/x is
-rational within the truncation, else f/x itself over Q = 1.  A form of
-length L has at most 2L - 1 terms, so that search stops once 2L - 1
-reaches the term count of f/x.  Reverting a rational f to order n then
-costs O(n^2 * deg PQ) products, not the n^3/6 of a dense f/x.  Other
-inputs keep their recurrence and add only the abandoned search.  The quadratic class,
+powers e = -m of Lagrange inversion on one form P/Q of f/x: the exact
+integer pair that the series was built from, when the code that built it
+knew one (:meth:`PowerSeries.from_rational`, the evaluator of
+:mod:`hankelrev.gf` on a rational expression, the family bases), else
+f/x itself over Q = 1.  Reverting a rational f to order n then costs
+O(n^2 * deg PQ) products, not the n^3/6 of a dense f/x.  The quadratic class,
 f = x * P/Q with deg(x * P) <= 2 and deg Q <= 2, which holds the bases
 of all three families, skips Lagrange inversion: there u solves a
 quadratic, so one square root of a polynomial of degree 2 and one
@@ -196,58 +195,6 @@ def _power_coefficients(
     return scaled
 
 
-def _berlekamp_massey(s: Sequence[int], limit: int) -> tuple[list[int], int] | None:
-    """A primitive Q with Q_0 > 0, and its length L, such that Q*S mod x^n
-    has degree below L, for the integer list S = s_0..s_(n-1).
-
-    This is Massey's shift-register synthesis (IEEE Trans. Inf. Theory 15,
-    1969), kept in integers: an update takes b*C - d*x^g*B in place of
-    C - (d/b)*x^g*B and then divides by the content, so the coefficients
-    stay primitive.  A form P/Q of length L has at most 2L - 1 terms in
-    :func:`_ratio_terms`, so the search gives up, returning None, as soon
-    as 2L - 1 reaches ``limit``.
-    """
-    conn, prev = [1], [1]  # C, and B: C before its last length change
-    length, gap, prev_disc = 0, 1, 1
-    for k in range(len(s)):
-        disc = sum(c * s[k - i] for i, c in enumerate(conn))
-        if not disc:
-            gap += 1
-            continue
-        new = [prev_disc * c for c in conn]
-        new += [0] * (gap + len(prev) - len(new))
-        for i, c in enumerate(prev, start=gap):
-            new[i] -= disc * c
-        while not new[-1]:
-            new.pop()
-        g = math.gcd(*new) if new[0] > 0 else -math.gcd(*new)
-        new = [c // g for c in new]
-        if 2 * length <= k:
-            prev, prev_disc, length, gap = conn, disc, k + 1 - length, 1
-            if 2 * length - 1 >= limit:
-                return None
-        else:
-            gap += 1
-        conn = new
-    return conn, length
-
-
-def _rational_form(s: Sequence[int], limit: int) -> tuple[list[int], list[int]] | None:
-    """(P, Q) with Q*S = P mod x^n from :func:`_berlekamp_massey`, or None.
-
-    The identity is checked with one product, and Q_0 != 0 with it; a
-    failure raises ArithmeticError.
-    """
-    found = _berlekamp_massey(s, limit)
-    if found is None:
-        return None
-    q, length = found
-    product = _conv(q, s, len(s) - 1)
-    if not q[0] or any(product[length:]):
-        raise ArithmeticError("Berlekamp-Massey form does not match the series")
-    return product[:length], q
-
-
 def _primitive(a: Sequence[int]) -> tuple[list[int], int]:
     """An integer list with a nonzero entry, divided by its content g; and g."""
     g = math.gcd(*a)
@@ -357,26 +304,33 @@ class PowerSeries:
     is one, and builds the tuple of Fractions once, on its first read.
     :meth:`revert`, :meth:`integer_coefficients` and
     :meth:`coefficient_strings` read the ints, so an integral series
-    reaches print without a Fraction.  Equality and hashing compare
-    values, as ``coeffs`` would.  Instances are immutable and safe to
-    share across threads.
+    reaches print without a Fraction.  A series built from a rational
+    function f = P/Q keeps that exact integer pair (P, Q) for
+    :meth:`revert`; a coefficient list, a product or a reversion keeps
+    none.  Equality and hashing compare values, as ``coeffs`` would, and
+    ignore the pair.  Instances are immutable and safe to share across
+    threads.
     """
 
-    __slots__ = ("_values", "_coeffs")
+    __slots__ = ("_values", "_coeffs", "_form")
 
     def __init__(self, coeffs: Iterable[Scalar]) -> None:
         normalized = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not normalized:
             raise ValueError("series must carry at least the constant coefficient")
         self._values = self._coeffs = normalized
+        self._form = None
 
     @classmethod
-    def _from_numerators(cls, z: Sequence[Scalar], d: int, r: int) -> "PowerSeries":
+    def _from_numerators(
+        cls, z: Sequence[Scalar], d: int, r: int, form: tuple | None = None
+    ) -> "PowerSeries":
         """The series whose coefficient j is z_j / (d * r^j), read by
         :func:`_quotients`.  At d = r = 1, z may be values already read:
-        ints and reduced Fractions."""
+        ints and reduced Fractions.  ``form``, if given, is integer lists
+        (P, Q) with the series equal to P/Q, Q_0 != 0."""
         series = cls.__new__(cls)
-        series._values, series._coeffs = _quotients(z, d, r), None
+        series._values, series._coeffs, series._form = _quotients(z, d, r), None, form
         return series
 
     @property
@@ -404,7 +358,8 @@ class PowerSeries:
 
         Both arguments are polynomial coefficient lists, constant term first.
         This is the quotient recurrence of :func:`_quotient`, in
-        O(order * deg den).
+        O(order * deg den).  The series keeps the pair, cleared of
+        denominators, for :meth:`revert`.
         """
         den = [_scalar(c) for c in denominator]
         if not den or den[0] == 0:
@@ -416,7 +371,7 @@ class PowerSeries:
         z, d, r = _quotient(a, b, order)
         if db != 1:
             z = [c * db for c in z]
-        return cls._from_numerators(z, da * d, r)
+        return cls._from_numerators(z, da * d, r, ([c * db for c in a], [c * da for c in b]))
 
     # ------------------------------------------------------------------
     # queries
@@ -460,13 +415,12 @@ class PowerSeries:
     def revert(self) -> "PowerSeries":
         """Compositional inverse of a series with f0 = 0 and f1 != 0.
 
-        Both paths below start from one form of f/x.  With B/d the integer
-        numerators of f/x, :func:`_rational_form` looks for a short
-        B = P/Q mod x^n by Berlekamp-Massey; if it gives up, the form is
-        (B, 1).  Either gives x/f = w * N/D for N = Q and D = P divided by
-        their content and trimmed of trailing zeros, and a rational
-        w = w_n / w_d.  So u solves A(u) = x * C(u) for A = w_d * t * D(t)
-        and C = w_n * N(t).
+        Both paths below start from one form f = P/Q: the exact pair the
+        series was built from, if it keeps one, else f itself over Q = 1.
+        With B/d the integer numerators of P/x, that gives x/f = w * N/D
+        for N = Q and D = B divided by their content and trimmed of
+        trailing zeros, and a rational w = w_n / w_d.  So u solves
+        A(u) = x * C(u) for A = w_d * t * D(t) and C = w_n * N(t).
 
         When deg A <= 2 and deg C <= 2, as for the bases of all three
         families in :mod:`hankelrev.families`, that is a quadratic in u, and
@@ -489,14 +443,13 @@ class PowerSeries:
         likewise (N/N_0)^m.  So each division by k is exact, and it is
         checked.
 
-        (B, 1) has one term per nonzero B_i, i >= 1, and its weights are
-        Miller's, ((1 - m) i - k) * B_i * B_0^(i-1).  A Berlekamp-Massey
-        form of length L has at most 2L - 1 terms, so the search stops once
-        2L - 1 reaches the term count of (B, 1), and if it finishes, its
-        form is taken.  A form with s terms costs about s * n^2 / 2
-        products to order n: O(n^2 * deg PQ) for a rational f, against
-        n^3/6 for a dense f/x, which is still the cost of a dense f that is
-        not rational.
+        At Q = 1 there is one term per nonzero B_i, i >= 1, and the weights
+        are Miller's, ((1 - m) i - k) * B_i * B_0^(i-1).  A form with s
+        terms costs about s * n^2 / 2 products to order n: O(n^2 * deg PQ)
+        for an exact P/Q, against n^3/6 for a dense f/x.  The pair is used
+        as it was built: a factor common to P and Q is not cancelled, so
+        such a form may take Lagrange inversion where the reduced one would
+        take the radical.
 
         The result u satisfies compose(f, u) = compose(u, f) = x through the
         truncation order; the test suite checks that postcondition with an
@@ -506,10 +459,10 @@ class PowerSeries:
         if len(f) < 2 or f[0] != 0 or f[1] == 0:
             raise ValueError("series not reversible")
         n = self.order
-        b, d = _common(f[1:])  # f/x, with an invertible constant term
-        form = _rational_form(b, sum(map(bool, b[1:]))) or (b, [1])  # B = P/Q
-        # x/f = w * num/den for f/x = B/d
-        (den, gd), (num, gn) = map(_primitive, form)
+        p, q = self._form or (f, [1])  # f = P/Q
+        b, d = _common(p[1:])  # P/x, with an invertible constant term
+        # x/f = w * num/den for f/x = B/(d * Q)
+        (den, gd), (num, gn) = _primitive(b), _primitive(q)
         wn, wd = gn * d, gd
         g = math.gcd(wn, wd)
         wn, wd = wn // g, wd // g

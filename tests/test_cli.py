@@ -262,6 +262,10 @@ class TestRevert:
         assert code == 2
         assert "error: alpha must be nonzero" in err
 
+    def test_family_without_alpha_exits_2(self, capsys):
+        argv = ("revert", "--family", "A", "--order", "3")
+        assert invoke(capsys, *argv) == (2, "", "error: --family needs --alpha\n")
+
     def test_non_reversible_input_exits_2(self, capsys):
         code, _, err = invoke(
             capsys, "revert", "--gf", "1+x", "--order", "4", "--format", "csv",
@@ -307,6 +311,10 @@ class TestHankel:
         code, out, _ = invoke(capsys, "hankel", "--seq", "-", "--format", "csv")
         assert code == 0
         assert out == "0,-1,-15\n"
+
+    def test_empty_stdin_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert invoke(capsys, "binomial", "--seq", "-") == (2, "", "error: empty sequence\n")
 
     def test_invalid_entry_exits_2(self, capsys):
         code, _, err = invoke(capsys, "hankel", "--seq", "1,x,3", "--format", "csv")

@@ -170,6 +170,10 @@ class TestAlphaShift:
         with pytest.raises(ValueError, match="beta must be nonzero"):
             verify_alpha_shift(1, 0, 8)
 
+    def test_rejects_order_zero(self):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            verify_alpha_shift(1, 2, 0)
+
     def test_check_count_tracks_order(self):
         from hankelrev.conjectures import CLAIM_SHIFT_COEFF, CLAIM_SHIFT_HANKEL
 

@@ -21,7 +21,8 @@ from hankelrev import (
     parse_gf,
 )
 from hankelrev import gf, series
-from oracles import eval_gf_ref, format_gf_ref
+from hankelrev.cli import run
+from oracles import eval_gf_ref, format_gf_ref, revert_ref
 
 
 class TestParse:
@@ -401,3 +402,29 @@ class TestSinglePass:
         assert deep.coefficient_strings() == ["1/2", "-1/2", "-1/2", "-1", "-5/2"]
         deep = expand_gf("1/(" * 99 + "1+sqrt(1-4*x)" + ")" * 99, 4)
         assert deep.coefficient_strings() == ["1/2", "1/2", "1", "5/2", "7"]
+
+
+class TestRevertForm:
+    """``revert --gf`` on the exact P/Q of a rational expression."""
+
+    def test_revert_gf_takes_the_radical_of_the_exact_form(self, capsys, radical_calls):
+        assert run(["revert", "--gf", "x/(1+3*x-5*x^2)", "--order", "40", "--format", "csv"]) == 0
+        f = expand_gf("x/(1+3*x-5*x^2)", 40)
+        expected = ",".join(str(c) for c in revert_ref(list(f.coeffs)))
+        assert capsys.readouterr().out == expected + "\n"
+        # f/x = 1/(1 + 3x - 5x^2): A = t, C = 1 + 3t - 5t^2
+        assert radical_calls == [([0, 1], [1, 3, -5], 40)]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # common factors that the evaluator keeps, and a rational value
+            # reached through sqrt, which keeps no form
+            "x*(1+2*x)^3/(1+2*x)^3",
+            "x*(1+x)/((1+x)*(1-3*x))",
+            "x/sqrt((1-x)^2)",
+        ],
+    )
+    def test_unreduced_and_radical_rationals(self, text):
+        f = expand_gf(text, 30)
+        assert list(f.revert().coeffs) == revert_ref(list(f.coeffs))

@@ -238,6 +238,10 @@ class TestOnePassDifferential:
         assert_transforms_agree(terms, 0)
         assert hankel_transform(terms, 0) == [terms[0]]
 
+    def test_negative_depth_raises(self):
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            hankel_transform([1, 2, 3], -1)
+
     def test_one_pass_needs_no_determinants(self, monkeypatch):
         monkeypatch.setattr(hankel, "det_exact", no_det_exact)
         runs = count_calls(monkeypatch, "_leading_minors")

@@ -131,6 +131,13 @@ class TestCache:
         with pytest.raises(OeisCacheError, match="cannot write cache entry"):
             cache_put("1,2,3,4", [])
 
+    def test_cache_dir_without_override(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(CACHE_DIR_ENV)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert oeis.cache_dir() == tmp_path / "hankelrev"
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        assert oeis.cache_dir() == Path.home() / ".cache" / "hankelrev"
+
     def test_ordering_by_length_then_id(self):
         key = query_key([6, 6, 6, 6])
         cache_put(

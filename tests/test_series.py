@@ -12,17 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelrev import PowerSeries, coefficient_string
-from hankelrev import series
+from hankelrev import families, series
 from hankelrev.families import FamilyParams, family_base_ogf, family_reversion_terms
 from hankelrev.gf import expand_gf
 from hankelrev.series import (
-    _berlekamp_massey,
     _common,
     _conv,
     _power_coefficients,
+    _primitive,
     _quotients,
     _ratio_terms,
-    _rational_form,
     _root,
 )
 from oracles import (
@@ -71,6 +70,10 @@ class TestConstruction:
     def test_from_rational_rejects_zero_constant_denominator(self):
         with pytest.raises(ValueError, match="zero constant denominator"):
             PowerSeries.from_rational([1], [0, 1], 4)
+
+    def test_from_rational_rejects_a_negative_order(self):
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            PowerSeries.from_rational([0, 1], [1], -1)
 
     def test_order_and_indexing(self):
         s = PowerSeries((5, 0, 7))
@@ -575,8 +578,8 @@ def binomial(e, k):
 
 
 class TestRationalRevert:
-    """revert on a form P/Q of f/x: Berlekamp-Massey's when f/x is rational
-    and shorter, else f/x itself."""
+    """revert on a form P/Q of f: the exact pair the series was built from,
+    else f itself over Q = 1."""
 
     @settings(max_examples=25, deadline=None)
     @given(rational_reversible())
@@ -596,19 +599,12 @@ class TestRationalRevert:
             family_reversion_term_ref(family, alpha, beta, m) for m in range(151)
         ]
 
-    def test_berlekamp_massey_finds_the_family_b_form(self):
-        # f/x = (1 - 3x)/(1 + 4x): length 2, and P/Q has two terms
-        b = PowerSeries.from_rational([1, -3], [1, 4], 50).integer_coefficients()
-        assert _berlekamp_massey(b, 4) == ([1, 4], 2)
-        assert _rational_form(b, 4) == ([1, -3], [1, 4])
-        assert len(_ratio_terms([1, -3], [1, 4], 49)) == 2
-        # 2L - 1 = 3 reaches a limit of 3: the search gives up
-        assert _berlekamp_massey(b, 3) is None
-
-    def test_berlekamp_massey_keeps_the_coefficients_primitive(self):
-        # the sequence 6 * (2/3)^k scaled to integers: Q = 3 - 2x, not 6 - 4x
-        b = [6 * 2**k * 3 ** (20 - k) for k in range(21)]
-        assert _rational_form(b, 20) == ([3 * 6 * 3**20], [3, -2])
+    @settings(max_examples=25, deadline=None)
+    @given(rational_reversible())
+    def test_dense_and_exact_form_paths_agree(self, f):
+        dense = PowerSeries(f.coeffs)
+        assert dense == f and hash(dense) == hash(f)
+        assert dense.revert() == f.revert()
 
     @pytest.mark.parametrize("a, c", [(3, -5), (-7, 2)])
     @pytest.mark.parametrize("e", [-9, -1, pytest.param(Fraction(1, 2), id="1/2"), 9])
@@ -624,40 +620,37 @@ class TestRationalRevert:
             for j in range(k + 1)
         ]
 
-    def test_sqrt_input_abandons_the_rational_form(self, monkeypatch):
-        # f = (3/2) x sqrt(1 - 4x/5) is not rational, so Berlekamp-Massey gives up
-        root = expand_gf("sqrt(1-4/5*x)", 30)
-        f = PowerSeries((Fraction(0), *(Fraction(3, 2) * c for c in root.coeffs[:-1])))
-        forms = []
-
-        def spy(s, limit):
-            forms.append(_rational_form(s, limit))
-            return forms[-1]
-
-        monkeypatch.setattr(series, "_rational_form", spy)
-        assert list(f.revert().coeffs) == revert_ref(list(f.coeffs))
-        assert forms == [None]
-
     @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda q, length: ([q[0], q[1] + 1, *q[2:]], length),
-            # x * Q times B is x * P, a polynomial, but Q_0 = 0
-            lambda q, length: ([0, *q], length + 1),
-        ],
-        ids=["tail", "head"],
+        "expression",
+        # a radical, and a rational f whose coefficients alone are given
+        ["sqrt(1-4/5*x)", "1/(1-3*x-5*x^2)"],
     )
-    def test_a_corrupted_form_raises(self, monkeypatch, corrupt):
-        def corrupted(s, limit):
-            return corrupt(*_berlekamp_massey(s, limit))
+    def test_a_series_built_from_coefficients_reverts_on_f_over_x(self, monkeypatch, expression):
+        # f = (3/2) x g(x) to order 30, given as a coefficient list: the form
+        # is f/x over 1, whether or not f is rational
+        g = expand_gf(expression, 30)
+        f = PowerSeries((Fraction(0), *(Fraction(3, 2) * c for c in g.coeffs[:-1])))
+        ratio_terms = series._ratio_terms
+        calls = []
 
-        monkeypatch.setattr(series, "_berlekamp_massey", corrupted)
-        f = PowerSeries.from_rational([0, 1, -3], [1, 4], 30)
-        with pytest.raises(ArithmeticError, match="Berlekamp-Massey form does not match"):
-            f.revert()
+        def spy(p, q, k):
+            calls.append((p, q, k))
+            return ratio_terms(p, q, k)
+
+        monkeypatch.setattr(series, "_ratio_terms", spy)
+        assert list(f.revert().coeffs) == revert_ref(list(f.coeffs))
+        assert calls == [(_primitive(_common(f.coeffs[1:])[0])[0], [1], 29)]
 
 
 non_unit_heads = small_heads.filter(lambda h: h != 1)
+
+
+def trimmed(coeffs):
+    """A coefficient list without its trailing zeros."""
+    coeffs = list(coeffs)
+    while not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 @st.composite
@@ -703,27 +696,22 @@ class TestRadicalRevert:
         ],
         ids=["A2", "A2-polynomial", "C2", "zero"],
     )
-    def test_each_shape_takes_the_radical(self, monkeypatch, numerator, denominator, a, c):
+    def test_each_shape_takes_the_radical(self, radical_calls, numerator, denominator, a, c):
         f = PowerSeries.from_rational(numerator, denominator, 40)
-        radical_revert = series._radical_revert
-        calls = []
-
-        def spy(a, c, n):
-            calls.append((a, c, n))
-            return radical_revert(a, c, n)
-
-        monkeypatch.setattr(series, "_radical_revert", spy)
         assert list(f.revert().coeffs) == revert_ref(list(f.coeffs))
-        assert calls == [(a, c, 40)]
+        assert radical_calls == [(a, c, 40)]
 
     @pytest.mark.parametrize(
         "family, alpha, beta",
         [("A", 3, -5), ("A", -2, 7), ("A", 4, 0), ("B", 3, -4), ("B", -2, 5), ("C", -7, 0)],
     )
-    def test_family_base_at_order_800(self, family, alpha, beta):
+    def test_family_base_at_order_800(self, radical_calls, family, alpha, beta):
         params = FamilyParams(alpha, beta, family)
         reverted = int_coeffs(family_base_ogf(params, 800).revert())
         assert reverted == family_reversion_terms(params, 801)
+        # the form is the family's row: f/x = (1 + p x)/(1 + q x + r x^2)
+        p, q, r = families._ROWS[family](alpha, beta)
+        assert radical_calls == [(trimmed([0, 1, p]), trimmed([1, q, r]), 800)]
         # the binomial sums take seconds per family at every index up to
         # 800, so they are checked at every tenth index and the last ten
         for m in [*range(0, 790, 10), *range(790, 801)]:
@@ -746,7 +734,7 @@ class TestRadicalRevert:
 
     def test_rational_form_outside_the_class_needs_no_division(self, monkeypatch):
         # x/f = 1 + x + 2x^2 + 3x^3 has degree 3: Lagrange inversion on the
-        # Berlekamp-Massey form, with x/f never formed by a division
+        # exact form, with x/f never formed by a division
         f = PowerSeries.from_rational([0, 1], [1, 1, 2, 3], 60)
         expected = revert_ref(list(f.coeffs))
 
