@@ -27,18 +27,21 @@ Each job has one handler: ``prop9`` is ``verify --conjecture prop9`` under
 its own name, with ``--n`` for the depth, and one check refuses a command
 that does not give exactly one of the sources (--seq, --gf, --family) its
 subcommand takes.
+
+Every command is a fresh process, so start-up counts: ``json``, ``csv``,
+``traceback`` and :mod:`hankelrev.oeis` are imported where they are used
+(the JSON writers, the CR/NUL branch of :func:`_csv_field`, exit 3, the
+``oeis`` command), and the test suite pins that start-up loads none of
+them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import os
 import sys
-import traceback
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
 
@@ -59,8 +62,6 @@ from hankelrev.hankel import (
     inverse_binomial_transform,
 )
 from hankelrev.series import _decimal, _parse_int
-
-_json_string = json.encoder.encode_basestring_ascii
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +159,8 @@ def _csv_field(text: str) -> str:
     is quoted and its quotes doubled.  Text with CR or NUL goes through the
     writer, whose rules for those differ between Python versions."""
     if "\r" in text or "\0" in text:
+        import csv
+
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerow([text])
         return buffer.getvalue()[:-1]
@@ -187,6 +190,8 @@ def _write_csv(header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
 
 def _write_values(values: list[str], fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(values))
     elif fmt == "csv":
         print(",".join(values))
@@ -247,6 +252,13 @@ def _report_csv(report: ConjectureReport) -> None:
 # (escaped by json's own C routine), a decimal in quotes, true, false or
 # null.  A JSON writer starts at its opening bracket and stops after its
 # closing one; ``pad`` is the indent of the line that holds both.
+
+
+def _json_string(text: str) -> str:
+    """``text`` as a JSON string literal, escaped to ASCII as json.dumps does."""
+    import json
+
+    return json.encoder.encode_basestring_ascii(text)
 
 
 def _json_list(items: Iterable[Any], pad: str, write_item: Callable[[Any, str], None]) -> None:
@@ -383,6 +395,8 @@ def _cmd_triple(args: argparse.Namespace) -> int:
     terms, depth = _sequence_from_args(args, 3)
     triple = hankel_triple(terms, depth)
     if args.format == "json":
+        import json
+
         print(json.dumps({
             "depth": str(triple.depth),
             "h": [_decimal(v) for v in triple.h],
@@ -433,6 +447,8 @@ def _cmd_oeis(args: argparse.Namespace) -> int:
         return 2
     rows = [[m.id, str(m.matched_prefix_length), m.name] for m in matches]
     if args.format == "json":
+        import json
+
         entries = [{"id": i, "name": name, "matched_prefix_length": k} for i, k, name in rows]
         print(json.dumps(entries, indent=2))
     elif args.format == "csv":
@@ -571,6 +587,8 @@ def run(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         raise  # the reader closed stdout: not a fault of the program, see main
     except Exception:
+        import traceback
+
         traceback.print_exc()
         print("error: internal error (see the traceback above)", file=sys.stderr)
         return 3

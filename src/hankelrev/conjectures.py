@@ -10,10 +10,11 @@ power lists.  A report is built from those columns, as tuples, grouped
 in blocks whose rows run n-major: at each n the block's claims in the
 order given.  It is a frozen value, equal to another report with the same
 fields, blocks included.  Its ``all_pass`` is one tuple comparison per
-claim.  Its rows are made only for output: :mod:`hankelrev.cli` walks the
-columns in row order and turns each row into text as it prints it,
-``rows()`` gives them as plain ``(n, claim, lhs, rhs)`` tuples, and the
-:class:`Check` tuple ``checks`` is built only when something reads it.
+claim, made with the report and kept outside its fields.  Its rows are
+made only for output: :mod:`hankelrev.cli` walks the columns in row
+order and turns each row into text as it prints it, ``rows()`` gives
+them as plain ``(n, claim, lhs, rhs)`` tuples, and the :class:`Check`
+tuple ``checks`` is built only when something reads it.
 Claims that reference index n+1 of a depth-d transform are checked for
 n = 0..d-1; claims fully determined at index n run to n = d.  All of it
 is integer work, prop9 included: T and T * T^t have int entries and
@@ -49,7 +50,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -69,6 +69,7 @@ from hankelrev.hankel import (
     hankel_transform,
     hankel_triple,
 )
+from hankelrev.series import _Value
 
 # the depth that a verification, a sweep and the command line take when
 # none is given
@@ -100,14 +101,16 @@ CLAIM_ANCHOR_CATALAN_ZERO = "hankel(zero_prefixed_catalan)[n] == -n"
 CLAIM_ANCHOR_CATALAN_HEADLESS = "hankel(head_zeroed_catalan)[n] == -n"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Value):
     """One asserted equality lhs == rhs at index n; both sides are exact ints."""
 
-    index: int
-    claim: str
-    lhs: int
-    rhs: int
+    __slots__ = ("index", "claim", "lhs", "rhs")
+
+    def __init__(self, index: int, claim: str, lhs: int, rhs: int) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def passed(self) -> bool:
@@ -142,31 +145,44 @@ def _block(*claims: tuple[str, Iterable[int], Iterable[int]], start: int = 0) ->
     return block
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(_Value):
     """A verifier's result: its rows, held as claim blocks of int columns.
 
-    ``all_pass`` compares each claim's two columns once, and :meth:`rows`
-    walks the rows without making a :class:`Check`.  ``checks`` holds the
-    same rows as Check values, made when it is first read.  Equality,
-    hashing and repr come from the fields, so they go by blocks.
+    ``all_pass``, whether every check passed, is worked out when the report
+    is made, by one comparison of columns per claim, and :meth:`rows` walks
+    the rows without making a :class:`Check`.  ``checks`` holds the same
+    rows as Check values, made when it is first read.  Equality, hashing,
+    repr and pickling go by the fields in ``__match_args__``, so by blocks;
+    ``all_pass`` and ``checks`` are no fields.
     """
 
-    conjecture_id: str
-    params: FamilyParams | None
-    depth: int
-    blocks: tuple[Block, ...]
-    notes: tuple[str, ...] = ()
+    __slots__ = ("conjecture_id", "params", "depth", "blocks", "notes", "all_pass", "_checks")
+    __match_args__ = ("conjecture_id", "params", "depth", "blocks", "notes")
 
-    @functools.cached_property
+    def __init__(
+        self,
+        conjecture_id: str,
+        params: FamilyParams | None,
+        depth: int,
+        blocks: tuple[Block, ...],
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "conjecture_id", conjecture_id)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "notes", notes)
+        passed = all(claim.lhs == claim.rhs for block in blocks for claim in block.claims)
+        object.__setattr__(self, "all_pass", passed)
+
+    @property
     def checks(self) -> tuple[Check, ...]:
-        return tuple(Check(*row) for row in self.rows())
-
-    @functools.cached_property
-    def all_pass(self) -> bool:
-        """Whether every check passed: one comparison of columns per claim,
-        worked out on the first read only."""
-        return all(claim.lhs == claim.rhs for block in self.blocks for claim in block.claims)
+        try:
+            return self._checks
+        except AttributeError:
+            checks = tuple(Check(*row) for row in self.rows())
+            object.__setattr__(self, "_checks", checks)
+            return checks
 
     def rows(self) -> Iterator[tuple[int, str, int, int]]:
         """(n, claim, lhs, rhs) for every row, in the order of ``checks``."""
@@ -443,14 +459,24 @@ SWEEPABLE = tuple(cid for cid, c in CONJECTURES.items() if c.parameters)
 # parameter sweeps
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    conjecture_id: str
-    depth: int
-    grid: tuple[FamilyParams, ...]
-    reports: tuple[ConjectureReport, ...]
-    counterexamples: tuple[ConjectureReport, ...]
-    skipped: tuple[FamilyParams, ...]
+class SweepResult(_Value):
+    __slots__ = ("conjecture_id", "depth", "grid", "reports", "counterexamples", "skipped")
+
+    def __init__(
+        self,
+        conjecture_id: str,
+        depth: int,
+        grid: tuple[FamilyParams, ...],
+        reports: tuple[ConjectureReport, ...],
+        counterexamples: tuple[ConjectureReport, ...],
+        skipped: tuple[FamilyParams, ...],
+    ) -> None:
+        object.__setattr__(self, "conjecture_id", conjecture_id)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "reports", reports)
+        object.__setattr__(self, "counterexamples", counterexamples)
+        object.__setattr__(self, "skipped", skipped)
 
 
 def _expand_range(bounds: tuple[int, int]) -> list[int]:

@@ -27,29 +27,26 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
-from hankelrev.series import PowerSeries, _quotient
+from hankelrev.series import PowerSeries, _quotient, _Value
 
 FAMILY_A = "A"
 FAMILY_B = "B"
 FAMILY_C = "C"
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(_Value):
     """Integer parameters for one family; beta is ignored by family C."""
 
-    alpha: int
-    beta: int = 0
-    family: str = FAMILY_A
+    __slots__ = ("alpha", "beta", "family")
 
-    def __post_init__(self) -> None:
-        if self.family not in (FAMILY_A, FAMILY_B, FAMILY_C):
-            raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "alpha", operator.index(self.alpha))
-        object.__setattr__(self, "beta", operator.index(self.beta))
+    def __init__(self, alpha: int, beta: int = 0, family: str = FAMILY_A) -> None:
+        if family not in (FAMILY_A, FAMILY_B, FAMILY_C):
+            raise ValueError(f"unknown family {family!r}")
+        object.__setattr__(self, "alpha", operator.index(alpha))
+        object.__setattr__(self, "beta", operator.index(beta))
+        object.__setattr__(self, "family", family)
 
 
 def catalan(n: int) -> int:

@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
 from typing import Union
 
-from hankelrev.series import PowerSeries, _conv, _parse_int, _quotient, _root
+from hankelrev.series import PowerSeries, _conv, _parse_int, _quotient, _root, _Value
 
 
 class GfParseError(ValueError):
@@ -61,46 +60,49 @@ class GfParseError(ValueError):
 # abstract syntax
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(_Value):
     """A non-negative integer literal; negative values come from '-'."""
 
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
+    def __init__(self, value: int) -> None:
+        if value < 0:
             raise ValueError("literals are non-negative; negation is an operator")
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Value):
     """The formal variable x."""
 
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "GfExpression"
-    right: "GfExpression"
-
-    def __post_init__(self) -> None:
-        if self.op not in ("+", "-", "*", "/"):
-            raise ValueError(f"unknown operator {self.op!r}")
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "GfExpression"
-    exponent: int
+class BinOp(_Value):
+    __slots__ = ("op", "left", "right")
 
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
+    def __init__(self, op: str, left: GfExpression, right: GfExpression) -> None:
+        if op not in ("+", "-", "*", "/"):
+            raise ValueError(f"unknown operator {op!r}")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+class Pow(_Value):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: GfExpression, exponent: int) -> None:
+        if exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Sqrt:
-    arg: "GfExpression"
+class Sqrt(_Value):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: GfExpression) -> None:
+        object.__setattr__(self, "arg", arg)
 
 
 GfExpression = Union[Lit, Var, BinOp, Pow, Sqrt]

@@ -65,8 +65,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Sequence
+
+from hankelrev.series import _Value
 
 
 def det_exact(matrix: Sequence[Sequence[int]]) -> int:
@@ -276,19 +277,24 @@ def hankel_transform(terms: Sequence[int], depth: int) -> list[int]:
     return _leading_minors(terms, depth)
 
 
-@dataclass(frozen=True)
-class HankelTriple:
+class HankelTriple(_Value):
     """Hankel transforms of a sequence and of its first and second shifts."""
 
-    h: tuple[int, ...]
-    h_star: tuple[int, ...]
-    h_star_star: tuple[int, ...]
-    depth: int
+    __slots__ = ("h", "h_star", "h_star_star", "depth")
 
-    def __post_init__(self) -> None:
-        expected = self.depth + 1
-        if not (len(self.h) == len(self.h_star) == len(self.h_star_star) == expected):
+    def __init__(
+        self,
+        h: tuple[int, ...],
+        h_star: tuple[int, ...],
+        h_star_star: tuple[int, ...],
+        depth: int,
+    ) -> None:
+        if not (len(h) == len(h_star) == len(h_star_star) == depth + 1):
             raise ValueError("each transform must carry depth + 1 entries")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h_star", h_star)
+        object.__setattr__(self, "h_star_star", h_star_star)
+        object.__setattr__(self, "depth", depth)
 
     def rows(self) -> list[tuple[int, int, int, int]]:
         return [

@@ -24,11 +24,10 @@ import threading
 import time
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from hankelrev.series import _decimal
+from hankelrev.series import _decimal, _Value
 
 OEIS_SEARCH_URL = "https://oeis.org/search"
 CACHE_DIR_ENV = "HANKELREV_CACHE_DIR"
@@ -53,11 +52,13 @@ class OeisCacheError(OeisError):
     """The cache directory exists but cannot be written."""
 
 
-@dataclass(frozen=True)
-class OeisMatch:
-    id: str
-    name: str
-    matched_prefix_length: int
+class OeisMatch(_Value):
+    __slots__ = ("id", "name", "matched_prefix_length")
+
+    def __init__(self, id: str, name: str, matched_prefix_length: int) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "matched_prefix_length", matched_prefix_length)
 
 
 # fixture terms are recorded literally; the test suite cross-checks the

@@ -52,6 +52,14 @@ the third.  :func:`_decimal` splits a value of 2000 bits or more at a
 cached power 10^(300 * 2^k) near the middle of its digits, so every
 piece that reaches CPython's ``str``, quadratic in the digit count, is
 under 603 digits, below any int->str limit a process can set.
+
+:class:`_Value` is the base of the package's frozen value types (the gf
+syntax nodes, ``FamilyParams``, ``HankelTriple``, ``Check``,
+``ConjectureReport``, ``SweepResult``, ``OeisMatch``): fields in
+``__slots__``, equality, hash and repr by field as a frozen dataclass
+has them, pickling through the constructor.  It lives here, in the module
+every other one imports, so that no module loads ``dataclasses``, which
+would add its own imports (``inspect`` among them) to every start-up.
 """
 
 from __future__ import annotations
@@ -118,6 +126,49 @@ def _parse_int(text: str) -> int:
     high, low = digits[: len(digits) // 2], digits[len(digits) // 2 :]
     value = _parse_int(high) * 10 ** len(low) + _parse_int(low)
     return -value if sign == "-" else value
+
+
+class _Value:
+    """Base of the package's frozen value types.
+
+    A subclass lists its fields in ``__slots__``, or, where more slots hold
+    state derived from the fields, in ``__match_args__``, and its own
+    ``__init__`` sets them with ``object.__setattr__``.  Instances equal
+    and hash by their fields, among objects of one class only, repr as a
+    dataclass does, refuse assignment and deletion with AttributeError,
+    and pickle and copy by calling the constructor on their fields.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "__match_args__" not in cls.__dict__:
+            cls.__match_args__ = cls.__slots__
+
+    def _field_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._field_values() == other._field_values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._field_values()
 
 
 def _common(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -17,7 +16,9 @@ from hankelrev import (
     FAMILY_A,
     FAMILY_C,
     SWEEPABLE,
+    Block,
     Check,
+    Claim,
     ConjectureReport,
     FamilyParams,
     catalan,
@@ -467,17 +468,34 @@ class TestReportValues:
         assert (good.passed, bad.passed) == (True, False)
         assert ConjectureReport("8", None, 1, row_blocks([good])).all_pass
         assert not ConjectureReport("8", None, 1, row_blocks([good, bad])).all_pass
-        assert [f.name for f in dataclasses.fields(Check)] == ["index", "claim", "lhs", "rhs"]
-        assert "all_pass" not in {f.name for f in dataclasses.fields(ConjectureReport)}
+        # the fields, in order, are the slots; passed is derived, no field
+        assert Check.__slots__ == Check.__match_args__ == ("index", "claim", "lhs", "rhs")
+        assert good.__reduce__() == (Check, (0, "demo", 3, 3))
+        assert "all_pass" not in ConjectureReport.__match_args__
 
     def test_all_pass_is_worked_out_once_and_leaves_equality_alone(self):
-        report = ConjectureReport("8", None, 1, row_blocks([Check(0, "demo", 1, 2)]))
-        twin = ConjectureReport("8", None, 1, row_blocks([Check(0, "demo", 1, 2)]))
-        assert not report.all_pass
-        # the cached value sits in the instance, outside the dataclass fields
-        assert vars(report)["all_pass"] is False
-        assert "all_pass" not in vars(twin)
+        compared = []
+
+        class Column(tuple):
+            """A column that counts the comparisons made with it."""
+
+            __hash__ = tuple.__hash__
+
+            def __eq__(self, other):
+                compared.append(other)
+                return tuple.__eq__(self, other)
+
+        def made(lhs):
+            return ConjectureReport("8", None, 1, (Block(0, (Claim("demo", Column(lhs), (2,)),)),))
+
+        report, twin = made((1,)), made((1,))
+        assert len(compared) == 2  # one comparison of columns per report, when it was made
+        assert not report.all_pass and not report.all_pass and not twin.all_pass
+        assert len(compared) == 2  # reading all_pass compares nothing again
+        # all_pass is no field: equality, hash and repr go by the fields alone
         assert report == twin and hash(report) == hash(twin) and repr(report) == repr(twin)
+        assert "all_pass" not in repr(report)
+        assert report.__reduce__()[1] == ("8", None, 1, report.blocks, ())
 
     @pytest.mark.parametrize("cid", list(CONJECTURES))
     def test_reports_compare_and_hash_by_their_columns(self, cid):
@@ -485,15 +503,25 @@ class TestReportValues:
         twin = CONJECTURES[cid].verify(2, 3, 3)
         assert report is not twin
         assert report == twin and hash(report) == hash(twin)
+
+        def rebuilt(blocks):
+            """The report with its blocks replaced and every other field kept."""
+            return ConjectureReport(
+                report.conjecture_id, report.params, report.depth, blocks, report.notes
+            )
+
+        assert rebuilt(report.blocks) == report
         # one entry of one column changed: the first rhs entry of the first claim
         block, *rest = report.blocks
         first, *claims = block.claims
         first = first._replace(rhs=(first.rhs[0] + 1, *first.rhs[1:]))
-        other = dataclasses.replace(report, blocks=(block._replace(claims=(first, *claims)), *rest))
+        other = rebuilt((block._replace(claims=(first, *claims)), *rest))
         assert other != report and not other.all_pass
 
     def test_a_report_is_built_from_blocks_only(self):
-        names = [f.name for f in dataclasses.fields(ConjectureReport)]
-        assert names == ["conjecture_id", "params", "depth", "blocks", "notes"]
+        names = ("conjecture_id", "params", "depth", "blocks", "notes")
+        assert ConjectureReport.__match_args__ == names
+        report = ConjectureReport("8", None, 1, row_blocks([Check(0, "demo", 1, 2)]), ("n",))
+        assert report.__reduce__()[1] == tuple(getattr(report, name) for name in names)
         with pytest.raises(TypeError):
             ConjectureReport("8", None, 1, checks=(Check(0, "demo", 1, 2),))
