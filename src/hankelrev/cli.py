@@ -87,12 +87,12 @@ def _parse_sequence(text: str) -> list[int]:
     return values
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo_text, hi_text = text.split(":", 1)
-        lo, hi = _parse_int(lo_text), _parse_int(hi_text)
-    else:
-        lo = hi = _parse_int(text)
+def _parse_range(text: str, option: str) -> tuple[int, int]:
+    try:
+        # a third bound fails the unpacking, as a bad bound fails _parse_int
+        lo, hi = map(_parse_int, text.split(":") if ":" in text else (text, text))
+    except ValueError:
+        raise ValueError(f"invalid {option} {text!r}: expected LO:HI") from None
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
     return lo, hi
@@ -428,8 +428,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    alpha_range = _parse_range(args.alpha_range)
-    beta_range = _parse_range(args.beta_range) if args.beta_range else None
+    alpha_range = _parse_range(args.alpha_range, "--alpha-range")
+    beta_range = _parse_range(args.beta_range, "--beta-range") if args.beta_range else None
     result = sweep(args.conjecture, alpha_range, beta_range, args.depth)
     _render_sweep(result, args.format, args.full)
     return 0 if not result.counterexamples else 1

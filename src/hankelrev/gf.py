@@ -117,7 +117,9 @@ _LOWEST, _HIGHEST = min(_BINOP_PREC.values()), max(_BINOP_PREC.values())
 
 # one token: an unsigned integer, a word, or any other single character.
 # ``\s`` matches what str.isspace does; digits and letters are ASCII only.
-_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]+)|(\S))")
+# Kept as text: re compiles it on the first parse and caches it, so a
+# command that parses no expression never compiles it.
+_TOKEN = r"\s*(?:([0-9]+)|([A-Za-z]+)|(\S))"
 
 # the deepest nesting of parentheses taken: the parser spends four frames
 # of Python's recursion limit on each level, and evaluation recurses too
@@ -135,7 +137,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     """
     tokens = []
     byte = last = depth = 0
-    for match in _TOKEN.finditer(text):
+    for match in re.finditer(_TOKEN, text):
         start = match.start(match.lastindex)
         byte += len(text[last:start].encode("utf-8"))
         last = start

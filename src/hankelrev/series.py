@@ -18,6 +18,9 @@ reads each by one checked exact division: an int where it divides, a
 reduced Fraction elsewhere.  A series holds those values and builds its
 Fractions only when ``coeffs`` is read, so an integral series goes from
 :mod:`hankelrev.gf` through reversion to printed text without a Fraction.
+``fractions`` is imported in the functions that make a Fraction, on the
+branch that makes one, so a process whose series are all integral never
+loads it, nor the ``decimal`` and ``numbers`` modules it imports.
 :meth:`PowerSeries.from_rational`, :meth:`PowerSeries.revert`,
 :func:`_radical_revert` and the evaluator of :mod:`hankelrev.gf` all
 expand a ratio P/Q or a root of one through these.  Square roots and
@@ -66,10 +69,12 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 
 def coefficient_string(value: Scalar) -> str:
@@ -311,6 +316,8 @@ def _quotients(z: Sequence[int], d: int, r: int) -> tuple[Scalar, ...]:
         if not rem:
             q, rem = (c >> s, 0) if odd == 1 else divmod(c >> s, odd)
         if rem:
+            from fractions import Fraction
+
             break
         out.append(q)
         s += t
@@ -341,7 +348,11 @@ def _root(p: Sequence[int], q: Sequence[int], n: int, sign: int = 1) -> tuple[li
 
 
 def _scalar(c: Scalar) -> Scalar:
-    return c if type(c) is int else Fraction(c)
+    if type(c) is int:
+        return c
+    from fractions import Fraction
+
+    return Fraction(c)
 
 
 class PowerSeries:
@@ -366,6 +377,8 @@ class PowerSeries:
     __slots__ = ("_values", "_coeffs", "_form")
 
     def __init__(self, coeffs: Iterable[Scalar]) -> None:
+        from fractions import Fraction
+
         normalized = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not normalized:
             raise ValueError("series must carry at least the constant coefficient")
@@ -387,6 +400,8 @@ class PowerSeries:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         if self._coeffs is None:
+            from fractions import Fraction
+
             self._coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self._values)
         return self._coeffs
 
@@ -532,7 +547,11 @@ class PowerSeries:
             z = _power_coefficients(terms, -m, 1, m - 1)[-1]
             top, bottom = wn**m * num[0] * z, wd**m * m * den[0] ** (2 * m - 1)
             q, rem = divmod(top, bottom)
-            out.append(Fraction(top, bottom) if rem else q)
+            if rem:
+                from fractions import Fraction
+
+                q = Fraction(top, bottom)
+            out.append(q)
         return PowerSeries._from_numerators(out, 1, 1)
 
 

@@ -532,7 +532,15 @@ class TestOverLimitInput:
         [
             (("hankel", "--seq", f"1,{ONES}x"), f"error: invalid sequence entry '{ONES}x'\n"),
             (("sweep", "--conjecture", "8", "--alpha-range=1:2x"),
-             "error: invalid literal for int() with base 10: '2x'\n"),
+             "error: invalid --alpha-range '1:2x': expected LO:HI\n"),
+            (("sweep", "--conjecture", "4", "--alpha-range=1:", "--beta-range", "1:2"),
+             "error: invalid --alpha-range '1:': expected LO:HI\n"),
+            (("sweep", "--conjecture", "8", "--alpha-range=:"),
+             "error: invalid --alpha-range ':': expected LO:HI\n"),
+            (("sweep", "--conjecture", "8", "--alpha-range=1:2:3"),
+             "error: invalid --alpha-range '1:2:3': expected LO:HI\n"),
+            (("sweep", "--conjecture", "4", "--alpha-range=1:2", "--beta-range=-1:x"),
+             "error: invalid --beta-range '-1:x': expected LO:HI\n"),
         ],
     )
     def test_malformed_entry_keeps_its_message(self, capsys, argv, message):

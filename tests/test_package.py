@@ -75,21 +75,67 @@ def test_printer_and_hankel_matrix_are_gone():
 
 
 # modules that no command needs before it runs, or that only some commands
-# load when they run (json, csv and traceback on use, the OEIS lookup)
-_NOT_AT_START = ("dataclasses", "inspect", "json", "csv", "traceback", "hankelrev.oeis")
+# load when they run (json, csv and traceback on use, the OEIS lookup, and
+# fractions, which imports decimal and numbers, where a Fraction is made)
+_NOT_AT_START = (
+    "dataclasses", "inspect", "json", "csv", "traceback", "hankelrev.oeis",
+    "fractions", "decimal", "numbers",
+)
+
+
+def _fresh(code: str, *args: str) -> str:
+    """The stdout of ``code`` run in a fresh isolated interpreter on the source
+    tree, with ``args`` in ``sys.argv[2:]``."""
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, sys.argv[1])\n{code}",
+         str(ROOT / "src"), *args],
+        capture_output=True, text=True, check=True,
+    )
+    return done.stdout
 
 
 def test_start_up_loads_only_what_every_command_needs():
     code = (
-        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
-        "import hankelrev.cli; hankelrev.cli.build_parser(); "
+        "before = set(sys.modules); import hankelrev.cli; hankelrev.cli.build_parser(); "
         "print(' '.join(sorted(set(sys.argv[2:]) & (set(sys.modules) - before))))"
     )
-    done = subprocess.run(
-        [sys.executable, "-I", "-c", code, str(ROOT / "src"), *_NOT_AT_START],
-        capture_output=True, text=True, check=True,
+    assert _fresh(code, *_NOT_AT_START).split() == []
+
+
+# commands whose series and values are all integral
+_INTEGRAL_COMMANDS = [
+    ["expand", "--gf", "x/(1-x-x^2)", "--order", "20"],
+    ["revert", "--gf", "x/(1+3*x-4*x^2)", "--order", "20"],
+    ["hankel", "--gf", "(1-sqrt(1-4*x))/(2*x)", "--depth", "8"],
+    ["triple", "--family", "C", "--alpha", "3", "--depth", "6"],
+    ["verify", "--conjecture", "4", "--alpha", "3", "--beta", "-5", "--depth", "4"],
+    ["sweep", "--conjecture", "6", "--alpha-range=-2:2", "--beta-range=-2:2", "--depth", "3"],
+    ["prop9", "--alpha", "3", "--n", "4"],
+    ["binomial", "--seq", "1,1,2,5,14,42"],
+]
+
+
+def test_integral_commands_make_no_fraction():
+    code = (
+        "import contextlib, io; from hankelrev import cli\n"
+        f"for argv in {_INTEGRAL_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()): assert cli.run(argv) == 0, argv\n"
+        "print('fractions' in sys.modules)"
     )
-    assert done.stdout.split() == []
+    assert _fresh(code) == "False\n"
+
+
+def test_fractions_load_where_a_fraction_is_made():
+    code = (
+        "import contextlib, io; from hankelrev import cli, PowerSeries\n"
+        "for argv in (['expand', '--gf', '1/(2-x)', '--order', '3', '--format', 'csv'],\n"
+        "             ['revert', '--gf', '2*x+x^2', '--order', '4', '--format', 'csv']):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out): cli.run(argv)\n"
+        "    print(out.getvalue(), end='')\n"
+        "print([type(c).__name__ for c in PowerSeries([1, 2]).coeffs])"
+    )
+    assert _fresh(code) == "1/2,1/4,1/8,1/16\n0,1/2,-1/8,1/16,-5/128\n['Fraction', 'Fraction']\n"
 
 
 def test_the_package_makes_no_dataclass():
