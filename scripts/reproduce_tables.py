@@ -7,7 +7,6 @@ C power table, and the classical transforms the suite anchors against.
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import islice
 
 from hankelrev import (
@@ -21,18 +20,11 @@ from hankelrev import (
 )
 
 
-@dataclass(frozen=True)
-class TripleTable:
-    alpha: int
-    beta: int
-    depth: int
-
-
-def print_triple(table: TripleTable) -> None:
-    params = FamilyParams(table.alpha, table.beta, FAMILY_A)
-    u = family_reversion_terms(params, 2 * table.depth + 3)
-    t = hankel_triple(u, table.depth)
-    print(f"family A reversion, alpha={table.alpha} beta={table.beta}")
+def print_triple(alpha: int, beta: int, depth: int) -> None:
+    params = FamilyParams(alpha, beta, FAMILY_A)
+    u = family_reversion_terms(params, 2 * depth + 3)
+    t = hankel_triple(u, depth)
+    print(f"family A reversion, alpha={alpha} beta={beta}")
     print(f"  u = {u}")
     print(f"  {'n':>2} {'h':>16} {'h*':>16} {'h**':>20}")
     for n, h, hs, hss in t.rows():
@@ -66,8 +58,8 @@ def print_classical_anchors() -> None:
 
 
 def main() -> int:
-    print_triple(TripleTable(alpha=-3, beta=-5, depth=5))
-    print_triple(TripleTable(alpha=2, beta=3, depth=5))
+    print_triple(alpha=-3, beta=-5, depth=5)
+    print_triple(alpha=2, beta=3, depth=5)
     print_power_table(alpha=2, depth=5)
     print_classical_anchors()
     return 0

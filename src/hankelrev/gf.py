@@ -261,7 +261,7 @@ class _Series:
         self.z, self.d, self.r = z, d, r
 
 
-_Value = Union[_Rational, _Series]
+_Number = Union[_Rational, _Series]
 
 
 def eval_gf(expression: GfExpression, order: int) -> PowerSeries:
@@ -286,7 +286,7 @@ def expand_gf(text: str, order: int) -> PowerSeries:
     return eval_gf(parse_gf(text), order)
 
 
-def _eval(e: GfExpression, w: int, valuations: dict[int, int | None]) -> _Value:
+def _eval(e: GfExpression, w: int, valuations: dict[int, int | None]) -> _Number:
     """The value of ``e``, determined through x^w.
 
     A subtree without sqrt is an exact :class:`_Rational`, never truncated,
@@ -344,7 +344,7 @@ def _eval(e: GfExpression, w: int, valuations: dict[int, int | None]) -> _Value:
     raise TypeError(f"not a generating-function expression node: {e!r}")
 
 
-def _divisor(den: GfExpression, w: int, valuations: dict[int, int | None]) -> tuple[_Value, int]:
+def _divisor(den: GfExpression, w: int, valuations: dict[int, int | None]) -> tuple[_Number, int]:
     """A divisor other than a bare sqrt, and its valuation v.
 
     The first time a divisor comes up in an evaluation it is evaluated
@@ -373,13 +373,13 @@ def _divisor(den: GfExpression, w: int, valuations: dict[int, int | None]) -> tu
     return _eval(den, w + v, valuations), v
 
 
-def _coefficients(value: _Value) -> list[int]:
+def _coefficients(value: _Number) -> list[int]:
     """The numerator of a rational function, the numerators of a series:
     either has the valuation of ``value``."""
     return value.p if isinstance(value, _Rational) else value.z
 
 
-def _valuation(value: _Value) -> int | None:
+def _valuation(value: _Number) -> int | None:
     """The index of the first nonzero coefficient of ``value`` that it
     determines, or None."""
     return next((k for k, c in enumerate(_coefficients(value)) if c), None)
@@ -403,14 +403,14 @@ def _scaled(z: list[int], step: int, f: int = 1) -> list[int]:
     return out
 
 
-def _series(value: _Value, n: int) -> _Series:
+def _series(value: _Number, n: int) -> _Series:
     """``value`` as a series of order at most n."""
     if isinstance(value, _Series):
         return value if len(value.z) <= n + 1 else _Series(value.z[: n + 1], value.d, value.r)
     return _Series(*_quotient(value.p, value.q, n))
 
 
-def _add(a: _Value, b: _Value, sign: int) -> _Value:
+def _add(a: _Number, b: _Number, sign: int) -> _Number:
     """a + b for sign 1, a - b for sign -1."""
     if isinstance(a, _Rational) and isinstance(b, _Rational):
         if a.q == b.q:
@@ -428,7 +428,7 @@ def _add(a: _Value, b: _Value, sign: int) -> _Value:
     return _Series([x + y for x, y in zip(za, zb)], d, r)
 
 
-def _mul(a: _Value, b: _Value) -> _Value:
+def _mul(a: _Number, b: _Number) -> _Number:
     if isinstance(a, _Rational):
         if isinstance(b, _Rational):
             return _Rational(_product(a.p, b.p), _product(a.q, b.q))
@@ -456,7 +456,7 @@ def _times_ratio(s: _Series, p: list[int], q: list[int]) -> _Series:
     return _Series(t, s.d * d, s.r * r)
 
 
-def _over(num: _Value, den: _Value, v: int) -> _Value:
+def _over(num: _Number, den: _Number, v: int) -> _Number:
     """num / den for den of valuation v, which num must share: both are
     shifted down by v, so a series quotient is v shorter than the shorter
     of num and den."""
@@ -476,7 +476,7 @@ def _over(num: _Value, den: _Value, v: int) -> _Value:
     return _Series(_scaled(t, 1, den.d), num.d * d, r * rt)
 
 
-def _root_of(value: _Value, w: int, sign: int) -> _Series:
+def _root_of(value: _Number, w: int, sign: int) -> _Series:
     """sqrt(value) for sign 1, 1/sqrt(value) for sign -1: one run of the
     power recurrence at e = sign/2.  The constant term must be 1."""
     if isinstance(value, _Rational):
@@ -491,7 +491,7 @@ def _root_of(value: _Value, w: int, sign: int) -> _Series:
     return _Series(z, 1, rho * value.r)
 
 
-def _power(base: _Value, k: int, w: int) -> _Value:
+def _power(base: _Number, k: int, w: int) -> _Number:
     """base^k by repeated squaring; exact unless its degree would pass w."""
     if k == 0:
         return _Rational([1], [1])

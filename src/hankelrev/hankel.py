@@ -125,13 +125,6 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
     return sign * content * m[n - 1][n - 1]
 
 
-def _rescale(riders: Sequence[list[int]], minors: list[int]) -> None:
-    """Turn ratio riders [Y_{-1}, Y_0, ...] into continuants, in place:
-    X_k = h*_{k-1} Y_k, with h*_{-2} = h*_{-1} = 1 and h*_k = minors[k]."""
-    for seq in riders:
-        seq[:] = map(operator.mul, [1, 1, *minors], seq)
-
-
 def _leading_minors(
     terms: Sequence[int], depth: int, *riders: list[int], ride_only: bool = False
 ) -> list[int]:
@@ -148,11 +141,12 @@ def _leading_minors(
 
         H = (-1)^{k_j (k_j + 1) / 2} H_prev E_j(0)^{k_j + 1}.
 
-    Row j is kept as an integer list r over one denominator D, r = D E_j,
-    and takes one of two steps.
+    Row j is kept as an integer list r over one denominator D, r = D E_j.
+    The run is two loops, one per step: the integral loop takes rows
+    from the first on while they take the integral step, and the
+    look-ahead loop takes every row after them to the end of the run.
 
-    While every earlier row has taken it, a row takes the integral step.
-    Then D = 1, and with h = r[0] and p the previous row,
+    In the integral loop D = 1, and with h = r[0] and p the previous row,
     r[1] / h = sigma_{j,j+1} / sigma_{j,j} is a_0 + ... + a_j, the sum
     s_j of the J-fraction's a's, and h / p[0] = nu_j / nu_{j-1} is b_j
     (with nu_{-1} = p[0] = 1 at the head row); here
@@ -165,8 +159,8 @@ def _leading_minors(
 
     with no gcd of the row.
 
-    Every other row, from the first that cannot take the integral step
-    to the end of the run, takes the look-ahead step.  With h the first
+    The look-ahead loop starts from D = 1 at the first row with a zero
+    head (a zero minor) or a fraction a_j or b_j.  With h the first
     nonzero entry of r and k = k_j, clearing the fractions gives the next
     row as (Q r - h^{k+2} p) / x^{k+2} over D p[0] h^{k+1}, where
     Q = h^{k+2} p / r mod x^{k+2} is the integer polynomial that clears
@@ -181,49 +175,50 @@ def _leading_minors(
     algorithm's, negated: h^2 p[i+2] - h p[0] r[i+2] + c1 r[i+1].
 
     Each rider is a list [X_{-1}, X_0] = [Y_{-1}, Y_0] that the integral
-    step extends in place with the ratio Y_{j+1} = a_j Y_j - b_j Y_{j-1}
+    loop extends in place with the ratio Y_{j+1} = a_j Y_j - b_j Y_{j-1}
     at every row, the last one included (see the module docstring): no
-    gcd, no division and no product larger than a_j Y_j.  Where the run ends on
-    the integral step, one pass over each rider (:func:`_rescale`)
-    multiplies the ratios out into the continuants X_k = h*_{k-1} Y_k.
-    The riders read r[1] of the last row, so they need ``2 * depth + 2``
-    terms.  At the first row the integral step cannot take they stop,
-    short of ``depth + 3`` entries, and are of no further use; with
-    ``ride_only`` the run stops there too.
+    gcd, no division and no product larger than a_j Y_j.  Where that loop
+    reaches the depth, it multiplies each rider out, in one pass, into
+    the continuants X_k = h*_{k-1} Y_k, and the run ends there.  The
+    riders read r[1] of the last row, so they need ``2 * depth + 2``
+    terms.  Where the integral loop ends short of the depth, the riders
+    keep fewer than ``depth + 3`` entries, which tells the caller to
+    give up on them: the look-ahead loop leaves them as they are, and
+    with ``ride_only`` the run returns before it.
     """
     row = [operator.index(t) for t in terms[: 2 * depth + (2 if riders else 1)]]
     prev = [1] + [0] * len(row)  # E_{-1}
-    minor = denom = 1
+    minor = 1
     minors = []
-    s = 0  # a_0 + ... + a_{j-1} while every row has taken the integral step
-    while True:
-        h = row[0]
-        if h and s is not None:
-            if len(row) == 1:  # the last row of a run without riders
-                minors.append(minor * h)
-                return minors
-            (t, r1), (b, r2) = divmod(row[1], h), divmod(h, prev[0])
-            if not (r1 or r2):  # integral a_j = t - s and b_j = b, over D = 1
-                minor *= h
-                minors.append(minor)
-                a, s = t - s, t
-                for seq in riders:
-                    seq.append(a * seq[-1] - b * seq[-2])
-                if len(minors) > depth:
-                    _rescale(riders, minors)
-                    return minors
-                prev, row = row, [x - a * y - b * z for x, y, z in zip(row[2:], row[1:], prev[2:])]
-                continue
-        if ride_only:
+    s = 0  # a_0 + ... + a_{j-1}
+    while h := row[0]:
+        if len(row) == 1:  # the last row of a run without riders
+            minors.append(minor * h)
             return minors
-        riders, s = (), None
+        (t, r1), (b, r2) = divmod(row[1], h), divmod(h, prev[0])
+        if r1 or r2:  # a fraction a_j = t - s or b_j = b
+            break
+        minor *= h
+        minors.append(minor)
+        a, s = t - s, t
+        for seq in riders:
+            seq.append(a * seq[-1] - b * seq[-2])
+        if len(minors) > depth:  # X_k = h*_{k-1} Y_k, with h*_{-2} = h*_{-1} = 1
+            for seq in riders:
+                seq[:] = map(operator.mul, [1, 1, *minors], seq)
+            return minors
+        prev, row = row, [x - a * y - b * z for x, y, z in zip(row[2:], row[1:], prev[2:])]
+    if ride_only:
+        return minors
+    denom = 1
+    while True:
         k = next((i for i, x in enumerate(row) if x), len(row))
         if k:
             minors += [0] * k
             if len(minors) > depth:  # always so when the row is all zeros
                 return minors[: depth + 1]
             row = row[k:]
-            h = row[0]
+        h = row[0]
         power = h ** (k + 1)
         minor, remainder = divmod(minor * power, denom ** (k + 1))
         if remainder:

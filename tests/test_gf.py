@@ -196,6 +196,21 @@ class TestExpand:
     def test_scalar_division_keeps_rationals(self):
         assert expand_gf("1/2/2", 2)[0] == Fraction(1, 4)
 
+    @pytest.mark.parametrize(
+        "text, order, expected, form",
+        [
+            ("1/(-1+x)", 4, ["-1", "-1", "-1", "-1", "-1"], ([-1], [1, -1])),
+            ("x/(-2-x)", 4, ["0", "-1/2", "1/4", "-1/8", "1/16"], ([0, -1], [2, 1])),
+            ("(1+x)/(-3+x)", 4, ["-1/3", "-4/9", "-4/27", "-4/81", "-4/243"], ([-1, -1], [3, -1])),
+            # both terms come to q = 1 - x, so _add takes its equal-q path
+            ("1/(-1+x)+1/(1-x)", 3, ["0", "0", "0", "0"], ([], [1, -1])),
+        ],
+    )
+    def test_divisor_with_a_negative_constant_term(self, text, order, expected, form):
+        s = expand_gf(text, order)
+        assert s.coefficient_strings() == expected
+        assert s._form == form  # the exact P/Q that revert reads, with q[0] > 0
+
     def test_power_binds_tighter_than_product(self):
         assert expand_gf("2*x^2", 2).integer_coefficients() == [0, 0, 2]
         assert expand_gf("(2*x)^2", 2).integer_coefficients() == [0, 0, 4]
@@ -414,6 +429,12 @@ class TestRevertForm:
         assert capsys.readouterr().out == expected + "\n"
         # f/x = 1/(1 + 3x - 5x^2): A = t, C = 1 + 3t - 5t^2
         assert radical_calls == [([0, 1], [1, 3, -5], 40)]
+
+    def test_revert_of_a_form_with_a_negative_constant_term(self, capsys, radical_calls):
+        assert run(["revert", "--gf", "x/(-2-x)", "--order", "4", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "0,-2,2,-2,2\n"
+        # f/x = -1/(2 + x), with the sign in the numerator
+        assert radical_calls == [([0, -1], [2, 1], 4)]
 
     @pytest.mark.parametrize(
         "text",

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -232,6 +233,24 @@ class TestHttpGetJson:
         payload = _http_get_json(oeis.OEIS_SEARCH_URL, {"q": "1,1,2,5", "fmt": "json"})
         assert payload == {"results": [{"number": 108}]}
         assert seen == {"url": "https://oeis.org/search?q=1%2C1%2C2%2C5&fmt=json", "timeout": 10}
+
+    def test_second_call_waits_out_the_interval(self, monkeypatch):
+        clock = [100.0]
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            clock[0] += seconds
+
+        monkeypatch.setattr(
+            oeis, "time", SimpleNamespace(monotonic=lambda: clock[0], sleep=sleep)
+        )
+        monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: io.BytesIO(b"[]"))
+        monkeypatch.setattr(oeis, "_last_request_time", 0.0)
+        assert _http_get_json(oeis.OEIS_SEARCH_URL, {"q": "1,1,2,5"}) == []
+        clock[0] += 0.3
+        assert _http_get_json(oeis.OEIS_SEARCH_URL, {"q": "1,1,2,5"}) == []
+        assert sleeps == [pytest.approx(0.7)]
 
     def test_works_without_requests(self, tmp_path):
         script = (
